@@ -367,7 +367,9 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
     """Fixed-topology sweep of (target, interval = 20x target) per discipline.
 
     Returns one dict per (discipline, target) with seed-averaged mean mRTT
-    and mean throughput; also written to sweep.csv.
+    and mean throughput; also written to sweep.csv. `distinct_runs` counts
+    the distinct summaries (seed column aside) among the `seeds` averaged:
+    seeds that reach no random draw of the run repeat one trajectory.
     """
     os.makedirs(outdir, exist_ok=True)
     tasks = []
@@ -396,15 +398,17 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
                 "conn_rtt_us_mean": sum(r["mean_conn_rtt_us"] for r in runs) / n,
                 "conn_goodput_bps_mean": sum(r["mean_conn_goodput_bps"] for r in runs) / n,
                 "seeds": n,
+                "distinct_runs": len({tuple(v for k, v in r.items() if k != "seed")
+                                      for r in runs}),
             })
     with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("disc,target_us,interval_us,mrtt_us_mean,throughput_bps_mean,"
-                 "conn_rtt_us_mean,conn_goodput_bps_mean,seeds\n")
+                 "conn_rtt_us_mean,conn_goodput_bps_mean,seeds,distinct_runs\n")
         for r in out_rows:
             fh.write(f"{r['disc']},{r['target_us']},{r['interval_us']},"
                      f"{r['mrtt_us_mean']:.3f},{r['throughput_bps_mean']:.3f},"
                      f"{r['conn_rtt_us_mean']:.3f},{r['conn_goodput_bps_mean']:.3f},"
-                     f"{r['seeds']}\n")
+                     f"{r['seeds']},{r['distinct_runs']}\n")
     return out_rows
 
 

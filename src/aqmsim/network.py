@@ -1,13 +1,19 @@
 """Hosts, routers, duplex links, and the dumbbell topology.
 
 An EgressPort owns one direction of a link: a queue discipline plus a
-transmitter. Serialization is tracked arithmetically (busy_until) so that a
-packet costs one delivery event per hop, plus one wakeup event only while the
-queue is backlogged on links with propagation delay.
+transmitter. A Link is the same transmitter in front of a plain FIFO with a
+hard packet limit; every hop except the bottleneck is a Link. Both track
+serialization arithmetically (busy_until) so that a packet costs one delivery
+event per hop, plus one wakeup event only while the queue is backlogged on
+links with propagation delay. They schedule the same events at the same
+times in the same order, so a hop's outputs do not depend on which of the
+two models it.
 """
 from __future__ import annotations
 
-from .aqm import AqmParams, TailDrop, make_discipline
+from collections import deque
+
+from .aqm import AqmParams, make_discipline
 from .engine import MS, SECOND
 from .packets import ECT0, F_ACK, F_ECE, F_SYN, Packet
 
@@ -66,6 +72,93 @@ class EgressPort:
         self.dst.receive(pkt)
         if self.sim.now >= self.busy_until:
             self._pump()
+
+
+class Link:
+    """Unidirectional transmitter in front of a tail-drop FIFO.
+
+    Counters: `arrivals` (every packet handed to `send`), `forwarded`
+    (packets that started transmission), `overflow_drops` (arrivals refused
+    at the hard limit) and `peak` (most packets ever waiting at once, not
+    counting the one on the wire). A packet that finds the link idle and the
+    FIFO empty goes straight onto the wire without touching the FIFO.
+    """
+
+    __slots__ = ("sim", "bandwidth_bps", "prop_ns", "hard_limit", "queue", "dst",
+                 "busy_until", "_kick_pending", "_chained",
+                 "arrivals", "forwarded", "overflow_drops", "peak")
+
+    def __init__(self, sim, bandwidth_bps: int, prop_ns: int, hard_limit: int, dst):
+        if bandwidth_bps <= 0:
+            raise ValueError("bandwidth_bps must be positive")
+        if hard_limit < 1:
+            raise ValueError("hard_limit must be >= 1")
+        self.sim = sim
+        self.bandwidth_bps = bandwidth_bps
+        self.prop_ns = prop_ns
+        self.hard_limit = hard_limit
+        self.queue = deque()
+        self.dst = dst
+        self.busy_until = 0
+        self._kick_pending = False
+        self._chained = prop_ns == 0
+        self.arrivals = 0
+        self.forwarded = 0
+        self.overflow_drops = 0
+        self.peak = 0
+
+    def send(self, pkt) -> None:
+        self.arrivals += 1
+        queue = self.queue
+        if self.busy_until <= self.sim.now:
+            if queue:
+                # The wire fell idle at this very instant and its wakeup has
+                # not run yet: join the FIFO and send its head.
+                self._admit(pkt)
+                pkt = queue.popleft()
+            self._transmit(pkt)
+        else:
+            self._admit(pkt)
+            if not self._chained and not self._kick_pending:
+                self._kick_pending = True
+                self.sim.schedule(self.busy_until, self._kick)
+
+    def _admit(self, pkt) -> None:
+        queue = self.queue
+        if len(queue) >= self.hard_limit:
+            self.overflow_drops += 1
+            return
+        queue.append(pkt)
+        if len(queue) > self.peak:
+            self.peak = len(queue)
+
+    def _transmit(self, pkt) -> None:
+        sim = self.sim
+        self.forwarded += 1
+        bw = self.bandwidth_bps
+        done = sim.now + (pkt.size_bytes * 8 * SECOND + bw // 2) // bw
+        self.busy_until = done
+        if self._chained:
+            sim.schedule(done, self._deliver_chain, pkt)
+        else:
+            sim.schedule(done + self.prop_ns, self.dst.receive, pkt)
+            if self.queue and not self._kick_pending:
+                self._kick_pending = True
+                sim.schedule(done, self._kick)
+
+    def _kick(self) -> None:
+        self._kick_pending = False
+        if self.sim.now >= self.busy_until:
+            if self.queue:
+                self._transmit(self.queue.popleft())
+        elif self.queue:
+            self._kick_pending = True
+            self.sim.schedule(self.busy_until, self._kick)
+
+    def _deliver_chain(self, pkt) -> None:
+        self.dst.receive(pkt)
+        if self.queue and self.sim.now >= self.busy_until:
+            self._transmit(self.queue.popleft())
 
 
 class Host:
@@ -195,9 +288,6 @@ class Topology:
         else:
             access = [(cfg.access_bw_bps, cfg.access_prop_ns)] * n
 
-        def taildrop():
-            return TailDrop(AqmParams(hard_limit=cfg.hard_limit))
-
         hash_seed = int(rng_hub.stream("fq-hash").integers(0, 2**63))
         self.aqm_params = AqmParams(cfg.target_ns, cfg.interval_ns,
                                     cfg.hard_limit, cfg.ecn)
@@ -205,14 +295,16 @@ class Topology:
 
         a_side = frozenset(h.node_id for h in self.hosts_a) | {self.mon_a.node_id}
 
+        def link(bw, prop, dst):
+            return Link(sim, bw, prop, cfg.hard_limit, dst)
+
         # B-side uplinks and R1 return ports.
         for host, (bw, prop) in zip(self.hosts_b, access):
-            host.egress = EgressPort(sim, bw, prop, taildrop(), self.r1)
-            self.r1.routes[host.node_id] = EgressPort(sim, bw, prop, taildrop(), host)
-        self.mon_b.egress = EgressPort(sim, cfg.access_bw_bps, cfg.access_prop_ns,
-                                       taildrop(), self.r1)
-        self.r1.routes[self.mon_b.node_id] = EgressPort(
-            sim, cfg.access_bw_bps, cfg.access_prop_ns, taildrop(), self.mon_b)
+            host.egress = link(bw, prop, self.r1)
+            self.r1.routes[host.node_id] = link(bw, prop, host)
+        self.mon_b.egress = link(cfg.access_bw_bps, cfg.access_prop_ns, self.r1)
+        self.r1.routes[self.mon_b.node_id] = link(cfg.access_bw_bps,
+                                                  cfg.access_prop_ns, self.mon_b)
 
         # The single bottleneck R1 -> R2 carries every A-bound packet.
         bport = EgressPort(sim, cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns,
@@ -221,19 +313,15 @@ class Topology:
             self.r1.routes[dst_id] = bport
         self.bottleneck_port = bport
 
-        # A-side links and the reverse bottleneck direction (plain FIFO).
+        # A-side links and the reverse bottleneck direction.
         for host in self.hosts_a:
-            host.egress = EgressPort(sim, cfg.exit_bw_bps, cfg.exit_prop_ns,
-                                     taildrop(), self.r2)
-            self.r2.routes[host.node_id] = EgressPort(
-                sim, cfg.exit_bw_bps, cfg.exit_prop_ns, taildrop(), host)
-        self.mon_a.egress = EgressPort(sim, cfg.exit_bw_bps, cfg.exit_prop_ns,
-                                       taildrop(), self.r2)
-        self.r2.routes[self.mon_a.node_id] = EgressPort(
-            sim, cfg.exit_bw_bps, cfg.exit_prop_ns, taildrop(), self.mon_a)
+            host.egress = link(cfg.exit_bw_bps, cfg.exit_prop_ns, self.r2)
+            self.r2.routes[host.node_id] = link(cfg.exit_bw_bps, cfg.exit_prop_ns, host)
+        self.mon_a.egress = link(cfg.exit_bw_bps, cfg.exit_prop_ns, self.r2)
+        self.r2.routes[self.mon_a.node_id] = link(cfg.exit_bw_bps, cfg.exit_prop_ns,
+                                                  self.mon_a)
 
-        rev = EgressPort(sim, cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns,
-                         taildrop(), self.r1)
+        rev = link(cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns, self.r1)
         for host in self.hosts_b:
             self.r2.routes[host.node_id] = rev
         self.r2.routes[self.mon_b.node_id] = rev

@@ -70,6 +70,12 @@ class ScenarioConfig:
             raise ValueError("random access bandwidth range is inverted")
         if self.rand_prop_min_ms > self.rand_prop_max_ms:
             raise ValueError("random propagation range is inverted")
+        for key in NON_NEGATIVE_KEYS:
+            if getattr(self, KEY_SPECS[key][0]) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        if self.access_prop_ns + self.bottleneck_prop_ns + self.exit_prop_ns <= 0:
+            raise ValueError("access_prop_ms + bottleneck_prop_ms + exit_prop_ms must "
+                             "be positive: the monitor path needs a nonzero base RTT")
 
 
 def _parse_bool(v: str) -> bool:
@@ -118,6 +124,12 @@ KEY_SPECS = {
     "flow_stagger_ms": ("flow_stagger_ms", int),
     "monitor_start_ms": ("monitor_start_ms", int),
 }
+
+
+# Delays and start offsets: a negative one would schedule events in the past.
+NON_NEGATIVE_KEYS = ("access_prop_ms", "bottleneck_prop_ms", "exit_prop_ms",
+                     "rand_prop_min_ms", "bulk_start_ms", "flow_stagger_ms",
+                     "monitor_start_ms")
 
 
 def apply_setting(cfg: ScenarioConfig, key: str, value: str, where: str = "") -> ScenarioConfig:

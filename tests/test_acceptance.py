@@ -287,7 +287,10 @@ def test_c08_target_sweep_trends(tmp_path):
          f"codel: rho_mrtt {co_rho_m:+.2f}, rho_thr {co_rho_t:+.2f}; "
          f"fq_codel: rho_conn_rtt {fq_rho_c:+.2f}, probe spreads "
          f"mRTT {mrtt_spread:.0f} us, transfer {transfer_spread:.0f} us "
-         f"< {mtu_us:.0f} us; FQ-CoDel mRTT <= CoDel at every point")
+         f"< {mtu_us:.0f} us; FQ-CoDel mRTT <= CoDel at every point; distinct "
+         f"runs per point of {rows[0]['seeds']} seeds: "
+         + ", ".join(f"{d} {sorted({r['distinct_runs'] for r in pts[d]})}"
+                     for d in ("codel", "fq_codel")))
 
 
 def test_c09_intelligent_vs_static_direction(tmp_path, pretrained):

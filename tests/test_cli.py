@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from aqmsim.cli import main
 
 
@@ -82,3 +84,23 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     rc = main(["retrain-demo", "--checkpoint", str(tmp_path / "nope.json"),
                "--out", str(tmp_path), "--set", "pairs=2", "--duration-s", "7"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("setting,named", [
+    ("access_prop_ms=-5", "access_prop_ms"),
+    ("bottleneck_prop_ms=-5", "bottleneck_prop_ms"),
+    ("exit_prop_ms=-5", "exit_prop_ms"),
+    ("rand_prop_min_ms=-5", "rand_prop_min_ms"),
+    ("bulk_start_ms=-5", "bulk_start_ms"),
+    ("flow_stagger_ms=-5", "flow_stagger_ms"),
+    ("monitor_start_ms=-5", "monitor_start_ms"),
+    ("access_prop_ms=0", "access_prop_ms + bottleneck_prop_ms + exit_prop_ms"),
+])
+def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, named):
+    rc = main(["run", "--set", "pairs=1", "--duration-s", "1", "--set", setting,
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert named in err
+    assert "Traceback" not in err

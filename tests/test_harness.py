@@ -131,6 +131,14 @@ class TestIntelligentRun:
         assert (a / "epochs.csv").read_bytes() == (b / "epochs.csv").read_bytes()
 
 
+def plain_links(topo):
+    """Every port of the topology except the bottleneck, each once."""
+    hosts = topo.hosts_a + topo.hosts_b + [topo.mon_a, topo.mon_b]
+    ports = [h.egress for h in hosts]
+    ports += list(topo.r1.routes.values()) + list(topo.r2.routes.values())
+    return list({id(p): p for p in ports if p is not topo.bottleneck_port}.values())
+
+
 class TestConservation:
     def test_bottleneck_accounting_balances(self):
         # run() raises if enqueued != forwarded + dropped + queued
@@ -138,12 +146,25 @@ class TestConservation:
             simulate(small_cfg(disc=disc, duration_s=3), seed=9)
 
     def test_all_ports_balance(self):
-        cfg = small_cfg(duration_s=3)
-        ctx = SimContext(cfg, seed=10)
-        ctx.run()
-        for port in [ctx.topo.bottleneck_port]:
-            s = port.q.stats
-            assert s.enqueued == s.forwarded + s.dropped_law + s.dropped_overflow + s.qlen()
+        # The default limit, then one small enough that plain links overflow.
+        for hard_limit in (ScenarioConfig.hard_limit, 5):
+            cfg = small_cfg(duration_s=3, hard_limit=hard_limit)
+            ctx = SimContext(cfg, seed=10)
+            ctx.run()
+            topo = ctx.topo
+            links = plain_links(topo)
+            assert len(links) == 4 * cfg.pairs + 5
+            for link in links:
+                # The resident count comes from the FIFO itself, not the counters.
+                assert link.arrivals == (link.forwarded + link.overflow_drops
+                                         + len(link.queue))
+                assert len(link.queue) <= link.peak <= hard_limit
+            if hard_limit == 5:
+                assert sum(link.overflow_drops for link in links) > 0
+            for port in [topo.bottleneck_port]:
+                s = port.q.stats
+                assert s.enqueued == (s.forwarded + s.dropped_law + s.dropped_overflow
+                                      + s.qlen())
 
 
 class TestProbeRtt:
@@ -257,8 +278,21 @@ class TestSweepAndCompare:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == ("disc,target_us,interval_us,mrtt_us_mean,"
                             "throughput_bps_mean,conn_rtt_us_mean,"
-                            "conn_goodput_bps_mean,seeds")
+                            "conn_goodput_bps_mean,seeds,distinct_runs")
         assert len(lines) == 3
+
+    def test_sweep_counts_distinct_runs(self, tmp_path):
+        # On the fixed topology the seed reaches only the FQ-CoDel flow hash,
+        # so CoDel seeds repeat one run; random topologies differ per seed.
+        rows = target_sweep(small_cfg(pairs=2), tmp_path / "fixed", targets_ms=(1.0,),
+                            seeds=(1, 2), disciplines=("codel",), duration_s=2, jobs=1)
+        assert [(r["seeds"], r["distinct_runs"]) for r in rows] == [(2, 1)]
+        rows = target_sweep(small_cfg(pairs=2, random_topology=True), tmp_path / "rand",
+                            targets_ms=(1.0,), seeds=(1, 2), disciplines=("codel",),
+                            duration_s=2, jobs=1)
+        assert [(r["seeds"], r["distinct_runs"]) for r in rows] == [(2, 2)]
+        last = (tmp_path / "rand" / "sweep.csv").read_text().splitlines()[-1]
+        assert last.endswith(",2,2")
 
     def test_retrain_demo_outputs(self, tmp_path, tiny_checkpoint):
         cfg = replace(ScenarioConfig(), pairs=2, duration_s=7,
