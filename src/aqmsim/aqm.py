@@ -33,7 +33,11 @@ DEFAULT_HARD_LIMIT = 1000
 
 
 class AqmParams:
-    """Runtime-settable control parameters shared by a discipline instance."""
+    """Runtime-settable control parameters shared by a discipline instance.
+
+    The discipline reads them at every packet, so `set` retunes it in place
+    and its control-law state (count, dropping, schedule) survives.
+    """
 
     __slots__ = ("target", "interval", "hard_limit", "ecn_enabled")
 
@@ -119,13 +123,12 @@ class QueueStats:
 class CodelState:
     """Per-queue control-law state."""
 
-    __slots__ = ("first_above_time", "drop_next", "count", "last_count", "dropping")
+    __slots__ = ("first_above_time", "drop_next", "count", "dropping")
 
     def __init__(self):
         self.first_above_time = 0
         self.drop_next = 0
         self.count = 0
-        self.last_count = 0
         self.dropping = False
 
 
@@ -148,10 +151,6 @@ class TailDrop:
     def __len__(self) -> int:
         return len(self._q)
 
-    @property
-    def backlog_bytes(self) -> int:
-        return sum(p.size_bytes for p in self._q)
-
     def enqueue(self, pkt, now: int) -> bool:
         if len(self._q) >= self.params.hard_limit:
             self.stats.on_drop_overflow(now)
@@ -167,12 +166,6 @@ class TailDrop:
         pkt = self._q.popleft()
         self.stats.on_forward(now)
         return pkt
-
-    def set_params(self, target: int, interval: int) -> None:
-        self.params.set(target, interval)
-
-    def occupancy_pct(self) -> float:
-        return 100.0 * len(self._q) / self.params.hard_limit
 
     def queued_packets(self):
         return iter(self._q)
@@ -263,7 +256,6 @@ class Codel:
                 st.count = st.count - 2 if st.count > 2 else 1
             else:
                 st.count = 1
-            st.last_count = st.count
             marked = self._action(pkt, now)
             st.drop_next = now + control_interval(p.interval, st.count)
             if not marked:
@@ -272,13 +264,6 @@ class Codel:
                     return None
         self.stats.on_forward(now)
         return pkt
-
-    def set_params(self, target: int, interval: int) -> None:
-        # Control-law state (count, dropping, schedule) survives retuning.
-        self.params.set(target, interval)
-
-    def occupancy_pct(self) -> float:
-        return 100.0 * self.stats.qlen() / self.params.hard_limit
 
     def queued_packets(self):
         return iter(self._q)
@@ -307,17 +292,13 @@ class FqCodel:
     """Deficit round robin over hashed sub-queues, CoDel applied per queue."""
 
     kind = "fq_codel"
-    __slots__ = ("params", "stats", "quantum", "num_queues", "hash_seed",
-                 "_subs", "_new", "_old")
+    __slots__ = ("params", "stats", "hash_seed", "_subs", "_new", "_old")
 
-    def __init__(self, params: AqmParams, hash_seed: int = 0,
-                 quantum: int = DRR_QUANTUM, num_queues: int = NUM_SUBQUEUES):
+    def __init__(self, params: AqmParams, hash_seed: int = 0):
         self.params = params
         self.stats = QueueStats()
-        self.quantum = quantum
-        self.num_queues = num_queues
         self.hash_seed = hash_seed
-        self._subs = [_SubQueue(params, self.stats) for _ in range(num_queues)]
+        self._subs = [_SubQueue(params, self.stats) for _ in range(NUM_SUBQUEUES)]
         self._new = deque()
         self._old = deque()
 
@@ -325,7 +306,7 @@ class FqCodel:
         return self.stats.qlen()
 
     def bucket_of(self, flow_id: int) -> int:
-        return mix64(flow_id ^ self.hash_seed) % self.num_queues
+        return mix64(flow_id ^ self.hash_seed) % NUM_SUBQUEUES
 
     def enqueue(self, pkt, now: int) -> bool:
         if self.stats.qlen() >= self.params.hard_limit:
@@ -335,7 +316,7 @@ class FqCodel:
         sub = self._subs[idx]
         sub.enqueue(pkt, now)
         if sub.active == 0:
-            sub.deficit = self.quantum
+            sub.deficit = DRR_QUANTUM
             sub.active = 1
             self._new.append(idx)
         return True
@@ -353,7 +334,7 @@ class FqCodel:
             idx = lst[0]
             sub = self._subs[idx]
             if sub.deficit <= 0:
-                sub.deficit += self.quantum
+                sub.deficit += DRR_QUANTUM
                 lst.popleft()
                 self._old.append(idx)
                 sub.active = 2
@@ -370,12 +351,6 @@ class FqCodel:
                 continue
             sub.deficit -= pkt.size_bytes
             return pkt
-
-    def set_params(self, target: int, interval: int) -> None:
-        self.params.set(target, interval)
-
-    def occupancy_pct(self) -> float:
-        return 100.0 * self.stats.qlen() / self.params.hard_limit
 
     def queued_packets(self):
         for sub in self._subs:

@@ -36,14 +36,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn, args))
 
-    def pop_next(self):
-        """Remove and return the next (time, fn, args) event; None when drained."""
-        if not self._heap:
-            return None
-        t, _, fn, args = heapq.heappop(self._heap)
-        self.now = t
-        return t, fn, args
-
     def run(self, t_end: int) -> None:
         """Dispatch every event with timestamp <= t_end, then park the clock there."""
         heap = self._heap

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,27 +22,67 @@ from .rng import RngHub
 from .scenario import ScenarioConfig
 from .transport import Connection
 from .network import PingProbe, Topology
-from .tuner import QLearningTuner, RewardSample, TunerConfig
+from .tuner import QLearningTuner, RewardSample, TunerConfig, power_reward
 
 BIN_NS = 100 * MS
 RETRAIN_BIN_NS = 1 * MS
 PING_INTERVAL_NS = 100 * MS  # ten request/response pairs per epoch
 TRANSFER_PROBE_BYTES = 1500  # single-segment probe transfers time the path
 
+# One column table per output file: (name, format spec) in file order. A
+# cell is written as format(value, spec), except that an empty string (a
+# value the row does not have) is written as is.
 EPOCH_COLUMNS = (
-    "epoch_index", "observed_count", "state", "action", "target_us",
-    "interval_us", "throughput_bps", "mrtt_us", "reward", "predicted_next",
-    "occupancy_pct", "drops", "marks", "cumulative_power", "mrtt_carried",
-    "conn_goodput_bps", "conn_rtt_us",
+    ("epoch_index", ""), ("observed_count", ""), ("state", ""), ("action", ""),
+    ("target_us", ""), ("interval_us", ""), ("throughput_bps", ".0f"),
+    ("mrtt_us", ".3f"), ("reward", ".9e"), ("predicted_next", ".6f"),
+    ("occupancy_pct", ".6f"), ("drops", ""), ("marks", ""),
+    ("cumulative_power", ".9e"), ("mrtt_carried", ""),
+    ("conn_goodput_bps", ".0f"), ("conn_rtt_us", ".3f"),
 )
 
 SUMMARY_COLUMNS = (
-    "seed", "disc", "ecn", "intelligent", "duration_s", "pairs",
-    "mean_mrtt_us", "mean_throughput_bps", "mean_conn_goodput_bps",
-    "mean_conn_rtt_us", "mean_agg_goodput_bps", "final_cumulative_power",
-    "occupancy_mean_pct", "occupancy_max_pct", "marks", "law_drops",
-    "overflow_drops", "reward_normalizer",
+    ("seed", ""), ("disc", ""), ("ecn", ""), ("intelligent", ""),
+    ("duration_s", ""), ("pairs", ""), ("mean_mrtt_us", ".3f"),
+    ("mean_throughput_bps", ".3f"), ("mean_conn_goodput_bps", ".3f"),
+    ("mean_conn_rtt_us", ".3f"), ("mean_agg_goodput_bps", ".3f"),
+    ("final_cumulative_power", ".9e"), ("occupancy_mean_pct", ".6f"),
+    ("occupancy_max_pct", ".6f"), ("marks", ""), ("law_drops", ""),
+    ("overflow_drops", ""), ("reward_normalizer", ".9e"),
 )
+
+SWEEP_COLUMNS = (
+    ("disc", ""), ("target_us", ""), ("interval_us", ""),
+    ("mrtt_us_mean", ".3f"), ("throughput_bps_mean", ".3f"),
+    ("conn_rtt_us_mean", ".3f"), ("conn_goodput_bps_mean", ".3f"),
+    ("seeds", ""), ("distinct_runs", ""),
+)
+
+COMPARE_COLUMNS = (
+    ("disc", ""), ("arm", ""), ("seed", ""), ("final_cumulative_power", ".9e"),
+    ("occupancy_mean_pct", ".6f"), ("occupancy_max_pct", ".6f"),
+    ("mean_mrtt_us", ".3f"), ("mean_throughput_bps", ".3f"),
+)
+
+FIT_REPORT_COLUMNS = (
+    ("rmse_train", ".6f"), ("rmse_test", ".6f"), ("mae_train", ".6f"),
+    ("mae_test", ".6f"), ("epochs", ""), ("split", ""),
+    ("n_train_windows", ""), ("n_test_windows", ""),
+)
+
+
+def named(columns, record) -> tuple:
+    """The row of `record[name]` for each column, in column order."""
+    return tuple(record[name] for name, _ in columns)
+
+
+def write_csv(path, columns, rows) -> None:
+    """The header line of column names, then one line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(name for name, _ in columns) + "\n")
+        for row in rows:
+            fh.write(",".join(v if v == "" else format(v, spec)
+                              for v, (_, spec) in zip(row, columns)) + "\n")
 
 
 @dataclass
@@ -97,8 +137,7 @@ class SimContext:
         # reward (the power of the connection: its goodput over its own
         # measured RTT).
         self.monitor = Connection(self.sim, cfg.pairs, self.topo.mon_b, self.topo.mon_a,
-                                  ecn_capable=cfg.ecn, is_probe=True,
-                                  start_ns=cfg.monitor_start_ms * MS)
+                                  ecn_capable=cfg.ecn, start_ns=cfg.monitor_start_ms * MS)
         self.monitor.start()
         self._conn_rtt_samples = []
         self.monitor.rtt_cb = self._conn_rtt_samples.append
@@ -213,23 +252,23 @@ class SimContext:
             reward, predicted = self.tuner.learn(
                 sample, self.bins100[max(k * 10 - 10, 0):k * 10])
         else:
-            reward = sample.power() / self.reward_normalizer
+            reward = power_reward(sample, self.reward_normalizer)
         self.cumulative_power += reward
 
         dec = self._current_decision
         if dec is not None:
-            state_s, action_s = str(dec.state), str(dec.action)
+            state, action = dec.state, dec.action
             target_ns, interval_ns = dec.target_ns, dec.interval_ns
         else:
-            state_s = action_s = ""
+            state = action = ""
             target_ns, interval_ns = cfg.target_ns, cfg.interval_ns
         observed_prev = self.bins100[(k - 1) * 10 - 1] if k > 1 else 0
 
         self.rows.append((
             k - 1,
             observed_prev,
-            state_s,
-            action_s,
+            state,
+            action,
             target_ns // US,
             interval_ns // US,
             throughput_bps,
@@ -248,7 +287,7 @@ class SimContext:
         if self.tuner is not None and k < cfg.duration_s:
             observed = self.bins100[k * 10 - 1]
             decision = self.tuner.decide(observed)
-            self.topo.bottleneck.set_params(decision.target_ns, decision.interval_ns)
+            self.topo.aqm_params.set(decision.target_ns, decision.interval_ns)
             self._current_decision = decision
 
     # -- results ---------------------------------------------------------------
@@ -257,12 +296,15 @@ class SimContext:
         self.sim.run(self.duration_ns)
         cfg = self.cfg
         stats = self.topo.bottleneck.stats
-        balance = stats.enqueued - (stats.forwarded + stats.dropped_law
-                                    + stats.dropped_overflow + stats.qlen())
+        # Admitted packets left by forwarding, a law drop, or are still
+        # queued; the resident count comes from the queues themselves.
+        resident = sum(1 for _ in self.topo.bottleneck.queued_packets())
+        balance = stats.enqueued - (stats.forwarded + stats.dropped_law + resident)
         if balance != 0:
             raise RuntimeError(f"queue accounting out of balance by {balance} packets")
         rows = self.rows
         n = len(rows)
+        column = dict(zip((name for name, _ in EPOCH_COLUMNS), zip(*rows)))
         summary = {
             "seed": self.seed,
             "disc": cfg.disc,
@@ -270,13 +312,13 @@ class SimContext:
             "intelligent": int(cfg.intelligent),
             "duration_s": cfg.duration_s,
             "pairs": cfg.pairs,
-            "mean_mrtt_us": sum(r[7] for r in rows) / n,
-            "mean_throughput_bps": sum(r[6] for r in rows) / n,
+            "mean_mrtt_us": sum(column["mrtt_us"]) / n,
+            "mean_throughput_bps": sum(column["throughput_bps"]) / n,
             "mean_conn_goodput_bps": self._conn_sum_bps / n,
-            "mean_conn_rtt_us": sum(r[16] for r in rows) / n,
+            "mean_conn_rtt_us": sum(column["conn_rtt_us"]) / n,
             "mean_agg_goodput_bps": self._agg_sum_bps / n,
             "final_cumulative_power": self.cumulative_power,
-            "occupancy_mean_pct": sum(r[10] for r in rows) / n,
+            "occupancy_mean_pct": sum(column["occupancy_pct"]) / n,
             "occupancy_max_pct": self._occ_max_pct,
             "marks": stats.marked,
             "law_drops": stats.dropped_law,
@@ -294,40 +336,12 @@ def simulate(cfg: ScenarioConfig, seed: int, collect_1ms_s: int = 0) -> RunResul
 # -- CSV writers -------------------------------------------------------------
 
 
-def _fmt_epoch_row(row) -> str:
-    (idx, observed, state, action, target_us, interval_us, thr, mrtt_us,
-     reward, predicted, occ, drops, marks, cum, carried, conn_bps,
-     conn_rtt_us) = row
-    pred_s = "" if predicted == "" else f"{predicted:.6f}"
-    return (f"{idx},{observed},{state},{action},{target_us},{interval_us},"
-            f"{thr:.0f},{mrtt_us:.3f},{reward:.9e},{pred_s},{occ:.6f},"
-            f"{drops},{marks},{cum:.9e},{carried},{conn_bps:.0f},"
-            f"{conn_rtt_us:.3f}")
-
-
 def write_epochs_csv(result: RunResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(EPOCH_COLUMNS) + "\n")
-        for row in result.rows:
-            fh.write(_fmt_epoch_row(row) + "\n")
+    write_csv(path, EPOCH_COLUMNS, result.rows)
 
 
 def write_summary_csv(result: RunResult, path) -> None:
-    s = result.summary
-    vals = (
-        f"{s['seed']}", s["disc"], f"{s['ecn']}", f"{s['intelligent']}",
-        f"{s['duration_s']}", f"{s['pairs']}",
-        f"{s['mean_mrtt_us']:.3f}", f"{s['mean_throughput_bps']:.3f}",
-        f"{s['mean_conn_goodput_bps']:.3f}", f"{s['mean_conn_rtt_us']:.3f}",
-        f"{s['mean_agg_goodput_bps']:.3f}",
-        f"{s['final_cumulative_power']:.9e}",
-        f"{s['occupancy_mean_pct']:.6f}", f"{s['occupancy_max_pct']:.6f}",
-        f"{s['marks']}", f"{s['law_drops']}", f"{s['overflow_drops']}",
-        f"{s['reward_normalizer']:.9e}",
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        fh.write(",".join(vals) + "\n")
+    write_csv(path, SUMMARY_COLUMNS, [named(SUMMARY_COLUMNS, result.summary)])
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> RunResult:
@@ -401,14 +415,8 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
                 "distinct_runs": len({tuple(v for k, v in r.items() if k != "seed")
                                       for r in runs}),
             })
-    with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("disc,target_us,interval_us,mrtt_us_mean,throughput_bps_mean,"
-                 "conn_rtt_us_mean,conn_goodput_bps_mean,seeds,distinct_runs\n")
-        for r in out_rows:
-            fh.write(f"{r['disc']},{r['target_us']},{r['interval_us']},"
-                     f"{r['mrtt_us_mean']:.3f},{r['throughput_bps_mean']:.3f},"
-                     f"{r['conn_rtt_us_mean']:.3f},{r['conn_goodput_bps_mean']:.3f},"
-                     f"{r['seeds']},{r['distinct_runs']}\n")
+    write_csv(os.path.join(outdir, "sweep.csv"), SWEEP_COLUMNS,
+              [named(SWEEP_COLUMNS, r) for r in out_rows])
     return out_rows
 
 
@@ -447,12 +455,13 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
     by_arm = {}
     rows = []
     for (disc, intelligent, seed), s in zip(keys, summaries):
-        rows.append((disc, "intelligent" if intelligent else "static", seed, s))
-        by_arm.setdefault((disc, intelligent), []).append(s)
+        arm = "intelligent" if intelligent else "static"
+        rows.append((disc, arm, seed) + named(COMPARE_COLUMNS[3:], s))
+        by_arm.setdefault((disc, arm), []).append(s)
     table = {}
-    for (disc, intelligent), runs in by_arm.items():
+    for key, runs in by_arm.items():
         n = len(runs)
-        table[(disc, "intelligent" if intelligent else "static")] = {
+        table[key] = {
             "final_cumulative_power_mean": sum(r["final_cumulative_power"] for r in runs) / n,
             "occupancy_mean_pct": sum(r["occupancy_mean_pct"] for r in runs) / n,
             "occupancy_max_pct": max(r["occupancy_max_pct"] for r in runs),
@@ -460,17 +469,10 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
             "mean_throughput_bps": sum(r["mean_throughput_bps"] for r in runs) / n,
             "seeds": n,
         }
-    with open(os.path.join(outdir, "compare.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("disc,arm,seed,final_cumulative_power,occupancy_mean_pct,"
-                 "occupancy_max_pct,mean_mrtt_us,mean_throughput_bps\n")
-        for disc, arm, seed, s in rows:
-            fh.write(f"{disc},{arm},{seed},{s['final_cumulative_power']:.9e},"
-                     f"{s['occupancy_mean_pct']:.6f},{s['occupancy_max_pct']:.6f},"
-                     f"{s['mean_mrtt_us']:.3f},{s['mean_throughput_bps']:.3f}\n")
-        for (disc, arm), agg in sorted(table.items()):
-            fh.write(f"{disc},{arm},mean,{agg['final_cumulative_power_mean']:.9e},"
-                     f"{agg['occupancy_mean_pct']:.6f},{agg['occupancy_max_pct']:.6f},"
-                     f"{agg['mean_mrtt_us']:.3f},{agg['mean_throughput_bps']:.3f}\n")
+    for (disc, arm), agg in sorted(table.items()):
+        rows.append((disc, arm, "mean", agg["final_cumulative_power_mean"])
+                    + named(COMPARE_COLUMNS[4:], agg))
+    write_csv(os.path.join(outdir, "compare.csv"), COMPARE_COLUMNS, rows)
     return table
 
 
@@ -478,13 +480,7 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
 
 
 def write_fit_report_csv(report, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rmse_train,rmse_test,mae_train,mae_test,epochs,split,"
-                 "n_train_windows,n_test_windows\n")
-        fh.write(f"{report.rmse_train:.6f},{report.rmse_test:.6f},"
-                 f"{report.mae_train:.6f},{report.mae_test:.6f},"
-                 f"{report.epochs},{report.split},"
-                 f"{report.n_train_windows},{report.n_test_windows}\n")
+    write_csv(path, FIT_REPORT_COLUMNS, [named(FIT_REPORT_COLUMNS, asdict(report))])
 
 
 def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
@@ -514,11 +510,11 @@ def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1,
     """Transfer workflow: run the (random) scenario, collect 1 ms ECE bins
     for `collect_s` seconds, one-epoch retrain the pre-trained model."""
     os.makedirs(outdir, exist_ok=True)
+    model = load_checkpoint(checkpoint_path)  # a bad checkpoint fails before the run
     run_cfg = replace(cfg, intelligent=False)
     if run_cfg.duration_s < collect_s:
         run_cfg = replace(run_cfg, duration_s=collect_s)
     result = simulate(run_cfg, seed, collect_1ms_s=collect_s)
-    model = load_checkpoint(checkpoint_path)
     series = EceSeries(interval_ns=RETRAIN_BIN_NS,
                        counts=np.array(result.bins1ms, dtype=np.int64))
     report = model.retrain_one_epoch(series.counts.astype(np.float64))

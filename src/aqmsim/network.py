@@ -246,14 +246,14 @@ class PingProbe:
     def _send_request(self) -> None:
         now = self.sim.now
         pkt = Packet(self.fid, self._seq, self.request_size, ECT0, F_ACK,
-                     now, self.dst.node_id, is_probe=True)
+                     now, self.dst.node_id)
         self._seq += 1
         self.src.egress.send(pkt)
         self.sim.schedule(now + self.interval_ns, self._send_request)
 
     def on_receiver_receive(self, pkt) -> None:
         reply = Packet(self.fid, pkt.seq, self.REPLY_SIZE, ECT0, F_ACK,
-                       pkt.sent_at, self.src.node_id, is_probe=True)
+                       pkt.sent_at, self.src.node_id)
         self.dst.egress.send(reply)
 
     def on_sender_receive(self, pkt) -> None:

@@ -14,31 +14,24 @@ F_FIN = 4
 F_ECE = 8
 F_CWR = 16
 
-_FLAG_NAMES = ((F_SYN, "SYN"), (F_ACK, "ACK"), (F_FIN, "FIN"), (F_ECE, "ECE"), (F_CWR, "CWR"))
-
-
-def flag_names(flags: int) -> set:
-    return {name for bit, name in _FLAG_NAMES if flags & bit}
-
 
 class Packet:
     """One simulated segment. For pure ACKs, `seq` carries the cumulative ack."""
 
     __slots__ = ("flow_id", "seq", "size_bytes", "ecn", "flags", "sent_at",
-                 "is_probe", "dst_id", "enq_ns")
+                 "dst_id", "enq_ns")
 
     def __init__(self, flow_id: int, seq: int, size_bytes: int, ecn: int,
-                 flags: int, sent_at: int, dst_id: int, is_probe: bool = False):
+                 flags: int, sent_at: int, dst_id: int):
         self.flow_id = flow_id
         self.seq = seq
         self.size_bytes = size_bytes
         self.ecn = ecn
         self.flags = flags
         self.sent_at = sent_at
-        self.is_probe = is_probe
         self.dst_id = dst_id
         self.enq_ns = 0
 
     def __repr__(self):
         return (f"Packet(flow={self.flow_id}, seq={self.seq}, {self.size_bytes}B, "
-                f"ecn={self.ecn}, flags={sorted(flag_names(self.flags))})")
+                f"ecn={self.ecn}, flags={self.flags})")

@@ -301,10 +301,7 @@ class LstmForecaster:
         (first 80% of samples, chronological split).
         """
         counts = np.asarray(counts, dtype=np.float64)
-        n = len(counts)
-        n_train_samples = int(n * TRAIN_SPLIT)
-        self.norm_min = float(counts[:n_train_samples].min()) if n_train_samples else 0.0
-        self.norm_max = float(counts[:n_train_samples].max()) if n_train_samples else 0.0
+        self._set_bounds(counts)
         return self._run_epochs(counts, epochs, batch_size)
 
     def retrain_one_epoch(self, counts, batch_size: int = BATCH_SIZE) -> FitReport:
@@ -313,10 +310,14 @@ class LstmForecaster:
         counts = np.asarray(counts, dtype=np.float64)
         if len(counts) < self.steps + 1:
             raise ValueError("re-training series is too short")
-        n_train_samples = int(len(counts) * TRAIN_SPLIT)
-        self.norm_min = float(counts[:n_train_samples].min()) if n_train_samples else 0.0
-        self.norm_max = float(counts[:n_train_samples].max()) if n_train_samples else 0.0
+        self._set_bounds(counts)
         return self._run_epochs(counts, 1, batch_size)
+
+    def _set_bounds(self, counts: np.ndarray) -> None:
+        """Min-max bounds of the training subset (first 80% of samples)."""
+        train = counts[:int(len(counts) * TRAIN_SPLIT)]
+        self.norm_min = float(train.min()) if len(train) else 0.0
+        self.norm_max = float(train.max()) if len(train) else 0.0
 
     def _run_epochs(self, counts: np.ndarray, epochs: int, batch_size: int) -> FitReport:
         norm = normalize(counts, self.norm_min, self.norm_max)
@@ -459,16 +460,19 @@ def save_checkpoint(model: LstmForecaster, path) -> None:
 def load_checkpoint(path) -> LstmForecaster:
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
-    if blob.get("kind") != "lstm-forecaster":
+    if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
-    model = LstmForecaster(steps=blob["steps"], layers=blob["layers"],
-                           hidden=blob["hidden"], dropout=blob["dropout"],
-                           seed=blob["seed"])
-    model.norm_min = blob["norm_min"]
-    model.norm_max = blob["norm_max"]
-    model.Wx = [np.array(m, dtype=np.float64) for m in blob["Wx"]]
-    model.Wh = [np.array(m, dtype=np.float64) for m in blob["Wh"]]
-    model.b = [np.array(v, dtype=np.float64) for v in blob["b"]]
-    model.w_out = np.array(blob["w_out"], dtype=np.float64)
-    model.b_out = float(blob["b_out"])
+    try:
+        model = LstmForecaster(steps=blob["steps"], layers=blob["layers"],
+                               hidden=blob["hidden"], dropout=blob["dropout"],
+                               seed=blob["seed"])
+        model.norm_min = blob["norm_min"]
+        model.norm_max = blob["norm_max"]
+        model.Wx = [np.array(m, dtype=np.float64) for m in blob["Wx"]]
+        model.Wh = [np.array(m, dtype=np.float64) for m in blob["Wh"]]
+        model.b = [np.array(v, dtype=np.float64) for v in blob["b"]]
+        model.w_out = np.array(blob["w_out"], dtype=np.float64)
+        model.b_out = float(blob["b_out"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks the {exc.args[0]!r} field") from None
     return model

@@ -70,6 +70,9 @@ class ScenarioConfig:
             raise ValueError("random access bandwidth range is inverted")
         if self.rand_prop_min_ms > self.rand_prop_max_ms:
             raise ValueError("random propagation range is inverted")
+        for key in ("rand_access_bw_min_mbps", "rand_start_max_s"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         for key in NON_NEGATIVE_KEYS:
             if getattr(self, KEY_SPECS[key][0]) < 0:
                 raise ValueError(f"{key} must be >= 0")
@@ -126,10 +129,11 @@ KEY_SPECS = {
 }
 
 
-# Delays and start offsets: a negative one would schedule events in the past.
+# Delays and start offsets: a negative one would schedule events in the
+# past, or (retrain_at_s) silently never happen; 0 turns the retrain off.
 NON_NEGATIVE_KEYS = ("access_prop_ms", "bottleneck_prop_ms", "exit_prop_ms",
                      "rand_prop_min_ms", "bulk_start_ms", "flow_stagger_ms",
-                     "monitor_start_ms")
+                     "monitor_start_ms", "retrain_at_s")
 
 
 def apply_setting(cfg: ScenarioConfig, key: str, value: str, where: str = "") -> ScenarioConfig:

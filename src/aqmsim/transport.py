@@ -73,15 +73,16 @@ class Connection:
     in-band.
     """
 
+    mss = MSS  # every connection sends MSS segments and ACK_SIZE acks
+
     __slots__ = (
-        "sim", "cid", "src", "dst", "ecn_capable", "is_probe", "params",
-        "start_ns", "mss", "ack_size",
+        "sim", "cid", "src", "dst", "ecn_capable", "start_ns",
         # sender
         "cwnd", "ssthresh", "w_max", "w_est", "epoch_start_ns", "in_cwr_until",
         "cwr_pending", "ecn_negotiated", "established", "snd_nxt", "snd_una",
         "dup_acks", "recover_seq", "send_ns", "retx_seqs", "srtt_ns",
         "rto_deadline", "rto_pending", "rto_backoff", "syn_sent_ns",
-        "sent_segments", "retx_segments", "reduction_log",
+        "retx_segments", "reduction_log",
         # receiver
         "rcv_nxt", "ooo", "ece_pending", "delivered_bytes",
         # hooks
@@ -89,19 +90,13 @@ class Connection:
     )
 
     def __init__(self, sim, cid: int, src, dst, *, ecn_capable: bool = True,
-                 start_ns: int = 0, is_probe: bool = False,
-                 params: CubicParams = DEFAULT_CUBIC,
-                 mss: int = MSS, ack_size: int = ACK_SIZE):
+                 start_ns: int = 0):
         self.sim = sim
         self.cid = cid
         self.src = src
         self.dst = dst
         self.ecn_capable = ecn_capable
-        self.is_probe = is_probe
-        self.params = params
         self.start_ns = start_ns
-        self.mss = mss
-        self.ack_size = ack_size
 
         self.cwnd = INITIAL_CWND
         self.ssthresh = float("inf")
@@ -123,7 +118,6 @@ class Connection:
         self.rto_pending = False
         self.rto_backoff = 1
         self.syn_sent_ns = 0
-        self.sent_segments = 0
         self.retx_segments = 0
         self.reduction_log = []
 
@@ -146,9 +140,8 @@ class Connection:
     def _send_syn(self) -> None:
         now = self.sim.now
         self.syn_sent_ns = now
-        pkt = Packet(self.cid, 0, self.ack_size, NOT_ECT,
-                     syn_flags(self.ecn_capable), now, self.dst.node_id,
-                     is_probe=self.is_probe)
+        pkt = Packet(self.cid, 0, ACK_SIZE, NOT_ECT,
+                     syn_flags(self.ecn_capable), now, self.dst.node_id)
         self.src.egress.send(pkt)
         self.rto_deadline = now + INITIAL_RTO * self.rto_backoff
         self._schedule_rto(self.rto_deadline)
@@ -189,7 +182,7 @@ class Connection:
                 sample = now - t0
             self.retx_seqs.discard(seq)
             newly += 1
-            seq += self.mss
+            seq += MSS
         if sample >= 0:
             self._rtt_sample(sample)
         self.snd_una = ack
@@ -219,15 +212,14 @@ class Connection:
         return base * self.rto_backoff
 
     def _grow(self, newly_acked: int) -> None:
-        p = self.params
-        aimd = aimd_rate(p)
+        aimd = aimd_rate()
         for _ in range(newly_acked):
             if self.cwnd < self.ssthresh:
                 self.cwnd += 1.0
                 self.w_est = self.cwnd
             else:
                 t = (self.sim.now - self.epoch_start_ns + self.srtt_ns) / SECOND
-                target = cubic_window(t, self.w_max, p)
+                target = cubic_window(t, self.w_max)
                 if target > self.cwnd:
                     self.cwnd += (target - self.cwnd) / self.cwnd
                 else:
@@ -242,7 +234,7 @@ class Connection:
         now = self.sim.now
         if now >= self.in_cwr_until:
             self.w_max = self.cwnd
-            self.cwnd = max(self.params.beta * self.cwnd, 1.0)
+            self.cwnd = max(DEFAULT_CUBIC.beta * self.cwnd, 1.0)
             self.ssthresh = self.cwnd
             self.w_est = self.cwnd
             self.epoch_start_ns = now
@@ -259,27 +251,26 @@ class Connection:
         self.retx_seqs.add(seq)
         self.send_ns.pop(seq, None)
         self.retx_segments += 1
-        pkt = Packet(self.cid, seq, self.mss,
+        pkt = Packet(self.cid, seq, MSS,
                      ECT0 if self.ecn_negotiated else NOT_ECT,
-                     F_ACK, now, self.dst.node_id, is_probe=self.is_probe)
+                     F_ACK, now, self.dst.node_id)
         self.src.egress.send(pkt)
         self.rto_deadline = now + self._rto()
         self._schedule_rto(self.rto_deadline)
 
     def _try_send(self) -> None:
         now = self.sim.now
-        limit = int(self.cwnd) * self.mss
+        limit = int(self.cwnd) * MSS
         while self.snd_nxt - self.snd_una < limit:
             flags = F_ACK
             if self.cwr_pending:
                 flags |= F_CWR
                 self.cwr_pending = False
-            pkt = Packet(self.cid, self.snd_nxt, self.mss,
+            pkt = Packet(self.cid, self.snd_nxt, MSS,
                          ECT0 if self.ecn_negotiated else NOT_ECT,
-                         flags, now, self.dst.node_id, is_probe=self.is_probe)
+                         flags, now, self.dst.node_id)
             self.send_ns[self.snd_nxt] = now
-            self.snd_nxt += self.mss
-            self.sent_segments += 1
+            self.snd_nxt += MSS
             self.src.egress.send(pkt)
         if self.snd_nxt > self.snd_una:
             if self.rto_deadline <= now:
@@ -307,7 +298,7 @@ class Connection:
             return
         # Timeout: collapse to one segment and restart from the first hole.
         self.w_max = max(self.cwnd, 1.0)
-        self.ssthresh = max(self.params.beta * self.cwnd, 2.0)
+        self.ssthresh = max(DEFAULT_CUBIC.beta * self.cwnd, 2.0)
         self.cwnd = 1.0
         self.w_est = 1.0
         self.epoch_start_ns = now
@@ -322,9 +313,8 @@ class Connection:
     def on_receiver_receive(self, pkt) -> None:
         now = self.sim.now
         if pkt.flags & F_SYN:
-            reply = Packet(self.cid, 0, self.ack_size, NOT_ECT,
-                           synack_flags(self.ecn_capable), now, self.src.node_id,
-                           is_probe=self.is_probe)
+            reply = Packet(self.cid, 0, ACK_SIZE, NOT_ECT,
+                           synack_flags(self.ecn_capable), now, self.src.node_id)
             self.dst.egress.send(reply)
             return
         if pkt.flags & F_CWR:
@@ -335,16 +325,16 @@ class Connection:
             self.receiver_log.append(("data", pkt.ecn, pkt.flags))
         seq = pkt.seq
         if seq == self.rcv_nxt:
-            self.rcv_nxt += self.mss
+            self.rcv_nxt += MSS
             while self.rcv_nxt in self.ooo:
                 self.ooo.remove(self.rcv_nxt)
-                self.rcv_nxt += self.mss
+                self.rcv_nxt += MSS
             self.delivered_bytes = self.rcv_nxt
         elif seq > self.rcv_nxt:
             self.ooo.add(seq)
         flags = F_ACK | F_ECE if self.ece_pending else F_ACK
-        ack = Packet(self.cid, self.rcv_nxt, self.ack_size, NOT_ECT,
-                     flags, now, self.src.node_id, is_probe=self.is_probe)
+        ack = Packet(self.cid, self.rcv_nxt, ACK_SIZE, NOT_ECT,
+                     flags, now, self.src.node_id)
         if self.receiver_log is not None:
             self.receiver_log.append(("ack", self.ece_pending, flags))
         self.dst.egress.send(ack)

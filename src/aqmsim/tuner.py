@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MS, SECOND, US
+from .engine import US
 
 N_LEVELS = 100
 N_ACTIONS = 100
@@ -26,8 +26,6 @@ class TunerConfig:
     alpha: float = 0.5
     gamma: float = 0.8
     epsilon: float = 0.5
-    epoch_ns: int = SECOND
-    bin_ns: int = 100 * MS
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "epsilon"):

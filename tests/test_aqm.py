@@ -1,7 +1,7 @@
 import pytest
 
-from aqmsim.aqm import (AqmParams, Codel, FqCodel, TailDrop, control_interval,
-                        make_discipline, mix64)
+from aqmsim.aqm import (DRR_QUANTUM, AqmParams, Codel, FqCodel, TailDrop,
+                        control_interval, make_discipline, mix64)
 from aqmsim.engine import MS, US
 from aqmsim.packets import CE, ECT0, NOT_ECT, F_ACK, Packet
 
@@ -34,25 +34,25 @@ class TestHardLimit:
 
     def test_occupancy(self):
         q = Codel(AqmParams(hard_limit=1000))
-        assert q.occupancy_pct() == 0.0
+        assert len(q) == 0
         fill(q, 16, now=0)
-        assert q.occupancy_pct() == pytest.approx(1.6)
+        assert len(q) == 16
         fill(q, 984, now=0)
-        assert q.occupancy_pct() == 100.0
+        assert len(q) == q.params.hard_limit
 
 
 class TestSetParams:
     def test_grid_endpoints_and_defaults(self):
         q = Codel(AqmParams())
-        q.set_params(50 * US, 1 * MS)
+        q.params.set(50 * US, 1 * MS)
         assert (q.params.target, q.params.interval) == (50 * US, 1 * MS)
-        q.set_params(5 * MS, 100 * MS)
+        q.params.set(5 * MS, 100 * MS)
         assert (q.params.target, q.params.interval) == (5 * MS, 100 * MS)
 
     def test_rejects_target_at_or_above_interval(self):
         q = Codel(AqmParams())
         with pytest.raises(ValueError):
-            q.set_params(5 * MS, 4 * MS)
+            q.params.set(5 * MS, 4 * MS)
         with pytest.raises(ValueError):
             AqmParams(target=10 * MS, interval=10 * MS)
 
@@ -60,7 +60,7 @@ class TestSetParams:
         q, _ = _driven_into_dropping()
         count_before = q.state.count
         assert q.state.dropping
-        q.set_params(2 * MS, 40 * MS)
+        q.params.set(2 * MS, 40 * MS)
         assert q.state.dropping
         assert q.state.count == count_before
 
@@ -261,7 +261,7 @@ class TestFqCodel:
             pkt = q.dequeue(1)
             sent[pkt.flow_id] += pkt.size_bytes
         spread = max(sent.values()) - min(sent.values())
-        assert spread <= q.quantum + 1500
+        assert spread <= DRR_QUANTUM + 1500
 
     def test_taildrop_never_marks(self):
         q = TailDrop(AqmParams(hard_limit=10))

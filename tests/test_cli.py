@@ -95,6 +95,9 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     ("flow_stagger_ms=-5", "flow_stagger_ms"),
     ("monitor_start_ms=-5", "monitor_start_ms"),
     ("access_prop_ms=0", "access_prop_ms + bottleneck_prop_ms + exit_prop_ms"),
+    ("rand_start_max_s=0", "rand_start_max_s"),
+    ("rand_access_bw_min_mbps=0", "rand_access_bw_min_mbps"),
+    ("retrain_at_s=-1", "retrain_at_s"),
 ])
 def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, named):
     rc = main(["run", "--set", "pairs=1", "--duration-s", "1", "--set", setting,
@@ -103,4 +106,20 @@ def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, na
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error:")
     assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["retrain-demo", "--checkpoint", "{ckpt}", "--duration-s", "7"],
+    ["run", "--set", "intelligent=true", "--set", "checkpoint={ckpt}", "--duration-s", "1"],
+])
+def test_checkpoint_missing_field_exits_2_with_one_line(tmp_path, capsys, command):
+    ckpt = tmp_path / "partial.json"
+    ckpt.write_text('{"kind": "lstm-forecaster", "version": 1}\n')
+    argv = [arg.format(ckpt=ckpt) for arg in command]
+    rc = main(argv + ["--set", "pairs=1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert str(ckpt) in err and "'steps'" in err
     assert "Traceback" not in err

@@ -11,18 +11,17 @@ def test_pop_order_ties_break_by_insertion():
     sim.schedule(5, order.append, "t5")
     sim.schedule(3, order.append, "t3-first")
     sim.schedule(3, order.append, "t3-second")
-    while True:
-        ev = sim.pop_next()
-        if ev is None:
-            break
-        _, fn, args = ev
-        fn(*args)
+    sim.run(5)
     assert order == ["t3-first", "t3-second", "t5"]
 
 
 def test_empty_queue_signals_end():
     sim = Simulator()
-    assert sim.pop_next() is None
+    assert len(sim) == 0
+    sim.schedule(3, lambda: None)
+    assert len(sim) == 1
+    sim.run(10)
+    assert len(sim) == 0 and sim.now == 10
 
 
 def test_clock_monotone_and_past_scheduling_fails():
@@ -37,19 +36,15 @@ def test_clock_monotone_and_past_scheduling_fails():
 def test_random_event_storm_is_deterministic():
     def storm(seed):
         rng = np.random.default_rng(seed)
-        sim = Simulator()
-        seen = []
         times = rng.integers(0, 10**9, size=100_000)
-        for i, t in enumerate(times):
-            sim.schedule(int(t), seen.append, i)
-        while sim.pop_next() is not None:
-            pass
-        # replay through run() for dispatch coverage
-        sim2 = Simulator()
+        sim = Simulator()
         out = []
         for i, t in enumerate(times):
-            sim2.schedule(int(t), out.append, i)
-        sim2.run(10**9)
+            sim.schedule(int(t), out.append, i)
+        sim.run(10**9)
+        assert len(sim) == 0
+        # Time order, ties in insertion order (a stable sort).
+        assert out == sorted(range(len(times)), key=lambda i: times[i])
         return out
 
     assert storm(42) == storm(42)

@@ -1,15 +1,22 @@
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aqmsim.engine import MS
-from aqmsim.harness import (EPOCH_COLUMNS, SUMMARY_COLUMNS, SimContext,
+from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
+                            SUMMARY_COLUMNS, SWEEP_COLUMNS, SimContext,
                             pretrain_predictor, retrain_demo, run_scenario,
                             simulate, target_sweep)
 from aqmsim.packets import CE, F_ECE
 from aqmsim.scenario import ScenarioConfig
+
+
+def header(columns) -> str:
+    return ",".join(name for name, _ in columns)
 
 
 def small_cfg(**kw):
@@ -51,10 +58,22 @@ class TestRunScenario:
 
     def test_csv_headers_match_documented_schema(self, tmp_path):
         run_scenario(small_cfg(), 1, tmp_path)
-        header = (tmp_path / "epochs.csv").read_text().splitlines()[0]
-        assert header == ",".join(EPOCH_COLUMNS)
-        header = (tmp_path / "summary.csv").read_text().splitlines()[0]
-        assert header == ",".join(SUMMARY_COLUMNS)
+        assert (tmp_path / "epochs.csv").read_text().splitlines()[0] == header(EPOCH_COLUMNS)
+        assert (tmp_path / "summary.csv").read_text().splitlines()[0] == header(SUMMARY_COLUMNS)
+
+    def test_readme_headers_match_column_tables(self):
+        # README "Output schemas" gives each file's header line in a code block.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Output schemas\n")[1].split("\n## ")[0]
+        documented = dict(re.findall(r"^`(\w+\.csv)`[^\n]*\n(?:[^\n]+\n)*\n```\n(.+)\n```$",
+                                     section, re.MULTILINE))
+        assert documented == {
+            "epochs.csv": header(EPOCH_COLUMNS),
+            "summary.csv": header(SUMMARY_COLUMNS),
+            "sweep.csv": header(SWEEP_COLUMNS),
+            "compare.csv": header(COMPARE_COLUMNS),
+            "fit_report.csv": header(FIT_REPORT_COLUMNS),
+        }
 
     def test_static_run_leaves_tuner_columns_empty(self):
         res = simulate(small_cfg(), seed=2)
@@ -141,7 +160,7 @@ def plain_links(topo):
 
 class TestConservation:
     def test_bottleneck_accounting_balances(self):
-        # run() raises if enqueued != forwarded + dropped + queued
+        # run() raises unless enqueued == forwarded + law drops + resident
         for disc in ("taildrop", "codel", "fq_codel"):
             simulate(small_cfg(disc=disc, duration_s=3), seed=9)
 
@@ -161,10 +180,9 @@ class TestConservation:
                 assert len(link.queue) <= link.peak <= hard_limit
             if hard_limit == 5:
                 assert sum(link.overflow_drops for link in links) > 0
-            for port in [topo.bottleneck_port]:
-                s = port.q.stats
-                assert s.enqueued == (s.forwarded + s.dropped_law + s.dropped_overflow
-                                      + s.qlen())
+            s = topo.bottleneck.stats
+            resident = sum(1 for _ in topo.bottleneck.queued_packets())
+            assert s.enqueued == s.forwarded + s.dropped_law + resident
 
 
 class TestProbeRtt:
