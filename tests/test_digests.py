@@ -3,7 +3,8 @@
 A refactor or speed-up of the simulator must leave `epochs.csv` and
 `summary.csv` unchanged. The six runs below cover all three disciplines on
 the fixed and the randomized topology. The experiment files `sweep.csv`,
-`compare.csv` and `fit_report.csv` are pinned on tiny runs at the end. At these settings a change of event
+`compare.csv` and `fit_report.csv` are pinned on tiny runs, and the
+forecaster's trained weights on a short fit plus retrain, at the end. At these settings a change of event
 order among events that share a nanosecond (for example scheduling each
 hop's delivery when the packet arrives instead of when it starts
 transmission) changes some of the digests, so the test catches it.
@@ -17,7 +18,7 @@ import pytest
 
 from aqmsim.harness import (compare_iaqm, pretrain_predictor, run_scenario,
                             target_sweep, write_fit_report_csv)
-from aqmsim.predictor import FitReport
+from aqmsim.predictor import STEPS, FitReport, LstmForecaster, synth_trace
 from aqmsim.scenario import ScenarioConfig
 
 SEED = 3
@@ -36,6 +37,15 @@ GOLDEN = {
         "352299b60f960e2dcc12c657369852719c3af43b0ccb3faaa53e25161827468a",
     ("fq_codel", True):
         "ed904e096a83511faef0054a571d1935a3716ba283b0c5243b9f95de2b43ae0a",
+}
+
+# sha256 of `get_flat().tobytes()` after `fit` plus `retrain_one_epoch`, by
+# depth. Like the compare.csv pin, these rest on numpy's matmul, so they are
+# taken with numpy 2.4's bundled OpenBLAS.
+TRAINED_WEIGHTS = {
+    1: "484049f67f97dbfe0aba5f0070f996440c21ec6edd6ef6a5a2f96ed68be4b419",
+    2: "650c2dc02259ed7bdbc4ce13d0b8e187bbf6a356f78e0a4b687a70fbec43b8bb",
+    3: "74c3caa81dc844a6433b652dd1dfbb03dff9279c329720f7c66a268014fce326",
 }
 
 
@@ -82,3 +92,19 @@ def test_fit_report_csv_digest_unchanged(tmp_path):
     write_fit_report_csv(report, tmp_path / "fit_report.csv")
     assert file_digest(tmp_path / "fit_report.csv") == (
         "da07aa0bccc2d747358769f489a4b72d08db5d85abd7287f1901a6176b35cb21")
+
+
+def _trained_weights_digest(layers: int) -> str:
+    model = LstmForecaster(steps=STEPS, layers=layers, hidden=5, seed=11)
+    # 230 training windows: three full mini-batches of 64 and a ragged 38.
+    model.fit(synth_trace(21, 300).counts, epochs=3)
+    # 150 windows: 64, 64 and a ragged 22, on a different series.
+    model.retrain_one_epoch(synth_trace(22, 200, lam=35.0).counts)
+    return hashlib.sha256(model.get_flat().tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("layers", sorted(TRAINED_WEIGHTS))
+def test_trained_weights_unchanged(layers):
+    # Dropout is on (the default 0.2); 15 Adam steps in all, so a one-ulp
+    # change in any parameter, b_out included, changes the digest.
+    assert _trained_weights_digest(layers) == TRAINED_WEIGHTS[layers]
