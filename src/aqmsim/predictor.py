@@ -104,13 +104,31 @@ def mae(actual, predicted) -> float:
     return float(np.mean(np.abs(a - p)))
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _buffer(store: dict, key, shape) -> np.ndarray:
+    """The float array kept in `store` under (`key`, `shape`), made on first
+    use."""
+    arr = store.get((key, shape))
+    if arr is None:
+        arr = store[(key, shape)] = np.empty(shape)
+    return arr
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray, e: np.ndarray, d: np.ndarray) -> None:
+    """Write sigmoid(z) into `out`, using `e` and `d` (shaped like `z`) as
+    scratch.
+
+    With e = exp(-|z|), the sigmoid is max(sign(z), e) / (1 + e), that is
+    1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0: bit for bit the two
+    branches of the sign-split form, exp never overflows, and no element is
+    selected by a mask.
+    """
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=d)
+    np.sign(z, out=out)
+    np.maximum(out, e, out=out)
+    np.divide(out, d, out=out)
 
 
 class LstmForecaster:
@@ -120,6 +138,10 @@ class LstmForecaster:
     recurrent matrix and a (4H,) bias, in i/f/g/o block order. Hidden and
     cell states are zeroed per window, so inference is a pure function of
     the weights and the input window.
+
+    Every parameter, b_out last, is a view of one flat vector, in
+    param_list() order; gradients share that layout, so an Adam step is one
+    vector update.
     """
 
     def __init__(self, steps: int = STEPS, layers: int = 3, hidden: int = 30,
@@ -136,85 +158,132 @@ class LstmForecaster:
         self.norm_min = 0.0
         self.norm_max = 0.0
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C53544D]))
+        # Arrays a training step writes, kept between steps by (name, shape):
+        # first-touch page faults on fresh multi-megabyte arrays cost about
+        # as much as a step's arithmetic. Emptied when training ends.
+        self._scratch = {}
         h = hidden
-        self.Wx, self.Wh, self.b = [], [], []
+        self._shapes = []
         for l in range(layers):
-            d = 1 if l == 0 else h
-            self.Wx.append(self._init_matrix((4 * h, d), d))
-            self.Wh.append(self._init_matrix((4 * h, h), h))
-            bias = np.zeros(4 * h)
-            bias[h:2 * h] = 1.0  # forget gate opens by default
-            self.b.append(bias)
-        self.w_out = self._init_matrix((h,), h)
-        self.b_out = 0.0
+            self._shapes += [(4 * h, 1 if l == 0 else h), (4 * h, h), (4 * h,)]
+        self._shapes += [(h,), (1,)]
+        self._flat = np.zeros(sum(math.prod(shape) for shape in self._shapes))
+        views = self._unflatten(self._flat)
+        self.Wx, self.Wh, self.b = views[0:-2:3], views[1:-2:3], views[2:-2:3]
+        self.w_out = views[-2]
+        for l in range(layers):
+            self._init_uniform(self.Wx[l])
+            self._init_uniform(self.Wh[l])
+            self.b[l][h:2 * h] = 1.0  # forget gate opens by default
+        self._init_uniform(self.w_out)
 
-    def _init_matrix(self, shape, fan_in: int):
-        bound = 1.0 / math.sqrt(fan_in)
-        return self._rng.uniform(-bound, bound, size=shape)
+    def _init_uniform(self, weights: np.ndarray) -> None:
+        """Draw from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); fan_in is the last
+        dimension."""
+        bound = 1.0 / math.sqrt(weights.shape[-1])
+        weights[...] = self._rng.uniform(-bound, bound, size=weights.shape)
 
     # -- parameter plumbing -------------------------------------------------
 
+    def _unflatten(self, flat: np.ndarray) -> list:
+        """Views of `flat` shaped as param_list(), then b_out's (1,) view."""
+        views, pos = [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            views.append(flat[pos:pos + size].reshape(shape))
+            pos += size
+        return views
+
+    @property
+    def b_out(self) -> float:
+        return float(self._flat[-1])
+
+    @b_out.setter
+    def b_out(self, value: float) -> None:
+        self._flat[-1] = value
+
     def param_list(self):
-        out = []
-        for l in range(self.layers):
-            out.extend((self.Wx[l], self.Wh[l], self.b[l]))
-        out.append(self.w_out)
-        return out
+        return self._unflatten(self._flat)[:-1]
 
     def get_flat(self) -> np.ndarray:
-        parts = [p.ravel() for p in self.param_list()]
-        parts.append(np.array([self.b_out]))
-        return np.concatenate(parts)
+        return self._flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self.param_list():
-            p[...] = flat[pos:pos + p.size].reshape(p.shape)
-            pos += p.size
-        self.b_out = float(flat[pos])
+        self._flat[...] = flat
 
     # -- forward / backward ---------------------------------------------------
 
-    def _forward(self, X: np.ndarray, masks=None):
+    def _forward(self, X: np.ndarray, masks=None, keep: bool = False):
         """Run the recurrence over a (B, steps) batch.
 
-        Returns predictions plus the per-step caches needed for BPTT.
+        Returns the predictions, the BPTT cache (with `keep`, for training;
+        None otherwise) and the top layer's last hidden state. Per layer the
+        cache holds the layer's (B, T, D) input and step-major slabs: gate
+        sigmoids S (T, B, 4H), whose g block is then overwritten with the
+        input gate i (the factor the g block takes in backward), g =
+        tanh(z_g) and tanh(c) G and TC (T, B, H), and cell and hidden states
+        C and Hs (T + 1, B, H; slot 0 is the zero initial state). Without
+        `keep`, S, G and TC hold only the current step and C the current and
+        previous.
+
+        Layer outputs are copied to a batch-major (B, T, H) array, the layout
+        the products with the next layer's weights (and the output head's
+        gradient) have always read: OpenBLAS rounds some products with a
+        narrow operand (H < 4) differently when it is contiguous.
         """
         B, T = X.shape
         H = self.hidden
-        caches = []
-        layer_in = X
+        n_keep = T if keep else 1
+        n_cell = T + 1 if keep else 2
+        # Training keeps every layer's arrays for BPTT; inference shares one
+        # set across layers, alternating two output arrays.
+        store = self._scratch if keep else {}
+        z, zh, d = (_buffer(store, name, (B, 4 * H)) for name in ("z", "zh", "d"))
+        ig = _buffer(store, "ig", (B, H))
+        cache = [] if keep else None
+        layer_in = X[:, :, None]  # (B, T, 1): layer 0's input width is 1
         for l in range(self.layers):
             Wx, Wh, b = self.Wx[l], self.Wh[l], self.b[l]
-            h = np.zeros((B, H))
-            c = np.zeros((B, H))
-            steps_cache = []
-            outs = np.empty((B, T, H))
+            lk = l if keep else None
+            S = _buffer(store, ("S", lk), (n_keep, B, 4 * H))
+            G, TC = (_buffer(store, (name, lk), (n_keep, B, H)) for name in ("G", "TC"))
+            C = _buffer(store, ("C", lk), (n_cell, B, H))
+            Hs = _buffer(store, ("Hs", lk), (T + 1, B, H))
+            outs = _buffer(store, ("outs", l if keep else l % 2), (B, T, H))
+            C[0] = 0.0
+            Hs[0] = 0.0
             for t in range(T):
-                x = layer_in[:, t:t + 1] if l == 0 else layer_in[:, t, :]
-                z = x @ Wx.T + h @ Wh.T + b
-                i = _sigmoid(z[:, :H])
-                f = _sigmoid(z[:, H:2 * H])
-                g = np.tanh(z[:, 2 * H:3 * H])
-                o = _sigmoid(z[:, 3 * H:])
-                c_prev = c
-                c = f * c + i * g
-                tc = np.tanh(c)
-                h_prev_cached = h
-                h = o * tc
-                outs[:, t, :] = h
-                steps_cache.append((x, h_prev_cached, c_prev, i, f, g, o, tc))
-            caches.append(steps_cache)
-            if l < self.layers - 1:
-                if masks is not None:
-                    layer_in = outs * masks[l][:, None, :]
+                if l == 0:
+                    # D = 1: the input projection is a broadcast product.
+                    np.multiply(layer_in[:, t], Wx[:, 0], out=z)
                 else:
-                    layer_in = outs
+                    np.matmul(layer_in[:, t], Wx.T, out=z)
+                np.matmul(Hs[t], Wh.T, out=zh)
+                z += zh
+                z += b
+                s, g, tc = S[t % n_keep], G[t % n_keep], TC[t % n_keep]
+                # One sigmoid over all 4H columns; the g block's is unused.
+                _sigmoid(z, s, zh, d)
+                np.tanh(z[:, 2 * H:3 * H], out=g)
+                c_prev, c = C[t % n_cell], C[(t + 1) % n_cell]
+                np.multiply(s[:, H:2 * H], c_prev, out=c)
+                np.multiply(s[:, :H], g, out=ig)
+                c += ig
+                np.tanh(c, out=tc)
+                np.multiply(s[:, 3 * H:], tc, out=Hs[t + 1])
+                if keep:
+                    s[:, 2 * H:3 * H] = s[:, :H]
+            if keep:
+                cache.append((layer_in, S, G, TC, C, Hs))
+            steps_out = Hs[1:].transpose(1, 0, 2)
+            if l < self.layers - 1 and masks is not None:
+                layer_in = np.multiply(steps_out, masks[l][:, None, :], out=outs)
             else:
                 layer_in = outs
+                np.copyto(outs, steps_out)
         top_last = layer_in[:, -1, :]
         yhat = top_last @ self.w_out + self.b_out
-        return yhat, caches, top_last
+        return yhat, cache, top_last
 
     def predict_window(self, window) -> float:
         """Forecast the next normalized value from one normalized window."""
@@ -232,59 +301,77 @@ class LstmForecaster:
                                 self.norm_min, self.norm_max)[0])
         return max(raw, 0.0)
 
-    def loss_and_gradients(self, X: np.ndarray, y: np.ndarray, masks=None):
+    def loss_and_gradients(self, X: np.ndarray, y: np.ndarray, masks=None, out=None):
         """Mean-squared-error loss plus gradients for every parameter.
 
-        Gradient order matches param_list() with b_out appended.
+        Gradient order matches param_list() with b_out appended; the arrays
+        are views of one flat vector laid out as get_flat(), which is `out`
+        when given.
         """
         B, T = X.shape
         H = self.hidden
-        yhat, caches, top_last = self._forward(X, masks)
+        yhat, cache, top_last = self._forward(X, masks, keep=True)
         err = yhat - y
         loss = float(np.mean(err ** 2))
         dy = 2.0 * err / B
 
-        gWx = [np.zeros_like(m) for m in self.Wx]
-        gWh = [np.zeros_like(m) for m in self.Wh]
-        gb = [np.zeros_like(v) for v in self.b]
-        gw_out = top_last.T @ dy
-        gb_out = float(dy.sum())
+        if out is None:
+            out = np.zeros_like(self._flat)
+        else:
+            out.fill(0.0)
+        grads = self._unflatten(out)
+        gWx, gWh, gb = grads[0:-2:3], grads[1:-2:3], grads[2:-2:3]
+        grads[-2][...] = top_last.T @ dy
+        grads[-1][0] = dy.sum()
 
-        # dh from the step above (x-path), per layer, current step only.
-        dh_time = [np.zeros((B, H)) for _ in range(self.layers)]
-        dc_time = [np.zeros((B, H)) for _ in range(self.layers)]
-        dx_above = [None] * self.layers  # filled top-down within one step
-        for t in range(T - 1, -1, -1):
-            for l in range(self.layers - 1, -1, -1):
-                dh = dh_time[l].copy()
-                if l == self.layers - 1 and t == T - 1:
-                    dh += dy[:, None] * self.w_out[None, :]
-                if l < self.layers - 1:
-                    up = dx_above[l + 1]
-                    if masks is not None:
-                        up = up * masks[l]
-                    dh += up
-                x, h_prev, c_prev, i, f, g, o, tc = caches[l][t]
-                dc = dc_time[l] + dh * o * (1.0 - tc * tc)
-                do = dh * tc
-                di = dc * g
-                df = dc * c_prev
-                dg = dc * i
-                dz = np.concatenate([di * i * (1.0 - i),
-                                     df * f * (1.0 - f),
-                                     dg * (1.0 - g * g),
-                                     do * o * (1.0 - o)], axis=1)
-                gWx[l] += dz.T @ x
-                gWh[l] += dz.T @ h_prev
+        # Per step dz = G * S * D, one (B, 4H) product: for the i/f/g/o
+        # blocks G = (dc g, dc c_prev, dc, dh tanh(c)), S = (i, f, i, o) and
+        # D = (1 - i, 1 - f, 1 - g^2, 1 - o). The g block is (dc i)(1 - g^2),
+        # with dc i rounded first, as dg = dc i is.
+        dz, deriv = (_buffer(self._scratch, name, (B, 4 * H)) for name in ("dz", "deriv"))
+        dc, dh_time, dc_time, tmp = (_buffer(self._scratch, name, (B, H))
+                                     for name in ("dc", "dh_time", "dc_time", "tmp"))
+        # Gradient reaching each step's output from the layer above: read at
+        # step t, then overwritten with what this layer passes below.
+        dx = _buffer(self._scratch, "dx", (T, B, H))
+        g_blk = slice(2 * H, 3 * H)
+        for l in range(self.layers - 1, -1, -1):
+            layer_in, S, G, TC, C, Hs = cache[l]
+            top = l == self.layers - 1
+            if not top and masks is not None:
+                dx *= masks[l]
+            dh_time.fill(0.0)
+            dc_time.fill(0.0)
+            for t in range(T - 1, -1, -1):
+                if not top:
+                    dh = dh_time + dx[t]
+                elif t == T - 1:
+                    dh = dh_time + dy[:, None] * self.w_out[None, :]
+                else:
+                    dh = dh_time
+                s, g, tc = S[t], G[t], TC[t]
+                np.multiply(tc, tc, out=dc)
+                np.subtract(1.0, dc, out=dc)
+                np.multiply(dh, s[:, 3 * H:], out=tmp)
+                tmp *= dc
+                np.add(dc_time, tmp, out=dc)
+                np.multiply(dc, g, out=dz[:, :H])
+                np.multiply(dc, C[t], out=dz[:, H:2 * H])
+                dz[:, g_blk] = dc
+                np.multiply(dh, tc, out=dz[:, 3 * H:])
+                dz *= s
+                np.subtract(1.0, s, out=deriv)
+                np.multiply(g, g, out=deriv[:, g_blk])
+                np.subtract(1.0, deriv[:, g_blk], out=deriv[:, g_blk])
+                dz *= deriv
+                gWx[l] += dz.T @ layer_in[:, t]
+                gWh[l] += dz.T @ Hs[t]
                 gb[l] += dz.sum(axis=0)
-                dx_above[l] = dz @ self.Wx[l]
-                dh_time[l] = dz @ self.Wh[l]
-                dc_time[l] = dc * f
-        grads = []
-        for l in range(self.layers):
-            grads.extend((gWx[l], gWh[l], gb[l]))
-        grads.append(gw_out)
-        grads.append(np.array([gb_out]))
+                if l > 0:
+                    np.matmul(dz, self.Wx[l], out=dx[t])
+                if t > 0:
+                    np.matmul(dz, self.Wh[l], out=dh_time)
+                    np.multiply(dc, s[:, H:2 * H], out=dc_time)
         return loss, grads
 
     # -- training -------------------------------------------------------------
@@ -300,6 +387,8 @@ class LstmForecaster:
         Bounds for min-max normalization come from the training subset only
         (first 80% of samples, chronological split).
         """
+        if epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs}")
         counts = np.asarray(counts, dtype=np.float64)
         self._set_bounds(counts)
         return self._run_epochs(counts, epochs, batch_size)
@@ -326,30 +415,47 @@ class LstmForecaster:
         if n_train < 1:
             raise ValueError("training subset has no complete window")
         Xtr, ytr = X[:n_train], y[:n_train]
-        params = self.param_list()
-        m = [np.zeros_like(p) for p in params] + [0.0]
-        v = [np.zeros_like(p) for p in params] + [0.0]
+        # Adam runs on every parameter but b_out as one vector, in place.
+        n = self._flat.size - 1
+        theta = self._flat[:n]
+        grad = np.empty(n + 1)
+        g = grad[:n]
+        m, v = np.zeros(n), np.zeros(n)
+        num, den = np.empty(n), np.empty(n)
+        m_b = v_b = 0.0
         step = 0
         for _ in range(epochs):
             for lo in range(0, n_train, batch_size):
                 xb = Xtr[lo:lo + batch_size]
                 yb = ytr[lo:lo + batch_size]
                 masks = self._draw_masks(len(xb))
-                loss, grads = self.loss_and_gradients(xb, yb, masks)
+                loss, _ = self.loss_and_gradients(xb, yb, masks, out=grad)
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"training diverged: non-finite loss at update {step}")
                 step += 1
                 b1c = 1.0 - ADAM_B1 ** step
                 b2c = 1.0 - ADAM_B2 ** step
-                for k, p in enumerate(params):
-                    m[k] = ADAM_B1 * m[k] + (1 - ADAM_B1) * grads[k]
-                    v[k] = ADAM_B2 * v[k] + (1 - ADAM_B2) * grads[k] ** 2
-                    p -= ADAM_LR * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + ADAM_EPS)
-                gb = float(grads[-1][0])
-                m[-1] = ADAM_B1 * m[-1] + (1 - ADAM_B1) * gb
-                v[-1] = ADAM_B2 * v[-1] + (1 - ADAM_B2) * gb * gb
-                self.b_out -= ADAM_LR * (m[-1] / b1c) / (math.sqrt(v[-1] / b2c) + ADAM_EPS)
+                m *= ADAM_B1
+                m += np.multiply(g, 1 - ADAM_B1, out=num)
+                v *= ADAM_B2
+                np.square(g, out=num)
+                num *= 1 - ADAM_B2
+                v += num
+                np.divide(m, b1c, out=num)
+                num *= ADAM_LR
+                np.divide(v, b2c, out=den)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                num /= den
+                theta -= num
+                # b_out stays a scalar update: its ((1 - b2) g) g rounds
+                # differently from the vector's (1 - b2) g^2.
+                gb = float(grad[n])
+                m_b = ADAM_B1 * m_b + (1 - ADAM_B1) * gb
+                v_b = ADAM_B2 * v_b + (1 - ADAM_B2) * gb * gb
+                self.b_out -= ADAM_LR * (m_b / b1c) / (math.sqrt(v_b / b2c) + ADAM_EPS)
+        self._scratch.clear()
         return self._report(X, y, n_train, epochs)
 
     def _draw_masks(self, batch: int):
@@ -457,22 +563,59 @@ def save_checkpoint(model: LstmForecaster, path) -> None:
         fh.write("\n")
 
 
+def _number(path, blob: dict, key: str, integer: bool = False):
+    value = blob[key]
+    kinds = int if integer else (int, float)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        what = "an integer" if integer else "a number"
+        raise ValueError(f"{path}: checkpoint field {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _array(path, key: str, value, shape) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: checkpoint field {key} is not a numeric array") from None
+    if arr.shape != shape:
+        raise ValueError(f"{path}: checkpoint field {key} has shape {arr.shape}, "
+                         f"expected {shape}")
+    return arr
+
+
 def load_checkpoint(path) -> LstmForecaster:
+    """Read a checkpoint written by save_checkpoint. A missing, mistyped or
+    mis-shaped field raises ValueError naming the path and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
     try:
-        model = LstmForecaster(steps=blob["steps"], layers=blob["layers"],
-                               hidden=blob["hidden"], dropout=blob["dropout"],
-                               seed=blob["seed"])
-        model.norm_min = blob["norm_min"]
-        model.norm_max = blob["norm_max"]
-        model.Wx = [np.array(m, dtype=np.float64) for m in blob["Wx"]]
-        model.Wh = [np.array(m, dtype=np.float64) for m in blob["Wh"]]
-        model.b = [np.array(v, dtype=np.float64) for v in blob["b"]]
-        model.w_out = np.array(blob["w_out"], dtype=np.float64)
-        model.b_out = float(blob["b_out"])
+        steps, layers, hidden, seed = (_number(path, blob, key, integer=True)
+                                       for key in ("steps", "layers", "hidden", "seed"))
+        dropout, norm_min, norm_max, b_out = (
+            _number(path, blob, key) for key in ("dropout", "norm_min", "norm_max", "b_out"))
+        # Checked before the model allocates its parameters, so that the
+        # sizes are bounded by the file's own arrays.
+        w_out = _array(path, "'w_out'", blob["w_out"], (hidden,))
+        gate_lists = {}
+        for key in ("Wx", "Wh", "b"):
+            if not isinstance(blob[key], list) or len(blob[key]) != layers:
+                raise ValueError(f"{path}: checkpoint field {key!r} must list "
+                                 f"{layers} arrays, one per layer")
+            gate_lists[key] = blob[key]
+        try:
+            model = LstmForecaster(steps=steps, layers=layers, hidden=hidden,
+                                   dropout=dropout, seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks the {exc.args[0]!r} field") from None
+    model.norm_min = norm_min
+    model.norm_max = norm_max
+    for key, views in (("Wx", model.Wx), ("Wh", model.Wh), ("b", model.b)):
+        for l, view in enumerate(views):
+            view[...] = _array(path, f"{key!r} (layer {l})", gate_lists[key][l], view.shape)
+    model.w_out[...] = w_out
+    model.b_out = b_out
     return model

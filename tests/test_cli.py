@@ -1,8 +1,10 @@
+import json
 import os
 
 import pytest
 
 from aqmsim.cli import main
+from aqmsim.predictor import LstmForecaster, save_checkpoint
 
 
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
@@ -123,3 +125,43 @@ def test_checkpoint_missing_field_exits_2_with_one_line(tmp_path, capsys, comman
     assert err.count("\n") == 1 and err.startswith("error:")
     assert str(ckpt) in err and "'steps'" in err
     assert "Traceback" not in err
+
+
+def _short_rows(matrices):
+    return [[row[:-1] for row in matrices[0]]] + matrices[1:]
+
+
+@pytest.mark.parametrize("command", [
+    ["retrain-demo", "--checkpoint", "{ckpt}", "--duration-s", "7"],
+    ["run", "--set", "intelligent=true", "--set", "checkpoint={ckpt}", "--duration-s", "1"],
+], ids=["retrain-demo", "run"])
+@pytest.mark.parametrize("field,corrupt", [
+    ("steps", lambda blob: "ten"),
+    ("Wx", lambda blob: blob["Wx"][:1]),
+    ("Wh", lambda blob: _short_rows(blob["Wh"])),
+], ids=["mistyped-steps", "short-Wx-list", "short-Wh-rows"])
+def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, command,
+                                                     field, corrupt):
+    ckpt = tmp_path / "bad.json"
+    save_checkpoint(LstmForecaster(layers=2, hidden=3, seed=1), ckpt)
+    blob = json.loads(ckpt.read_text())
+    blob[field] = corrupt(blob)
+    ckpt.write_text(json.dumps(blob))
+    argv = [arg.format(ckpt=ckpt) for arg in command]
+    rc = main(argv + ["--set", "pairs=1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert str(ckpt) in err and repr(field) in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out" / "epochs.csv")
+
+
+def test_pretrain_negative_epochs_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "pre"
+    rc = main(["pretrain", "--out", str(out), "--length", "200", "--epochs", "-3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "epochs" in err
+    assert not os.path.exists(out / "fit_report.csv")

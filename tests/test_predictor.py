@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,28 @@ class TestTraining:
         assert np.array_equal(m.get_flat(), theta0)
         assert report.epochs == 0
         assert math.isfinite(report.rmse_train)
+
+    def test_negative_epochs_rejected(self):
+        m = LstmForecaster(steps=10, layers=1, hidden=3, seed=1)
+        theta0 = m.get_flat()
+        with pytest.raises(ValueError, match="epochs"):
+            m.fit(synth_trace(8, 120).counts, epochs=-3)
+        assert np.array_equal(m.get_flat(), theta0)
+
+    def test_report_pass_keeps_no_bptt_cache(self):
+        # The end-of-fit report of the default model on 5,990 windows (the
+        # 6,000-sample default trace) runs inference only; with every step's
+        # BPTT cache kept it peaks near 270 MB.
+        series = synth_trace(1, 6000).counts
+        m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
+        tracemalloc.start()
+        try:
+            report = m.fit(series, epochs=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_train_windows + report.n_test_windows == 5990
+        assert peak < 100e6, f"report pass peaked at {peak / 1e6:.0f} MB"
 
     def test_training_is_deterministic(self):
         series = synth_trace(12, 150).counts
