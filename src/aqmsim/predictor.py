@@ -563,7 +563,12 @@ def save_checkpoint(model: LstmForecaster, path) -> None:
         fh.write("\n")
 
 
-def _number(path, blob: dict, key: str, integer: bool = False):
+# In the order their absence is reported.
+_CHECKPOINT_FIELDS = ("steps", "layers", "hidden", "dropout", "seed", "norm_min",
+                     "norm_max", "Wx", "Wh", "b", "w_out", "b_out")
+
+
+def _number_field(path, blob: dict, key: str, integer: bool = False):
     value = blob[key]
     kinds = int if integer else (int, float)
     if not isinstance(value, kinds) or isinstance(value, bool):
@@ -572,7 +577,7 @@ def _number(path, blob: dict, key: str, integer: bool = False):
     return value
 
 
-def _array(path, key: str, value, shape) -> np.ndarray:
+def _array_field(path, key: str, value, shape) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
@@ -590,32 +595,31 @@ def load_checkpoint(path) -> LstmForecaster:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
+    for key in _CHECKPOINT_FIELDS:
+        if key not in blob:
+            raise ValueError(f"{path}: checkpoint lacks the {key!r} field")
+    steps, layers, hidden, seed = (_number_field(path, blob, key, integer=True)
+                                   for key in ("steps", "layers", "hidden", "seed"))
+    dropout, norm_min, norm_max, b_out = (
+        _number_field(path, blob, key)
+        for key in ("dropout", "norm_min", "norm_max", "b_out"))
+    # Checked before the model allocates its parameters, so that their size
+    # is bounded by the file's own arrays.
+    w_out = _array_field(path, "'w_out'", blob["w_out"], (hidden,))
+    for key in ("Wx", "Wh", "b"):
+        if not isinstance(blob[key], list) or len(blob[key]) != layers:
+            raise ValueError(f"{path}: checkpoint field {key!r} must list {layers} "
+                             f"arrays, one per layer")
     try:
-        steps, layers, hidden, seed = (_number(path, blob, key, integer=True)
-                                       for key in ("steps", "layers", "hidden", "seed"))
-        dropout, norm_min, norm_max, b_out = (
-            _number(path, blob, key) for key in ("dropout", "norm_min", "norm_max", "b_out"))
-        # Checked before the model allocates its parameters, so that the
-        # sizes are bounded by the file's own arrays.
-        w_out = _array(path, "'w_out'", blob["w_out"], (hidden,))
-        gate_lists = {}
-        for key in ("Wx", "Wh", "b"):
-            if not isinstance(blob[key], list) or len(blob[key]) != layers:
-                raise ValueError(f"{path}: checkpoint field {key!r} must list "
-                                 f"{layers} arrays, one per layer")
-            gate_lists[key] = blob[key]
-        try:
-            model = LstmForecaster(steps=steps, layers=layers, hidden=hidden,
-                                   dropout=dropout, seed=seed)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint lacks the {exc.args[0]!r} field") from None
+        model = LstmForecaster(steps=steps, layers=layers, hidden=hidden,
+                               dropout=dropout, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     model.norm_min = norm_min
     model.norm_max = norm_max
     for key, views in (("Wx", model.Wx), ("Wh", model.Wh), ("b", model.b)):
-        for l, view in enumerate(views):
-            view[...] = _array(path, f"{key!r} (layer {l})", gate_lists[key][l], view.shape)
+        for l, (value, view) in enumerate(zip(blob[key], views)):
+            view[...] = _array_field(path, f"{key!r} (layer {l})", value, view.shape)
     model.w_out[...] = w_out
     model.b_out = b_out
     return model

@@ -4,7 +4,8 @@ A refactor or speed-up of the simulator must leave `epochs.csv` and
 `summary.csv` unchanged. The six runs below cover all three disciplines on
 the fixed and the randomized topology. The experiment files `sweep.csv`,
 `compare.csv` and `fit_report.csv` are pinned on tiny runs, and the
-forecaster's trained weights on a short fit plus retrain, at the end. At these settings a change of event
+forecaster's trained weights (a short fit plus retrain) and gradients (one
+BPTT pass) on small models, at the end. At these settings a change of event
 order among events that share a nanosecond (for example scheduling each
 hop's delivery when the packet arrives instead of when it starts
 transmission) changes some of the digests, so the test catches it.
@@ -14,6 +15,7 @@ why in CHANGES.md.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from aqmsim.harness import (compare_iaqm, pretrain_predictor, run_scenario,
@@ -40,12 +42,30 @@ GOLDEN = {
 }
 
 # sha256 of `get_flat().tobytes()` after `fit` plus `retrain_one_epoch`, by
-# depth. Like the compare.csv pin, these rest on numpy's matmul, so they are
-# taken with numpy 2.4's bundled OpenBLAS.
+# (layers, hidden). Widths below 4 are pinned too: OpenBLAS rounds some
+# products with so narrow an operand differently when it is contiguous. Like
+# the compare.csv pin, these rest on numpy's matmul, so they are taken with
+# numpy 2.4's bundled OpenBLAS.
 TRAINED_WEIGHTS = {
-    1: "484049f67f97dbfe0aba5f0070f996440c21ec6edd6ef6a5a2f96ed68be4b419",
-    2: "650c2dc02259ed7bdbc4ce13d0b8e187bbf6a356f78e0a4b687a70fbec43b8bb",
-    3: "74c3caa81dc844a6433b652dd1dfbb03dff9279c329720f7c66a268014fce326",
+    (1, 5): "484049f67f97dbfe0aba5f0070f996440c21ec6edd6ef6a5a2f96ed68be4b419",
+    (2, 5): "650c2dc02259ed7bdbc4ce13d0b8e187bbf6a356f78e0a4b687a70fbec43b8bb",
+    (3, 5): "74c3caa81dc844a6433b652dd1dfbb03dff9279c329720f7c66a268014fce326",
+    (2, 1): "c49649285eabba7b5882d0547a4ad3925c8f0227f80b367883ddf90c0d0b7e10",
+    (3, 3): "e1e9fe3196794fcddef3d8e2a3f3e08e1fbab35455e96de65022f13f6cf36dd5",
+}
+
+# sha256 of the loss, every gradient and the predictions of one BPTT pass
+# over several batch sizes, by (layers, hidden); the narrow widths catch a
+# one-ulp gradient change that Adam's rounding can hide from the weights.
+GRADIENTS = {
+    (1, 3):
+        "b2cd39e714d4ee2d56ed20fc25ad2e74512ed0e6465d0b2c6bcf120cc6b9e6b5",
+    (2, 1):
+        "41ee365023f7ba4324521caaccaf7c1982f62c880fbc79815c7bf69bff81f7db",
+    (3, 3):
+        "5412d519fc5a554320a5b7f0d3f2906d618b687a3cdbec5d3fd1c49a877f6565",
+    (3, 30):
+        "e5ac40ea27a5b89d6df4cc2a4f0eaa25ae5623a7c89af47a714e9c4133bdc955",
 }
 
 
@@ -94,8 +114,8 @@ def test_fit_report_csv_digest_unchanged(tmp_path):
         "da07aa0bccc2d747358769f489a4b72d08db5d85abd7287f1901a6176b35cb21")
 
 
-def _trained_weights_digest(layers: int) -> str:
-    model = LstmForecaster(steps=STEPS, layers=layers, hidden=5, seed=11)
+def _trained_weights_digest(layers: int, hidden: int) -> str:
+    model = LstmForecaster(steps=STEPS, layers=layers, hidden=hidden, seed=11)
     # 230 training windows: three full mini-batches of 64 and a ragged 38.
     model.fit(synth_trace(21, 300).counts, epochs=3)
     # 150 windows: 64, 64 and a ragged 22, on a different series.
@@ -103,8 +123,32 @@ def _trained_weights_digest(layers: int) -> str:
     return hashlib.sha256(model.get_flat().tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("layers", sorted(TRAINED_WEIGHTS))
-def test_trained_weights_unchanged(layers):
+@pytest.mark.parametrize("layers,hidden", sorted(TRAINED_WEIGHTS))
+def test_trained_weights_unchanged(layers, hidden):
     # Dropout is on (the default 0.2); 15 Adam steps in all, so a one-ulp
     # change in any parameter, b_out included, changes the digest.
-    assert _trained_weights_digest(layers) == TRAINED_WEIGHTS[layers]
+    assert (_trained_weights_digest(layers, hidden)
+            == TRAINED_WEIGHTS[(layers, hidden)])
+
+
+def _gradient_digest(layers: int, hidden: int) -> str:
+    rng = np.random.default_rng(5)
+    model = LstmForecaster(steps=STEPS, layers=layers, hidden=hidden, seed=11)
+    theta = model.get_flat()
+    model.set_flat(theta + 0.5 * rng.standard_normal(theta.size))
+    h = hashlib.sha256()
+    for batch in (1, 38, 64, 229):
+        X = 3.0 * rng.random((batch, STEPS))
+        y = rng.random(batch)
+        loss, grads = model.loss_and_gradients(X, y, model._draw_masks(batch))
+        h.update(np.float64(loss).tobytes())
+        for g in grads:
+            h.update(g.tobytes())
+        yhat, _, _ = model._forward(X)
+        h.update(yhat.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("layers,hidden", sorted(GRADIENTS))
+def test_gradients_unchanged(layers, hidden):
+    assert _gradient_digest(layers, hidden) == GRADIENTS[(layers, hidden)]
