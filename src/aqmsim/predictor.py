@@ -254,7 +254,7 @@ class LstmForecaster:
             Hs[0] = 0.0
             for t in range(T):
                 if l == 0:
-                    # D = 1: the input projection is a broadcast product.
+                    # One input per step: the projection is a broadcast product.
                     np.multiply(layer_in[:, t], Wx[:, 0], out=z)
                 else:
                     np.matmul(layer_in[:, t], Wx.T, out=z)
@@ -335,6 +335,9 @@ class LstmForecaster:
         # step t, then overwritten with what this layer passes below.
         dx = _buffer(self._scratch, "dx", (T, B, H))
         g_blk = slice(2 * H, 3 * H)
+        # Layers run top-down, each over all steps in reverse: a layer needs
+        # from the one above only its per-step dx, and every gradient still
+        # accumulates over the steps in the same order.
         for l in range(self.layers - 1, -1, -1):
             layer_in, S, G, TC, C, Hs = cache[l]
             top = l == self.layers - 1

@@ -236,7 +236,7 @@ class TestTraining:
     def test_report_pass_keeps_no_bptt_cache(self):
         # The end-of-fit report of the default model on 5,990 windows (the
         # 6,000-sample default trace) runs inference only; with every step's
-        # BPTT cache kept it peaks near 270 MB.
+        # BPTT cache kept it peaked at 285 MB.
         series = synth_trace(1, 6000).counts
         m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
         tracemalloc.start()
