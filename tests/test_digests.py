@@ -3,9 +3,10 @@
 A refactor or speed-up of the simulator must leave `epochs.csv` and
 `summary.csv` unchanged. The six runs below cover all three disciplines on
 the fixed and the randomized topology. The experiment files `sweep.csv`,
-`compare.csv` and `fit_report.csv` are pinned on tiny runs, and the
-forecaster's trained weights (a short fit plus retrain) and gradients (one
-BPTT pass) on small models, at the end. At these settings a change of event
+`compare.csv` and `fit_report.csv`, and the two files `retrain-demo` writes
+from its model, are pinned on tiny runs, and the forecaster's trained
+weights (a short fit plus retrain) and gradients (one BPTT pass) on small
+models, at the end. At these settings a change of event
 order among events that share a nanosecond (for example scheduling each
 hop's delivery when the packet arrives instead of when it starts
 transmission) changes some of the digests, so the test catches it.
@@ -18,8 +19,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from aqmsim.harness import (compare_iaqm, pretrain_predictor, run_scenario,
-                            target_sweep, write_fit_report_csv)
+from aqmsim.harness import (compare_iaqm, pretrain_predictor, retrain_demo,
+                            run_scenario, target_sweep, write_fit_report_csv)
 from aqmsim.predictor import STEPS, FitReport, LstmForecaster, synth_trace
 from aqmsim.scenario import ScenarioConfig
 
@@ -112,6 +113,21 @@ def test_fit_report_csv_digest_unchanged(tmp_path):
     write_fit_report_csv(report, tmp_path / "fit_report.csv")
     assert file_digest(tmp_path / "fit_report.csv") == (
         "da07aa0bccc2d747358769f489a4b72d08db5d85abd7287f1901a6176b35cb21")
+
+
+def test_retrain_demo_digests_unchanged(tmp_path):
+    """The retrained weights and their fit report, from the transfer
+    workflow on a tiny random topology. Like the compare.csv pin, this rests
+    on numpy's matmul, so it is taken with numpy 2.4's bundled OpenBLAS."""
+    ckpt = tmp_path / "tiny.json"
+    pretrain_predictor(ckpt, synth_seed=3, length=150, epochs=1, layers=1, hidden=4)
+    cfg = ScenarioConfig(pairs=2, duration_s=6, random_topology=True,
+                         bottleneck_bw_bps=10 * 10**6)
+    retrain_demo(cfg, ckpt, tmp_path / "demo", seed=1)
+    assert file_digest(tmp_path / "demo" / "fit_report.csv") == (
+        "ff4b6019f1dafb5a1bcaa98d42bc42ad0dcd7b7fb4eb8a4488afc3a042cd13e4")
+    assert file_digest(tmp_path / "demo" / "retrained.json") == (
+        "8e1ee5b0c924c92873a3ddefef7a81dd73967e6d96a589ed586a925b6e90bc4f")
 
 
 def _trained_weights_digest(layers: int, hidden: int) -> str:
