@@ -159,6 +159,11 @@ class SimContext:
             if not cfg.checkpoint:
                 raise ValueError("intelligent runs need a predictor checkpoint")
             self.model = load_checkpoint(cfg.checkpoint)
+            if self.model.steps != SECOND // BIN_NS:
+                raise ValueError(
+                    f"{cfg.checkpoint}: checkpoint field 'steps' is {self.model.steps}, "
+                    f"but the control loop forecasts from the {SECOND // BIN_NS} "
+                    f"bins of each epoch")
             self.tuner = QLearningTuner(
                 TunerConfig(alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon),
                 self.model, self.rng_hub.stream("tuner"), self.reward_normalizer)
@@ -517,7 +522,8 @@ def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1,
     result = simulate(run_cfg, seed, collect_1ms_s=collect_s)
     series = EceSeries(interval_ns=RETRAIN_BIN_NS,
                        counts=np.array(result.bins1ms, dtype=np.int64))
-    report = model.retrain_one_epoch(series.counts.astype(np.float64))
+    model.retrain_one_epoch(series.counts)
+    report = model.score(series.counts, epochs=1)
     out_ckpt = os.path.join(outdir, "retrained.json")
     save_checkpoint(model, out_ckpt)
     write_fit_report_csv(report, os.path.join(outdir, "fit_report.csv"))

@@ -162,29 +162,24 @@ class Link:
 
 
 class Host:
-    """End host with a single uplink; dispatches packets to its connections."""
+    """End host with a single uplink; hands each packet to the handler of
+    its flow's end on this host."""
 
-    __slots__ = ("sim", "node_id", "name", "egress", "conns", "tap")
+    __slots__ = ("sim", "node_id", "name", "egress", "handlers")
 
     def __init__(self, sim, node_id: int, name: str):
         self.sim = sim
         self.node_id = node_id
         self.name = name
         self.egress = None
-        self.conns = {}
-        self.tap = None
+        self.handlers = {}
 
     def attach(self, conn, receiver_end: bool) -> None:
-        self.conns[conn.cid] = (conn, receiver_end)
+        self.handlers[conn.cid] = (conn.on_receiver_receive if receiver_end
+                                   else conn.on_sender_receive)
 
     def receive(self, pkt) -> None:
-        if self.tap is not None:
-            self.tap(pkt)
-        conn, receiver_end = self.conns[pkt.flow_id]
-        if receiver_end:
-            conn.on_receiver_receive(pkt)
-        else:
-            conn.on_sender_receive(pkt)
+        self.handlers[pkt.flow_id](pkt)
 
 
 class Router:
@@ -202,10 +197,11 @@ class Router:
         self.ece_hook = None
 
     def receive(self, pkt) -> None:
-        if pkt.dst_id in self.ece_count_ids:
-            f = pkt.flags
-            if f & F_ECE and not f & F_SYN:
-                self.ece_hook(self.sim.now)
+        # The flag first: most packets carry no ECE, and all but one router
+        # count none.
+        if (pkt.flags & F_ECE and pkt.dst_id in self.ece_count_ids
+                and not pkt.flags & F_SYN):
+            self.ece_hook(self.sim.now)
         self.routes[pkt.dst_id].send(pkt)
 
 

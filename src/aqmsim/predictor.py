@@ -394,16 +394,26 @@ class LstmForecaster:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
         counts = np.asarray(counts, dtype=np.float64)
         self._set_bounds(counts)
-        return self._run_epochs(counts, epochs, batch_size)
+        self._run_epochs(counts, epochs, batch_size)
+        return self.score(counts, epochs)
 
-    def retrain_one_epoch(self, counts, batch_size: int = BATCH_SIZE) -> FitReport:
+    def retrain_one_epoch(self, counts, batch_size: int = BATCH_SIZE) -> None:
         """Transfer step: exactly one epoch on new data, starting from the
-        current weights; normalization bounds are refreshed for the new data."""
+        current weights; normalization bounds are refreshed for the new data.
+        It trains only: a caller that wants the fit scored calls score()."""
         counts = np.asarray(counts, dtype=np.float64)
         if len(counts) < self.steps + 1:
             raise ValueError("re-training series is too short")
         self._set_bounds(counts)
-        return self._run_epochs(counts, 1, batch_size)
+        self._run_epochs(counts, 1, batch_size)
+
+    def score(self, counts, epochs: int) -> FitReport:
+        """Error of the current weights on a raw count series, normalized
+        with the current bounds and split as training splits it, by one
+        forward pass over every window; `epochs` is recorded as trained."""
+        counts = np.asarray(counts, dtype=np.float64)
+        X, y = build_windows(normalize(counts, self.norm_min, self.norm_max), self.steps)
+        return self._report(X, y, self._split_rows(len(counts)), epochs)
 
     def _set_bounds(self, counts: np.ndarray) -> None:
         """Min-max bounds of the training subset (first 80% of samples)."""
@@ -411,7 +421,7 @@ class LstmForecaster:
         self.norm_min = float(train.min()) if len(train) else 0.0
         self.norm_max = float(train.max()) if len(train) else 0.0
 
-    def _run_epochs(self, counts: np.ndarray, epochs: int, batch_size: int) -> FitReport:
+    def _run_epochs(self, counts: np.ndarray, epochs: int, batch_size: int) -> None:
         norm = normalize(counts, self.norm_min, self.norm_max)
         X, y = build_windows(norm, self.steps)
         n_train = self._split_rows(len(counts))
@@ -459,7 +469,6 @@ class LstmForecaster:
                 v_b = ADAM_B2 * v_b + (1 - ADAM_B2) * gb * gb
                 self.b_out -= ADAM_LR * (m_b / b1c) / (math.sqrt(v_b / b2c) + ADAM_EPS)
         self._scratch.clear()
-        return self._report(X, y, n_train, epochs)
 
     def _draw_masks(self, batch: int):
         if self.dropout <= 0.0 or self.layers < 2:

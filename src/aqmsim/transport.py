@@ -52,6 +52,9 @@ def aimd_rate(params: CubicParams = DEFAULT_CUBIC) -> float:
     return 3.0 * (1.0 - params.beta) / (1.0 + params.beta)
 
 
+AIMD_RATE = aimd_rate()
+
+
 def negotiate_ecn(initiator_capable: bool, responder_capable: bool) -> bool:
     """Outcome of the SYN / SYN-ACK ECN handshake."""
     return initiator_capable and responder_capable
@@ -175,14 +178,16 @@ class Connection:
         now = self.sim.now
         newly = 0
         sample = -1
+        retx = self.retx_seqs
         seq = self.snd_una
         while seq < ack:
             t0 = self.send_ns.pop(seq, None)
-            if t0 is not None and seq not in self.retx_seqs:
+            if t0 is not None and seq not in retx:
                 sample = now - t0
-            self.retx_seqs.discard(seq)
             newly += 1
             seq += MSS
+        if retx:
+            retx.difference_update(range(self.snd_una, ack, MSS))
         if sample >= 0:
             self._rtt_sample(sample)
         self.snd_una = ack
@@ -212,7 +217,6 @@ class Connection:
         return base * self.rto_backoff
 
     def _grow(self, newly_acked: int) -> None:
-        aimd = aimd_rate()
         for _ in range(newly_acked):
             if self.cwnd < self.ssthresh:
                 self.cwnd += 1.0
@@ -226,7 +230,7 @@ class Connection:
                     self.cwnd += 0.01 / self.cwnd
                 # TCP-friendly region: never grow slower than a Reno-rate
                 # window started from the same reduction.
-                self.w_est += aimd / self.cwnd
+                self.w_est += AIMD_RATE / self.cwnd
                 if self.w_est > self.cwnd:
                     self.cwnd = self.w_est
 

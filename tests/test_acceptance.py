@@ -327,8 +327,11 @@ def test_c10_predictor_pipeline(pretrained):
     pred, _, _ = model._forward(X[n_train:])
     before = rmse(y[n_train:], pred)
 
+    # Timed together with its scoring: the bound was set on a retrain that
+    # scored itself.
     t0 = time.time()
-    after = model.retrain_one_epoch(shifted)
+    model.retrain_one_epoch(shifted)
+    after = model.score(shifted, epochs=1)
     wall = time.time() - t0
     assert wall < 10.0, f"one-epoch re-train took {wall:.1f}s"
     assert math.isfinite(after.rmse_test)

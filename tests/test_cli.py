@@ -4,6 +4,7 @@ import os
 import pytest
 
 from aqmsim.cli import main
+from aqmsim.engine import Simulator
 from aqmsim.predictor import LstmForecaster, save_checkpoint
 
 
@@ -155,6 +156,25 @@ def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, command,
     assert str(ckpt) in err and repr(field) in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out" / "epochs.csv")
+
+
+def test_checkpoint_steps_unlike_the_loop_exits_2_before_the_run(tmp_path, capsys,
+                                                                 monkeypatch):
+    # The loop forecasts from the 10 bins of 100 ms in each 1 s epoch; a
+    # 12-step model would otherwise fail at the first forecast, a simulated
+    # second into the run.
+    runs = []
+    monkeypatch.setattr(Simulator, "run", lambda sim, until: runs.append(until))
+    ckpt = tmp_path / "steps12.json"
+    save_checkpoint(LstmForecaster(steps=12, layers=1, hidden=3, seed=1), ckpt)
+    rc = main(["run", "--set", "intelligent=true", "--set", f"checkpoint={ckpt}",
+               "--set", "pairs=1", "--duration-s", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert str(ckpt) in err and "'steps'" in err
+    assert "Traceback" not in err
+    assert runs == []
 
 
 def test_pretrain_negative_epochs_exits_2_with_one_line(tmp_path, capsys):

@@ -12,6 +12,7 @@ from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
                             pretrain_predictor, retrain_demo, run_scenario,
                             simulate, target_sweep)
 from aqmsim.packets import CE, F_ECE
+from aqmsim.predictor import LstmForecaster
 from aqmsim.scenario import ScenarioConfig
 
 
@@ -132,6 +133,21 @@ class TestIntelligentRun:
         assert len(ctx.bins1ms) == 6000
         assert not np.array_equal(ctx.model.get_flat(), before)
         assert len(res.rows) == 8
+
+    def test_online_retrain_does_not_score(self, tiny_checkpoint, monkeypatch):
+        # The loop reads only the retrained weights; scoring them is a
+        # forward pass over every window, which nothing would read.
+        scored = []
+        report = LstmForecaster._report
+        monkeypatch.setattr(LstmForecaster, "_report",
+                            lambda model, *args: scored.append(args) or report(model, *args))
+        cfg = small_cfg(intelligent=True, checkpoint=tiny_checkpoint,
+                        duration_s=7, retrain_at_s=6)
+        ctx = SimContext(cfg, seed=7)
+        before = ctx.model.get_flat().copy()
+        ctx.run()
+        assert not np.array_equal(ctx.model.get_flat(), before)
+        assert scored == []
 
     def test_static_arm_never_retunes(self):
         cfg = small_cfg(duration_s=4)

@@ -248,6 +248,20 @@ class TestTraining:
         assert report.n_train_windows + report.n_test_windows == 5990
         assert peak < 100e6, f"report pass peaked at {peak / 1e6:.0f} MB"
 
+    def test_retrain_allocates_no_report(self):
+        # The control loop's retrain: one epoch of the default model on
+        # 6,000 bins. Training keeps one set of step arrays per batch size;
+        # scoring every window as well peaked at about 60 MB.
+        series = synth_trace(1, 6000).counts
+        m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
+        tracemalloc.start()
+        try:
+            m.retrain_one_epoch(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"retrain peaked at {peak / 1e6:.1f} MB"
+
     def test_training_is_deterministic(self):
         series = synth_trace(12, 150).counts
         reports = []
@@ -260,7 +274,8 @@ class TestTraining:
         series = synth_trace(3, 300).counts
         m = LstmForecaster(steps=10, layers=2, hidden=6, seed=8)
         report = m.fit(series, epochs=15)
-        again = m.retrain_one_epoch(series)
+        m.retrain_one_epoch(series)
+        again = m.score(series, epochs=1)
         assert again.rmse_test <= report.rmse_test + 1e-3
         assert again.epochs == 1
 
@@ -274,7 +289,8 @@ class TestTraining:
         n_train = m._split_rows(len(shifted))
         pred, _, _ = m._forward(X[n_train:])
         before = rmse(y[n_train:], pred)
-        report = m.retrain_one_epoch(shifted)
+        m.retrain_one_epoch(shifted)
+        report = m.score(shifted, epochs=1)
         assert math.isfinite(report.rmse_test)
         assert report.rmse_test <= 2 * before
 
