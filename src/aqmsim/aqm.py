@@ -63,12 +63,15 @@ class AqmParams:
 class QueueStats:
     """Packet counters plus time-weighted occupancy integration.
 
-    Queue length is derived from the counters, so one stats object can be
-    shared by all sub-queues of FQ-CoDel and still report the total.
+    `queued` is the resident packet count, kept as an integer that every
+    counter update moves with it, so one stats object can be shared by all
+    sub-queues of FQ-CoDel and still report the total. It always equals
+    `enqueued - forwarded - dropped_law - dropped_overflow`, which undercounts
+    by one packet per overflow drop (ROADMAP item 1, defect A).
     """
 
     __slots__ = ("enqueued", "forwarded", "marked", "dropped_law", "dropped_overflow",
-                 "area_pkt_ns", "last_ns", "max_queued")
+                 "queued", "area_pkt_ns", "last_ns", "max_queued")
 
     def __init__(self):
         self.enqueued = 0
@@ -76,47 +79,51 @@ class QueueStats:
         self.marked = 0
         self.dropped_law = 0
         self.dropped_overflow = 0
+        self.queued = 0
         self.area_pkt_ns = 0
         self.last_ns = 0
         self.max_queued = 0
 
-    def qlen(self) -> int:
-        return self.enqueued - self.forwarded - self.dropped_law - self.dropped_overflow
-
-    def _advance(self, now: int) -> None:
-        self.area_pkt_ns += self.qlen() * (now - self.last_ns)
-        self.last_ns = now
-
     def on_enqueue(self, now: int) -> None:
-        self._advance(now)
+        q = self.queued
+        self.area_pkt_ns += q * (now - self.last_ns)
+        self.last_ns = now
         self.enqueued += 1
-        q = self.qlen()
+        self.queued = q = q + 1
         if q > self.max_queued:
             self.max_queued = q
 
     def on_forward(self, now: int) -> None:
-        self._advance(now)
+        self.area_pkt_ns += self.queued * (now - self.last_ns)
+        self.last_ns = now
         self.forwarded += 1
+        self.queued -= 1
 
     def on_drop_law(self, now: int) -> None:
-        self._advance(now)
+        self.area_pkt_ns += self.queued * (now - self.last_ns)
+        self.last_ns = now
         self.dropped_law += 1
+        self.queued -= 1
 
     def on_drop_overflow(self, now: int) -> None:
-        self._advance(now)
+        self.area_pkt_ns += self.queued * (now - self.last_ns)
+        self.last_ns = now
         self.dropped_overflow += 1
+        # Defect A: an overflow drop was never enqueued, yet it leaves the
+        # count. The fix deletes this line.
+        self.queued -= 1
 
     def drain_area(self, now: int) -> int:
         """Occupancy integral (packet*ns) since the previous drain."""
-        self._advance(now)
-        area = self.area_pkt_ns
+        area = self.area_pkt_ns + self.queued * (now - self.last_ns)
+        self.last_ns = now
         self.area_pkt_ns = 0
         return area
 
     def drain_peak(self) -> int:
         """Peak queue length since the previous drain."""
         peak = self.max_queued
-        self.max_queued = self.qlen()
+        self.max_queued = self.queued
         return peak
 
 
@@ -175,22 +182,20 @@ class Codel:
     """Single FIFO managed by the CoDel control law."""
 
     kind = "codel"
-    __slots__ = ("params", "state", "stats", "_q", "backlog_bytes", "_check_limit")
+    __slots__ = ("params", "state", "stats", "_q", "backlog_bytes")
 
-    def __init__(self, params: AqmParams, stats: QueueStats | None = None,
-                 check_limit: bool = True):
+    def __init__(self, params: AqmParams, stats: QueueStats | None = None):
         self.params = params
         self.state = CodelState()
         self.stats = stats if stats is not None else QueueStats()
         self._q = deque()
         self.backlog_bytes = 0
-        self._check_limit = check_limit
 
     def __len__(self) -> int:
         return len(self._q)
 
     def enqueue(self, pkt, now: int) -> bool:
-        if self._check_limit and self.stats.qlen() >= self.params.hard_limit:
+        if self.stats.queued >= self.params.hard_limit:
             self.stats.on_drop_overflow(now)
             return False
         pkt.enq_ns = now
@@ -275,7 +280,7 @@ class _SubQueue(Codel):
     __slots__ = ("deficit", "active")
 
     def __init__(self, params: AqmParams, stats: QueueStats):
-        super().__init__(params, stats=stats, check_limit=False)
+        super().__init__(params, stats=stats)
         self.deficit = 0
         self.active = 0  # 0 = parked, 1 = on new list, 2 = on old list
 
@@ -292,33 +297,42 @@ class FqCodel:
     """Deficit round robin over hashed sub-queues, CoDel applied per queue."""
 
     kind = "fq_codel"
-    __slots__ = ("params", "stats", "hash_seed", "_subs", "_new", "_old")
+    __slots__ = ("params", "stats", "hash_seed", "_subs", "_sub_of_flow", "_new", "_old")
 
     def __init__(self, params: AqmParams, hash_seed: int = 0):
         self.params = params
         self.stats = QueueStats()
         self.hash_seed = hash_seed
         self._subs = [_SubQueue(params, self.stats) for _ in range(NUM_SUBQUEUES)]
+        self._sub_of_flow = {}  # memo of bucket_of, by flow id
+        # The DRR lists hold the sub-queues themselves.
         self._new = deque()
         self._old = deque()
 
     def __len__(self) -> int:
-        return self.stats.qlen()
+        return self.stats.queued
 
     def bucket_of(self, flow_id: int) -> int:
         return mix64(flow_id ^ self.hash_seed) % NUM_SUBQUEUES
 
     def enqueue(self, pkt, now: int) -> bool:
-        if self.stats.qlen() >= self.params.hard_limit:
-            self.stats.on_drop_overflow(now)
+        stats = self.stats
+        if stats.queued >= self.params.hard_limit:
+            stats.on_drop_overflow(now)
             return False
-        idx = self.bucket_of(pkt.flow_id)
-        sub = self._subs[idx]
-        sub.enqueue(pkt, now)
+        sub = self._sub_of_flow.get(pkt.flow_id)
+        if sub is None:
+            sub = self._sub_of_flow[pkt.flow_id] = self._subs[self.bucket_of(pkt.flow_id)]
+        # The limit covers all buckets and was checked above, so the packet
+        # joins its bucket directly.
+        pkt.enq_ns = now
+        sub._q.append(pkt)
+        sub.backlog_bytes += pkt.size_bytes
+        stats.on_enqueue(now)
         if sub.active == 0:
             sub.deficit = DRR_QUANTUM
             sub.active = 1
-            self._new.append(idx)
+            self._new.append(sub)
         return True
 
     def dequeue(self, now: int):
@@ -331,12 +345,11 @@ class FqCodel:
                 from_new = False
             else:
                 return None
-            idx = lst[0]
-            sub = self._subs[idx]
+            sub = lst[0]
             if sub.deficit <= 0:
                 sub.deficit += DRR_QUANTUM
                 lst.popleft()
-                self._old.append(idx)
+                self._old.append(sub)
                 sub.active = 2
                 continue
             pkt = sub.dequeue(now)
@@ -344,7 +357,7 @@ class FqCodel:
                 lst.popleft()
                 if from_new and self._old:
                     # Empty new queue parks at the old-list tail for one cycle.
-                    self._old.append(idx)
+                    self._old.append(sub)
                     sub.active = 2
                 else:
                     sub.active = 0

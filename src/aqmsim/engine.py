@@ -5,7 +5,7 @@ the same seed produce bit-identical results on any platform.
 """
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 US = 1_000
 MS = 1_000_000
@@ -34,14 +34,13 @@ class Simulator:
         if t < self.now:
             raise RuntimeError(f"event scheduled in the past: {t} < {self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        heappush(self._heap, (t, self._seq, fn, args))
 
     def run(self, t_end: int) -> None:
         """Dispatch every event with timestamp <= t_end, then park the clock there."""
         heap = self._heap
-        pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            t, _, fn, args = pop(heap)
+            t, _, fn, args = heappop(heap)
             self.now = t
             fn(*args)
         self.now = t_end

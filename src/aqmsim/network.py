@@ -7,7 +7,10 @@ serialization arithmetically (busy_until) so that a packet costs one delivery
 event per hop, plus one wakeup event only while the queue is backlogged on
 links with propagation delay. They schedule the same events at the same
 times in the same order, so a hop's outputs do not depend on which of the
-two models it.
+two models it. A Link's `send` puts a packet that finds the wire idle and
+the FIFO empty, the common case, on the wire itself. The two stay separate
+classes: one transmitter for both would branch on every packet on whether
+it carries a discipline.
 """
 from __future__ import annotations
 
@@ -110,18 +113,29 @@ class Link:
     def send(self, pkt) -> None:
         self.arrivals += 1
         queue = self.queue
-        if self.busy_until <= self.sim.now:
-            if queue:
-                # The wire fell idle at this very instant and its wakeup has
-                # not run yet: join the FIFO and send its head.
-                self._admit(pkt)
-                pkt = queue.popleft()
-            self._transmit(pkt)
+        sim = self.sim
+        if self.busy_until <= sim.now:
+            if not queue:
+                # The common case, `_transmit` inline: with the FIFO empty
+                # there is no wakeup to arm.
+                self.forwarded += 1
+                bw = self.bandwidth_bps
+                done = sim.now + (pkt.size_bytes * 8 * SECOND + bw // 2) // bw
+                self.busy_until = done
+                if self._chained:
+                    sim.schedule(done, self._deliver_chain, pkt)
+                else:
+                    sim.schedule(done + self.prop_ns, self.dst.receive, pkt)
+                return
+            # The wire fell idle at this very instant and its wakeup has not
+            # run yet: join the FIFO and send its head.
+            self._admit(pkt)
+            self._transmit(queue.popleft())
         else:
             self._admit(pkt)
             if not self._chained and not self._kick_pending:
                 self._kick_pending = True
-                self.sim.schedule(self.busy_until, self._kick)
+                sim.schedule(self.busy_until, self._kick)
 
     def _admit(self, pkt) -> None:
         queue = self.queue

@@ -35,14 +35,18 @@ class CubicParams:
 DEFAULT_CUBIC = CubicParams()
 
 
+def cubic_k(w_max: float, params: CubicParams = DEFAULT_CUBIC) -> float:
+    """Seconds from a reduction until the window is back at w_max."""
+    return (w_max * (1.0 - params.beta) / params.C) ** (1.0 / 3.0)
+
+
 def cubic_window(t_since_epoch: float, w_max: float, params: CubicParams = DEFAULT_CUBIC) -> float:
     """Window size C*(t-K)^3 + w_max in packets, floored at one packet."""
     if t_since_epoch < 0:
         raise ValueError("t_since_epoch must be >= 0")
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    k = (w_max * (1.0 - params.beta) / params.C) ** (1.0 / 3.0)
-    w = params.C * (t_since_epoch - k) ** 3 + w_max
+    w = params.C * (t_since_epoch - cubic_k(w_max, params)) ** 3 + w_max
     return w if w > 1.0 else 1.0
 
 
@@ -81,9 +85,9 @@ class Connection:
     __slots__ = (
         "sim", "cid", "src", "dst", "ecn_capable", "start_ns",
         # sender
-        "cwnd", "ssthresh", "w_max", "w_est", "epoch_start_ns", "in_cwr_until",
+        "cwnd", "ssthresh", "w_max", "k_s", "w_est", "epoch_start_ns", "in_cwr_until",
         "cwr_pending", "ecn_negotiated", "established", "snd_nxt", "snd_una",
-        "dup_acks", "recover_seq", "send_ns", "retx_seqs", "srtt_ns",
+        "dup_acks", "recover_seq", "send_ns", "srtt_ns",
         "rto_deadline", "rto_pending", "rto_backoff", "syn_sent_ns",
         "retx_segments", "reduction_log",
         # receiver
@@ -104,6 +108,7 @@ class Connection:
         self.cwnd = INITIAL_CWND
         self.ssthresh = float("inf")
         self.w_max = INITIAL_CWND
+        self.k_s = cubic_k(INITIAL_CWND)  # cubic_k(w_max), kept with w_max
         self.w_est = INITIAL_CWND
         self.epoch_start_ns = 0
         self.in_cwr_until = -1
@@ -115,7 +120,6 @@ class Connection:
         self.dup_acks = 0
         self.recover_seq = 0
         self.send_ns = {}
-        self.retx_seqs = set()
         self.srtt_ns = 0
         self.rto_deadline = 0
         self.rto_pending = False
@@ -176,33 +180,35 @@ class Connection:
 
     def _ack_advance(self, ack: int, ece: bool) -> None:
         now = self.sim.now
-        newly = 0
-        sample = -1
-        retx = self.retx_seqs
-        seq = self.snd_una
-        while seq < ack:
-            t0 = self.send_ns.pop(seq, None)
-            if t0 is not None and seq not in retx:
-                sample = now - t0
-            newly += 1
-            seq += MSS
-        if retx:
-            retx.difference_update(range(self.snd_una, ack, MSS))
-        if sample >= 0:
-            self._rtt_sample(sample)
+        pop = self.send_ns.pop
+        acked = range(self.snd_una, ack, MSS)
+        # The RTT sample comes from the newest acked segment with a send
+        # time; `_retransmit` clears a segment's send time.
+        t0 = None
+        for seq in acked:
+            t = pop(seq, None)
+            if t is not None:
+                t0 = t
+        if t0 is not None:  # _rtt_sample, inline
+            sample = now - t0
+            self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
+            if self.rtt_cb is not None:
+                self.rtt_cb(sample)
         self.snd_una = ack
         self.dup_acks = 0
         if ece:
             self._congestion_signal("ece")
-        self._grow(newly)
-        if self.snd_una < self.recover_seq:
+        self._grow(len(acked))
+        if ack < self.recover_seq:
             # Partial ack exposes the next hole; fill it without a new cut.
-            self._retransmit(self.snd_una)
+            self._retransmit(ack)
         self.rto_backoff = 1
-        self.rto_deadline = now + self._rto()
+        base = 2 * self.srtt_ns if self.srtt_ns else INITIAL_RTO  # _rto, inline
+        self.rto_deadline = now + (base if base > MIN_RTO else MIN_RTO)
         self._try_send()
 
     def _rtt_sample(self, sample_ns: int) -> None:
+        # `_ack_advance` has a copy of this inline; change both together.
         if self.srtt_ns == 0:
             self.srtt_ns = sample_ns
         else:
@@ -211,6 +217,7 @@ class Connection:
             self.rtt_cb(sample_ns)
 
     def _rto(self) -> int:
+        # `_ack_advance` has a copy of this inline at backoff 1.
         base = 2 * self.srtt_ns if self.srtt_ns else INITIAL_RTO
         if base < MIN_RTO:
             base = MIN_RTO
@@ -223,7 +230,9 @@ class Connection:
                 self.w_est = self.cwnd
             else:
                 t = (self.sim.now - self.epoch_start_ns + self.srtt_ns) / SECOND
-                target = cubic_window(t, self.w_max)
+                # cubic_window(t, w_max) from the cached K. Its one-packet
+                # floor cannot change the comparison: cwnd is never below 1.
+                target = DEFAULT_CUBIC.C * (t - self.k_s) ** 3 + self.w_max
                 if target > self.cwnd:
                     self.cwnd += (target - self.cwnd) / self.cwnd
                 else:
@@ -238,6 +247,7 @@ class Connection:
         now = self.sim.now
         if now >= self.in_cwr_until:
             self.w_max = self.cwnd
+            self.k_s = cubic_k(self.w_max)
             self.cwnd = max(DEFAULT_CUBIC.beta * self.cwnd, 1.0)
             self.ssthresh = self.cwnd
             self.w_est = self.cwnd
@@ -252,7 +262,6 @@ class Connection:
 
     def _retransmit(self, seq: int) -> None:
         now = self.sim.now
-        self.retx_seqs.add(seq)
         self.send_ns.pop(seq, None)
         self.retx_segments += 1
         pkt = Packet(self.cid, seq, MSS,
@@ -264,22 +273,30 @@ class Connection:
 
     def _try_send(self) -> None:
         now = self.sim.now
-        limit = int(self.cwnd) * MSS
-        while self.snd_nxt - self.snd_una < limit:
+        snd_una = self.snd_una
+        snd_nxt = self.snd_nxt
+        limit = snd_una + int(self.cwnd) * MSS
+        send = self.src.egress.send
+        send_ns = self.send_ns
+        ecn = ECT0 if self.ecn_negotiated else NOT_ECT
+        # Sending schedules events and returns; it never re-enters this
+        # connection, so snd_nxt can live in a local until the loop ends.
+        while snd_nxt < limit:
             flags = F_ACK
             if self.cwr_pending:
                 flags |= F_CWR
                 self.cwr_pending = False
-            pkt = Packet(self.cid, self.snd_nxt, MSS,
-                         ECT0 if self.ecn_negotiated else NOT_ECT,
-                         flags, now, self.dst.node_id)
-            self.send_ns[self.snd_nxt] = now
-            self.snd_nxt += MSS
-            self.src.egress.send(pkt)
-        if self.snd_nxt > self.snd_una:
+            pkt = Packet(self.cid, snd_nxt, MSS, ecn, flags, now, self.dst.node_id)
+            send_ns[snd_nxt] = now
+            snd_nxt += MSS
+            send(pkt)
+        self.snd_nxt = snd_nxt
+        if snd_nxt > snd_una:
             if self.rto_deadline <= now:
                 self.rto_deadline = now + self._rto()
-            self._schedule_rto(self.rto_deadline)
+            if not self.rto_pending:  # _schedule_rto, inline
+                self.rto_pending = True
+                self.sim.schedule(self.rto_deadline, self._on_rto)
 
     # -- retransmission timer ----------------------------------------------
 
@@ -302,6 +319,7 @@ class Connection:
             return
         # Timeout: collapse to one segment and restart from the first hole.
         self.w_max = max(self.cwnd, 1.0)
+        self.k_s = cubic_k(self.w_max)
         self.ssthresh = max(DEFAULT_CUBIC.beta * self.cwnd, 2.0)
         self.cwnd = 1.0
         self.w_est = 1.0

@@ -187,6 +187,33 @@ class TestConservation:
         s = q.stats
         assert s.enqueued == s.forwarded + s.dropped_law + s.dropped_overflow + len(q)
 
+    @pytest.mark.parametrize("kind", ["taildrop", "codel", "fq_codel"])
+    def test_queued_counter_against_held_packets(self, kind):
+        # Three arrivals and two departures per ms against a 20-packet limit:
+        # overflow drops from the first tens of ms, a standing queue that the
+        # law drops from (no ECN), and a retune halfway.
+        params = AqmParams(hard_limit=20, ecn_enabled=False)
+        q = make_discipline(kind, params, hash_seed=3)
+        s = q.stats
+
+        def check():
+            held = sum(1 for _ in q.queued_packets())
+            # ROADMAP item 1 (defect A) turns this into `s.queued == held`.
+            assert s.queued == held - s.dropped_overflow
+
+        for ms in range(600):
+            now = ms * MS
+            if ms == 300:
+                params.set(1 * MS, 20 * MS)
+            for flow in (1, 2, 3):
+                q.enqueue(mk_pkt(flow=flow, ecn=NOT_ECT), now)
+                check()
+            for _ in range(2):
+                q.dequeue(now)
+                check()
+        assert s.dropped_overflow > 0
+        assert kind == "taildrop" or s.dropped_law > 0
+
 
 class TestFqCodel:
     def test_hash_partition_spread(self):

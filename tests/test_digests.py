@@ -89,6 +89,37 @@ def file_digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The benchmark's two dumbbell workloads at their full 30 s and seed 1, run
+# through the harness: sha256 of (epochs.csv, summary.csv). The intelligent
+# one loads a 1-epoch checkpoint trained on the 6,000-interval synthetic
+# trace of seed 1234 from model seed 7, so like the compare.csv pin it is
+# taken with numpy 2.4's bundled OpenBLAS. A change that moves these bytes
+# fails here, before a benchmark run would reject it.
+BENCHMARK_WORKLOADS = {
+    "fq_codel": (
+        "b2676ecc2c6e3986b5b44d51561b5bd8b41beedb1f609172baf9f12e2a59d0a0",
+        "93b905e2a8a44de98e9e3d7f63b134ee01d95b7b34d704a41af68b531714ab61"),
+    "codel_intelligent": (
+        "a88b7d68e781233d18a8e9cb8438234cb57ae0c1131370f6c4a5695485bd219e",
+        "caee7240d6c1e3b4bdcf2450411f8d0d86f0f2e636b7481b073dce82c1b9919b"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_workload_digests_unchanged(tmp_path, workload):
+    if workload == "fq_codel":
+        cfg = ScenarioConfig(duration_s=30, disc="fq_codel")
+    else:
+        ckpt = tmp_path / "checkpoint.json"
+        pretrain_predictor(ckpt, synth_seed=1234, length=6000, epochs=1,
+                           model_seed=7)
+        cfg = ScenarioConfig(duration_s=30, disc="codel", intelligent=True,
+                             retrain_at_s=6, checkpoint=str(ckpt))
+    run_scenario(cfg, 1, tmp_path)
+    assert (file_digest(tmp_path / "epochs.csv"),
+            file_digest(tmp_path / "summary.csv")) == BENCHMARK_WORKLOADS[workload]
+
+
 def test_sweep_csv_digest_unchanged(tmp_path):
     target_sweep(ScenarioConfig(pairs=2), tmp_path, targets_ms=(1.0, 4.0),
                  seeds=(1,), duration_s=2, jobs=1)

@@ -4,8 +4,8 @@ from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator
 from aqmsim.network import EgressPort, Host
 from aqmsim.packets import (CE, ECT0, NOT_ECT, F_ACK, F_CWR, F_ECE, F_SYN, Packet)
-from aqmsim.transport import (Connection, CubicParams, cubic_window,
-                              negotiate_ecn, syn_flags, synack_flags)
+from aqmsim.transport import (AIMD_RATE, MSS, Connection, CubicParams,
+                              cubic_window, negotiate_ecn, syn_flags, synack_flags)
 
 
 class TestCubicWindow:
@@ -167,6 +167,65 @@ class TestSenderSide:
             conn.on_sender_receive(
                 Packet(0, 1500 * (i + 1), 64, NOT_ECT, F_ACK | F_ECE, 0, 0))
         assert conn.cwnd >= 1.0
+
+
+def ack(seq, flags=F_ACK):
+    return Packet(0, seq, 64, NOT_ECT, flags, 0, 0)
+
+
+def reference_grow(conn, newly_acked):
+    """(cwnd, w_est) after `newly_acked` segments, from cubic_window."""
+    cwnd, w_est = conn.cwnd, conn.w_est
+    for _ in range(newly_acked):
+        if cwnd < conn.ssthresh:
+            cwnd += 1.0
+            w_est = cwnd
+        else:
+            t = (conn.sim.now - conn.epoch_start_ns + conn.srtt_ns) / SECOND
+            target = cubic_window(t, conn.w_max)
+            if target > cwnd:
+                cwnd += (target - cwnd) / cwnd
+            else:
+                cwnd += 0.01 / cwnd
+            w_est += AIMD_RATE / cwnd
+            if w_est > cwnd:
+                cwnd = w_est
+    return cwnd, w_est
+
+
+class TestCachedCubicGrowth:
+    """The connection keeps CUBIC's K with w_max; its growth must equal the
+    one cubic_window gives, bit for bit, after every kind of window cut."""
+
+    @pytest.mark.parametrize("cut", ["ece", "loss", "timeout"])
+    def test_growth_matches_cubic_window(self, cut):
+        sim = Simulator()
+        conn, src, _ = stub_conn(sim)
+        establish(sim, conn, src)
+        # Slow start to cwnd 14, so that the cut's w_max differs from the
+        # initial one.
+        for i in range(1, 5):
+            sim.run(sim.now + 10 * MS)
+            conn.on_sender_receive(ack(i * MSS))
+        if cut == "ece":
+            conn.on_sender_receive(ack(5 * MSS, F_ACK | F_ECE))
+        elif cut == "loss":
+            for _ in range(3):
+                conn.on_sender_receive(ack(4 * MSS))
+        else:
+            while not conn.retx_segments:
+                sim.run(sim.now + 10 * MS)
+            assert conn.cwnd == 1.0
+        assert len(conn.reduction_log) == (cut != "timeout")
+        assert conn.w_max > 10.0
+        avoidance_steps = 0
+        for _ in range(30):  # 150 ms: no further timeout
+            sim.run(sim.now + 5 * MS)
+            avoidance_steps += conn.cwnd >= conn.ssthresh
+            expected = reference_grow(conn, 2)
+            conn._grow(2)
+            assert (conn.cwnd, conn.w_est) == expected
+        assert avoidance_steps >= 20
 
 
 def make_receiver(sim):
