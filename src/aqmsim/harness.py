@@ -380,6 +380,13 @@ def _run_all(tasks, jobs: int):
 SWEEP_TARGETS_MS = (0.05, 0.5, 1.0, 2.0, 4.0, 6.0)
 
 
+def _require_runs(**lists) -> None:
+    """Reject an experiment whose lists leave it with no run to average."""
+    for name, values in lists.items():
+        if len(values) == 0:
+            raise ValueError(f"no {name} given: the experiment needs at least one")
+
+
 def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
                  seeds=(1, 2, 3), disciplines=("codel", "fq_codel"),
                  duration_s: int = 20, jobs: int = 0) -> list:
@@ -390,6 +397,7 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
     the distinct summaries (seed column aside) among the `seeds` averaged:
     seeds that reach no random draw of the run repeat one trajectory.
     """
+    _require_runs(seeds=seeds, targets=targets_ms, disciplines=disciplines)
     os.makedirs(outdir, exist_ok=True)
     tasks = []
     keys = []
@@ -445,6 +453,7 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
     Static arms keep the configured defaults for the whole run; intelligent
     arms start from the same defaults and retune every second.
     """
+    _require_runs(seeds=seeds, disciplines=disciplines)
     os.makedirs(outdir, exist_ok=True)
     checkpoint = ensure_checkpoint(cfg, outdir, epochs=pretrain_epochs)
     tasks = []

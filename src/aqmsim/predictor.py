@@ -105,12 +105,19 @@ def mae(actual, predicted) -> float:
 
 
 def _buffer(store: dict, key, shape) -> np.ndarray:
-    """The float array kept in `store` under (`key`, `shape`), made on first
-    use."""
-    arr = store.get((key, shape))
-    if arr is None:
-        arr = store[(key, shape)] = np.empty(shape)
-    return arr
+    """A `shape` float array from the one kept in `store` under `key`.
+
+    The kept array is made when `shape` does not fit in it, and a smaller
+    shape gets its leading slice, so an epoch's ragged last mini-batch reuses
+    the full batches' arrays. Callers vary only the batch axis, and every
+    slice they hand to a matrix product (one row block of a step slab, or
+    the leading rows of a batch-major array) stays C-contiguous.
+    """
+    arr = store.get(key)
+    if arr is None or (arr.shape != shape
+                       and any(n > m for n, m in zip(shape, arr.shape))):
+        arr = store[key] = np.empty(shape)
+    return arr if arr.shape == shape else arr[tuple(map(slice, shape))]
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray, e: np.ndarray, d: np.ndarray) -> None:
@@ -158,9 +165,10 @@ class LstmForecaster:
         self.norm_min = 0.0
         self.norm_max = 0.0
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C53544D]))
-        # Arrays a training step writes, kept between steps by (name, shape):
-        # first-touch page faults on fresh multi-megabyte arrays cost about
-        # as much as a step's arithmetic. Emptied when training ends.
+        # Arrays a training step writes, kept between steps by name at the
+        # largest batch seen: first-touch page faults on fresh multi-megabyte
+        # arrays cost about as much as a step's arithmetic. Emptied when
+        # training ends.
         self._scratch = {}
         h = hidden
         self._shapes = []
@@ -409,8 +417,9 @@ class LstmForecaster:
 
     def score(self, counts, epochs: int) -> FitReport:
         """Error of the current weights on a raw count series, normalized
-        with the current bounds and split as training splits it, by one
-        forward pass over every window; `epochs` is recorded as trained."""
+        with the current bounds and split as training splits it, by forward
+        passes over batch-sized slices of the windows; `epochs` is recorded
+        as trained."""
         counts = np.asarray(counts, dtype=np.float64)
         X, y = build_windows(normalize(counts, self.norm_min, self.norm_max), self.steps)
         return self._report(X, y, self._split_rows(len(counts)), epochs)
@@ -478,8 +487,21 @@ class LstmForecaster:
                 for _ in range(self.layers - 1)]
 
     def _report(self, X, y, n_train: int, epochs: int) -> FitReport:
-        pred_tr, _, _ = self._forward(X[:n_train])
-        pred_te, _, _ = self._forward(X[n_train:])
+        # Each split is scored in BATCH_SIZE-row slices from its first row, so
+        # working memory is bounded by the batch, not the series. OpenBLAS
+        # works in row blocks, and a row's last bits can depend on its offset
+        # in a pass: the slices keep each offset modulo BATCH_SIZE (a multiple
+        # of the blocks), so they give the bits of one pass over the split. A
+        # lone last row joins the slice before it, because a one-row pass is
+        # a vector product and rounds differently.
+        preds = []
+        for part in (X[:n_train], X[n_train:]):
+            ends = list(range(BATCH_SIZE, len(part), BATCH_SIZE))
+            if ends and len(part) - ends[-1] == 1:
+                ends.pop()
+            preds.append(np.concatenate([self._forward(part[lo:hi])[0] for lo, hi
+                                         in zip([0] + ends, ends + [len(part)])]))
+        pred_tr, pred_te = preds
         return FitReport(
             rmse_train=rmse(y[:n_train], pred_tr),
             rmse_test=rmse(y[n_train:], pred_te) if len(y) > n_train else float("nan"),

@@ -1,6 +1,7 @@
-"""Shared test utilities: rank correlation and tiny oracles."""
+"""Shared test utilities: rank correlation, tiny oracles and a memory probe."""
 
 import math
+import tracemalloc
 
 
 def spearman(xs, ys) -> float:
@@ -47,3 +48,15 @@ def value_iteration(transitions, rewards, gamma, tol=1e-12, max_iter=100000):
         if delta < tol:
             break
     return q
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call fn(*args, **kwargs); return its result and the tracemalloc peak,
+    in bytes, of the allocations made during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -66,6 +66,24 @@ def test_compare_subcommand_with_checkpoint(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,named", [
+    (["sweep", "--seeds", ","], "seeds"),
+    (["sweep", "--targets-ms", ","], "targets"),
+    (["compare", "--seeds", ","], "seeds"),
+    (["compare", "--disciplines", ","], "disciplines"),
+])
+def test_empty_experiment_list_exits_2_before_any_run(tmp_path, capsys, command, named):
+    # Checked before any run and before compare pretrains a checkpoint, so
+    # nothing is written.
+    out = tmp_path / "exp"
+    rc = main(command + ["--out", str(out), "--jobs", "1", "--set", "pairs=1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert named in err
+    assert not out.exists()
+
+
 def test_pretrain_and_retrain_demo(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = main(["pretrain", "--out", str(out), "--length", "200",

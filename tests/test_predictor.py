@@ -1,14 +1,14 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from aqmsim.predictor import (EceSeries, LstmForecaster, build_windows,
+from aqmsim.predictor import (BATCH_SIZE, EceSeries, LstmForecaster, build_windows,
                               denormalize, ingest_trace, load_checkpoint, mae,
                               neurons_per_layer, normalize, rmse,
                               save_checkpoint, stationary_off_probability,
                               synth_trace, write_trace)
+from helpers import traced_peak
 
 
 class TestNeuronSizing:
@@ -235,32 +235,54 @@ class TestTraining:
 
     def test_report_pass_keeps_no_bptt_cache(self):
         # The end-of-fit report of the default model on 5,990 windows (the
-        # 6,000-sample default trace) runs inference only; with every step's
-        # BPTT cache kept it peaked at 285 MB.
+        # 6,000-sample default trace) runs inference only, in batch-sized
+        # slices. With every step's BPTT cache kept it peaked at 285 MB, and
+        # as one pass per split at 60 MB.
         series = synth_trace(1, 6000).counts
         m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
-        tracemalloc.start()
-        try:
-            report = m.fit(series, epochs=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(m.fit, series, epochs=0)
         assert report.n_train_windows + report.n_test_windows == 5990
-        assert peak < 100e6, f"report pass peaked at {peak / 1e6:.0f} MB"
+        assert peak < 8e6, f"report pass peaked at {peak / 1e6:.1f} MB"
 
     def test_retrain_allocates_no_report(self):
         # The control loop's retrain: one epoch of the default model on
-        # 6,000 bins. Training keeps one set of step arrays per batch size;
-        # scoring every window as well peaked at about 60 MB.
+        # 6,000 bins, whose last batch is ragged (74 x 64 + 54 windows).
+        # Training keeps one set of step arrays; a second set for the ragged
+        # batch peaked at 10 MB, and scoring every window as well at 60 MB.
         series = synth_trace(1, 6000).counts
         m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
-        tracemalloc.start()
-        try:
-            m.retrain_one_epoch(series)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6, f"retrain peaked at {peak / 1e6:.1f} MB"
+        _, peak = traced_peak(m.retrain_one_epoch, series)
+        assert peak < 8e6, f"retrain peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("hidden", [3, 30])
+    def test_score_in_slices_matches_one_pass_per_split(self, hidden, monkeypatch):
+        # 254 samples: 193 training windows (3 x 64 + 1) and 51 test ones.
+        # The lone 193rd row is scored with the 64 before it: alone it would
+        # be a one-row pass, whose prediction differs in its last bits here
+        # at H = 30.
+        series = synth_trace(2, 254).counts
+        m = LstmForecaster(steps=10, layers=3, hidden=hidden, seed=7)
+        m._set_bounds(series.astype(np.float64))
+        X, y = build_windows(normalize(series, m.norm_min, m.norm_max))
+        n_train = m._split_rows(len(series))
+        assert (n_train, len(X) - n_train) == (193, 51)
+        forward = m._forward
+        passes = []
+
+        def recording(Xb, *args, **kwargs):
+            out = forward(Xb, *args, **kwargs)
+            passes.append(out[0])
+            return out
+
+        monkeypatch.setattr(m, "_forward", recording)
+        report = m.score(series, epochs=0)
+        assert [len(p) for p in passes] == [BATCH_SIZE, BATCH_SIZE, BATCH_SIZE + 1, 51]
+        whole_tr, whole_te = forward(X[:n_train])[0], forward(X[n_train:])[0]
+        assert np.array_equal(np.concatenate(passes), np.concatenate([whole_tr, whole_te]))
+        assert (report.rmse_train, report.mae_train) == (rmse(y[:n_train], whole_tr),
+                                                         mae(y[:n_train], whole_tr))
+        assert (report.rmse_test, report.mae_test) == (rmse(y[n_train:], whole_te),
+                                                       mae(y[n_train:], whole_te))
 
     def test_training_is_deterministic(self):
         series = synth_trace(12, 150).counts
