@@ -2,7 +2,8 @@
 
 A refactor or speed-up of the simulator must leave `epochs.csv` and
 `summary.csv` unchanged. The six runs below cover all three disciplines on
-the fixed and the randomized topology. The experiment files `sweep.csv`,
+the fixed and the randomized topology, and three more the bottleneck with
+propagation delay. The experiment files `sweep.csv`,
 `compare.csv` and `fit_report.csv`, and the two files `retrain-demo` writes
 from its model, are pinned on tiny runs, and the forecaster's trained
 weights (a short fit plus retrain) and gradients (one BPTT pass) on small
@@ -19,6 +20,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from aqmsim.engine import MS
 from aqmsim.harness import (compare_iaqm, pretrain_predictor, retrain_demo,
                             run_scenario, target_sweep, write_fit_report_csv)
 from aqmsim.predictor import STEPS, FitReport, LstmForecaster, synth_trace
@@ -83,6 +85,26 @@ def test_output_digest_unchanged(tmp_path, disc, random_topology):
                          duration_s=DURATION_S)
     run_scenario(cfg, SEED, tmp_path)
     assert output_digest(tmp_path) == GOLDEN[(disc, random_topology)]
+
+
+# The bottleneck with propagation delay: an unchained `EgressPort`, whose
+# `_kick` wakeups no pin above reaches, at a small hard limit so that every
+# discipline overflows. These runs show the queue-length defect (ROADMAP
+# item 1, defect A): FQ-CoDel's port idles with packets held. Its fix will
+# re-pin all three.
+UNCHAINED = {
+    "taildrop": "fd137aec58eca2f27c4b9f99c4725e1df96c686a09f183d52bcec1c0ed8fbef1",
+    "codel": "47e82e97da501b9a2dd5b935473b463304013b828ec442cad315bd76d0218f65",
+    "fq_codel": "704bcabcef451c893c98a2a6e7ce3bf3ed7fab358cf69d3ac12640c6a01b55d1",
+}
+
+
+@pytest.mark.parametrize("disc", sorted(UNCHAINED))
+def test_unchained_bottleneck_digest_unchanged(tmp_path, disc):
+    cfg = ScenarioConfig(disc=disc, duration_s=5, bottleneck_prop_ns=5 * MS,
+                         hard_limit=60)
+    run_scenario(cfg, SEED, tmp_path)
+    assert output_digest(tmp_path) == UNCHAINED[disc]
 
 
 def file_digest(path) -> str:
