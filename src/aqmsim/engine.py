@@ -2,6 +2,10 @@
 
 All simulation timestamps are integer nanoseconds so that repeated runs with
 the same seed produce bit-identical results on any platform.
+
+An event is a callback with at most one argument: `schedule(t, fn, arg)`
+makes `run` call `fn(arg)` at `t`, and `schedule(t, fn)` makes it call
+`fn()`. `None` is an argument like any other.
 """
 from __future__ import annotations
 
@@ -10,6 +14,9 @@ from heapq import heappop, heappush
 US = 1_000
 MS = 1_000_000
 SECOND = 1_000_000_000
+
+# Marks an event scheduled without an argument.
+_NO_ARG = object()
 
 
 def transmit_delay(size_bytes: int, bandwidth_bps: int, prop_delay_ns: int = 0) -> int:
@@ -30,19 +37,23 @@ class Simulator:
         self._heap = []
         self._seq = 0
 
-    def schedule(self, t: int, fn, *args) -> None:
+    def schedule(self, t: int, fn, arg=_NO_ARG) -> None:
         if t < self.now:
             raise RuntimeError(f"event scheduled in the past: {t} < {self.now}")
         self._seq += 1
-        heappush(self._heap, (t, self._seq, fn, args))
+        heappush(self._heap, (t, self._seq, fn, arg))
 
     def run(self, t_end: int) -> None:
         """Dispatch every event with timestamp <= t_end, then park the clock there."""
         heap = self._heap
+        no_arg = _NO_ARG
         while heap and heap[0][0] <= t_end:
-            t, _, fn, args = heappop(heap)
+            t, _, fn, arg = heappop(heap)
             self.now = t
-            fn(*args)
+            if arg is no_arg:
+                fn()
+            else:
+                fn(arg)
         self.now = t_end
 
     def __len__(self) -> int:

@@ -454,17 +454,20 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
     arms start from the same defaults and retune every second.
     """
     _require_runs(seeds=seeds, disciplines=disciplines)
+    arms = [replace(cfg, disc=disc, intelligent=intelligent)
+            for disc in disciplines for intelligent in (False, True)]
+    # A bad arm fails here, not after a pretrain of minutes.
+    for arm in arms:
+        arm.validate()
     os.makedirs(outdir, exist_ok=True)
     checkpoint = ensure_checkpoint(cfg, outdir, epochs=pretrain_epochs)
     tasks = []
     keys = []
-    for disc in disciplines:
-        for intelligent in (False, True):
-            run_cfg = replace(cfg, disc=disc, intelligent=intelligent,
-                              checkpoint=checkpoint if intelligent else "")
-            for seed in seeds:
-                tasks.append((run_cfg, seed))
-                keys.append((disc, intelligent, seed))
+    for arm in arms:
+        run_cfg = replace(arm, checkpoint=checkpoint if arm.intelligent else "")
+        for seed in seeds:
+            tasks.append((run_cfg, seed))
+            keys.append((arm.disc, arm.intelligent, seed))
     summaries = _run_all(tasks, jobs)
     by_arm = {}
     rows = []

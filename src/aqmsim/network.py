@@ -10,34 +10,51 @@ times in the same order, so a hop's outputs do not depend on which of the
 two models it. A Link's `send` puts a packet that finds the wire idle and
 the FIFO empty, the common case, on the wire itself. The two stay separate
 classes: one transmitter for both would branch on every packet on whether
-it carries a discipline.
+it carries a discipline. Each looks up a packet's serialization time in its
+own `SerializationTimes` and hands deliveries to a callback bound once.
 """
 from __future__ import annotations
 
 from collections import deque
 
 from .aqm import AqmParams, make_discipline
-from .engine import MS, SECOND
+from .engine import MS, transmit_delay
 from .packets import ECT0, F_ACK, F_ECE, F_SYN, Packet
+
+
+class SerializationTimes(dict):
+    """Serialization time in ns by packet size at one link rate; each size
+    is computed once, on its first lookup, by `transmit_delay`."""
+
+    __slots__ = ("bandwidth_bps",)
+
+    def __init__(self, bandwidth_bps: int):
+        if bandwidth_bps <= 0:
+            raise ValueError("bandwidth_bps must be positive")
+        super().__init__()
+        self.bandwidth_bps = bandwidth_bps
+
+    def __missing__(self, size_bytes: int) -> int:
+        ns = self[size_bytes] = transmit_delay(size_bytes, self.bandwidth_bps)
+        return ns
 
 
 class EgressPort:
     """Unidirectional transmitter with an attached queue discipline."""
 
-    __slots__ = ("sim", "bandwidth_bps", "prop_ns", "q", "dst", "busy_until",
-                 "_kick_pending", "_chained")
+    __slots__ = ("sim", "prop_ns", "q", "dst", "busy_until",
+                 "_kick_pending", "_chained", "_tx_ns", "_deliver")
 
     def __init__(self, sim, bandwidth_bps: int, prop_ns: int, discipline, dst):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
         self.sim = sim
-        self.bandwidth_bps = bandwidth_bps
         self.prop_ns = prop_ns
         self.q = discipline
         self.dst = dst
         self.busy_until = 0
         self._kick_pending = False
         self._chained = prop_ns == 0
+        self._tx_ns = SerializationTimes(bandwidth_bps)
+        self._deliver = self._deliver_chain if self._chained else dst.receive
 
     def send(self, pkt) -> None:
         self.q.enqueue(pkt, self.sim.now)
@@ -52,13 +69,12 @@ class EgressPort:
         pkt = self.q.dequeue(sim.now)
         if pkt is None:
             return
-        bw = self.bandwidth_bps
-        done = sim.now + (pkt.size_bytes * 8 * SECOND + bw // 2) // bw
+        done = sim.now + self._tx_ns[pkt.size_bytes]
         self.busy_until = done
         if self._chained:
-            sim.schedule(done, self._deliver_chain, pkt)
+            sim.schedule(done, self._deliver, pkt)
         else:
-            sim.schedule(done + self.prop_ns, self.dst.receive, pkt)
+            sim.schedule(done + self.prop_ns, self._deliver, pkt)
             if len(self.q) and not self._kick_pending:
                 self._kick_pending = True
                 sim.schedule(done, self._kick)
@@ -87,17 +103,14 @@ class Link:
     FIFO empty goes straight onto the wire without touching the FIFO.
     """
 
-    __slots__ = ("sim", "bandwidth_bps", "prop_ns", "hard_limit", "queue", "dst",
-                 "busy_until", "_kick_pending", "_chained",
+    __slots__ = ("sim", "prop_ns", "hard_limit", "queue", "dst",
+                 "busy_until", "_kick_pending", "_chained", "_tx_ns", "_deliver",
                  "arrivals", "forwarded", "overflow_drops", "peak")
 
     def __init__(self, sim, bandwidth_bps: int, prop_ns: int, hard_limit: int, dst):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth_bps must be positive")
         if hard_limit < 1:
             raise ValueError("hard_limit must be >= 1")
         self.sim = sim
-        self.bandwidth_bps = bandwidth_bps
         self.prop_ns = prop_ns
         self.hard_limit = hard_limit
         self.queue = deque()
@@ -105,6 +118,8 @@ class Link:
         self.busy_until = 0
         self._kick_pending = False
         self._chained = prop_ns == 0
+        self._tx_ns = SerializationTimes(bandwidth_bps)
+        self._deliver = self._deliver_chain if self._chained else dst.receive
         self.arrivals = 0
         self.forwarded = 0
         self.overflow_drops = 0
@@ -119,13 +134,12 @@ class Link:
                 # The common case, `_transmit` inline: with the FIFO empty
                 # there is no wakeup to arm.
                 self.forwarded += 1
-                bw = self.bandwidth_bps
-                done = sim.now + (pkt.size_bytes * 8 * SECOND + bw // 2) // bw
+                done = sim.now + self._tx_ns[pkt.size_bytes]
                 self.busy_until = done
                 if self._chained:
-                    sim.schedule(done, self._deliver_chain, pkt)
+                    sim.schedule(done, self._deliver, pkt)
                 else:
-                    sim.schedule(done + self.prop_ns, self.dst.receive, pkt)
+                    sim.schedule(done + self.prop_ns, self._deliver, pkt)
                 return
             # The wire fell idle at this very instant and its wakeup has not
             # run yet: join the FIFO and send its head.
@@ -149,13 +163,12 @@ class Link:
     def _transmit(self, pkt) -> None:
         sim = self.sim
         self.forwarded += 1
-        bw = self.bandwidth_bps
-        done = sim.now + (pkt.size_bytes * 8 * SECOND + bw // 2) // bw
+        done = sim.now + self._tx_ns[pkt.size_bytes]
         self.busy_until = done
         if self._chained:
-            sim.schedule(done, self._deliver_chain, pkt)
+            sim.schedule(done, self._deliver, pkt)
         else:
-            sim.schedule(done + self.prop_ns, self.dst.receive, pkt)
+            sim.schedule(done + self.prop_ns, self._deliver, pkt)
             if self.queue and not self._kick_pending:
                 self._kick_pending = True
                 sim.schedule(done, self._kick)

@@ -504,9 +504,9 @@ class LstmForecaster:
         pred_tr, pred_te = preds
         return FitReport(
             rmse_train=rmse(y[:n_train], pred_tr),
-            rmse_test=rmse(y[n_train:], pred_te) if len(y) > n_train else float("nan"),
+            rmse_test=rmse(y[n_train:], pred_te),
             mae_train=mae(y[:n_train], pred_tr),
-            mae_test=mae(y[n_train:], pred_te) if len(y) > n_train else float("nan"),
+            mae_test=mae(y[n_train:], pred_te),
             epochs=epochs,
             split=TRAIN_SPLIT,
             n_train_windows=n_train,

@@ -84,6 +84,19 @@ def test_empty_experiment_list_exits_2_before_any_run(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_compare_bad_discipline_exits_2_before_pretraining(tmp_path, capsys):
+    # No checkpoint is set, so compare would pretrain one first; the bad arm
+    # must be rejected before that.
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--out", str(out), "--disciplines", "codel,bogus",
+               "--seeds", "1", "--jobs", "1", "--set", "pairs=1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "'bogus'" in err
+    assert not (out / "pretrained.json").exists()
+
+
 def test_pretrain_and_retrain_demo(tmp_path, capsys):
     out = tmp_path / "pre"
     rc = main(["pretrain", "--out", str(out), "--length", "200",

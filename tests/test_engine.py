@@ -15,6 +15,19 @@ def test_pop_order_ties_break_by_insertion():
     assert order == ["t3-first", "t3-second", "t5"]
 
 
+def test_one_argument_or_none_and_ties_in_insertion_order():
+    # `None` is an argument like any other; an event scheduled without one
+    # is called with nothing.
+    sim = Simulator()
+    calls = []
+    sim.schedule(2, calls.append, "t2")
+    sim.schedule(1, calls.append, None)
+    sim.schedule(1, lambda: calls.append("no argument"))
+    sim.schedule(1, calls.append, ())
+    sim.run(2)
+    assert calls == [None, "no argument", (), "t2"]
+
+
 def test_empty_queue_signals_end():
     sim = Simulator()
     assert len(sim) == 0
