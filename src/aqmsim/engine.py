@@ -15,7 +15,6 @@ US = 1_000
 MS = 1_000_000
 SECOND = 1_000_000_000
 
-# Marks an event scheduled without an argument.
 _NO_ARG = object()
 
 
