@@ -3,7 +3,7 @@
 from .engine import MS, SECOND, US, Simulator, transmit_delay
 from .packets import CE, ECT0, ECT1, NOT_ECT, Packet
 from .aqm import AqmParams, Codel, FqCodel, TailDrop, make_discipline
-from .transport import Connection, CubicParams, cubic_window, negotiate_ecn
+from .transport import Connection, cubic_window, negotiate_ecn
 from .predictor import (EceSeries, FitReport, LstmForecaster, build_windows,
                         ingest_trace, load_checkpoint, mae, neurons_per_layer,
                         normalize, denormalize, rmse, save_checkpoint, synth_trace)

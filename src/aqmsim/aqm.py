@@ -147,7 +147,6 @@ def control_interval(interval: int, count: int) -> int:
 class TailDrop:
     """FIFO with a hard packet limit; drops on overflow, never marks."""
 
-    kind = "taildrop"
     __slots__ = ("params", "_q", "stats")
 
     def __init__(self, params: AqmParams):
@@ -181,7 +180,6 @@ class TailDrop:
 class Codel:
     """Single FIFO managed by the CoDel control law."""
 
-    kind = "codel"
     __slots__ = ("params", "state", "stats", "_q", "backlog_bytes")
 
     def __init__(self, params: AqmParams, stats: QueueStats | None = None):
@@ -296,7 +294,6 @@ def mix64(x: int) -> int:
 class FqCodel:
     """Deficit round robin over hashed sub-queues, CoDel applied per queue."""
 
-    kind = "fq_codel"
     __slots__ = ("params", "stats", "hash_seed", "_subs", "_sub_of_flow", "_new", "_old")
 
     def __init__(self, params: AqmParams, hash_seed: int = 0):

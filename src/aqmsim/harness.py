@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .engine import MS, SECOND, US, Simulator
-from .predictor import (EceSeries, LstmForecaster, load_checkpoint,
+from .predictor import (STEPS, LstmForecaster, load_checkpoint,
                         neurons_per_layer, save_checkpoint, synth_trace)
 from .rng import RngHub
 from .scenario import ScenarioConfig
@@ -26,6 +26,7 @@ from .tuner import QLearningTuner, RewardSample, TunerConfig, power_reward
 
 BIN_NS = 100 * MS
 RETRAIN_BIN_NS = 1 * MS
+RETRAIN_DEMO_COLLECT_S = 6  # seconds of 1 ms bins that retrain-demo trains on
 PING_INTERVAL_NS = 100 * MS  # ten request/response pairs per epoch
 TRANSFER_PROBE_BYTES = 1500  # single-segment probe transfers time the path
 
@@ -183,7 +184,6 @@ class SimContext:
         self._current_decision = None
         self._occ_max_pct = 0.0
         self._agg_sum_bps = 0.0
-        self._conn_sum_bps = 0.0
         for k in range(1, cfg.duration_s + 1):
             self.sim.schedule(k * SECOND, self._on_epoch, k)
 
@@ -209,7 +209,6 @@ class SimContext:
         mon_delivered = self.monitor.delivered_bytes
         conn_goodput_bps = (mon_delivered - self._prev_mon_delivered) * 8.0
         self._prev_mon_delivered = mon_delivered
-        self._conn_sum_bps += conn_goodput_bps
 
         agg = sum(c.delivered_bytes for c in self.conns)
         agg_bps = (agg - self._prev_agg_delivered) * 8.0
@@ -319,7 +318,7 @@ class SimContext:
             "pairs": cfg.pairs,
             "mean_mrtt_us": sum(column["mrtt_us"]) / n,
             "mean_throughput_bps": sum(column["throughput_bps"]) / n,
-            "mean_conn_goodput_bps": self._conn_sum_bps / n,
+            "mean_conn_goodput_bps": sum(column["conn_goodput_bps"]) / n,
             "mean_conn_rtt_us": sum(column["conn_rtt_us"]) / n,
             "mean_agg_goodput_bps": self._agg_sum_bps / n,
             "final_cumulative_power": self.cumulative_power,
@@ -433,15 +432,13 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
     return out_rows
 
 
-def ensure_checkpoint(cfg: ScenarioConfig, outdir, epochs: int = 100,
-                      trace_seed: int = 1234, trace_len: int = 6000) -> str:
+def ensure_checkpoint(cfg: ScenarioConfig, outdir, epochs: int = 100) -> str:
     """Return cfg.checkpoint, pre-training a default one if unset."""
     if cfg.checkpoint:
         return cfg.checkpoint
     path = os.path.join(outdir, "pretrained.json")
     if not os.path.exists(path):
-        pretrain_predictor(path, synth_seed=trace_seed, length=trace_len,
-                           epochs=epochs)
+        pretrain_predictor(path, epochs=epochs)
     return path
 
 
@@ -502,7 +499,7 @@ def write_fit_report_csv(report, path) -> None:
 
 def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
                        length: int = 6000, epochs: int = 100,
-                       layers: int = 3, steps: int = 10, hidden: int = 0,
+                       layers: int = 3, hidden: int = 0,
                        report_path=None, model_seed: int = 7):
     """Train a forecaster on a trace (CSV path or synthetic) and checkpoint it."""
     from .predictor import ingest_trace  # local to keep import cheap in workers
@@ -512,8 +509,8 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
     else:
         series = synth_trace(synth_seed, length)
     if hidden <= 0:
-        hidden = neurons_per_layer(steps, len(series.counts), layers)
-    model = LstmForecaster(steps=steps, layers=layers, hidden=hidden,
+        hidden = neurons_per_layer(STEPS, len(series.counts), layers)
+    model = LstmForecaster(steps=STEPS, layers=layers, hidden=hidden,
                            seed=model_seed)
     report = model.fit(series.counts, epochs)
     save_checkpoint(model, checkpoint_path)
@@ -522,20 +519,18 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
     return model, report
 
 
-def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1,
-                 collect_s: int = 6):
+def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1):
     """Transfer workflow: run the (random) scenario, collect 1 ms ECE bins
-    for `collect_s` seconds, one-epoch retrain the pre-trained model."""
+    for RETRAIN_DEMO_COLLECT_S seconds, one-epoch retrain the pre-trained model."""
     os.makedirs(outdir, exist_ok=True)
     model = load_checkpoint(checkpoint_path)  # a bad checkpoint fails before the run
     run_cfg = replace(cfg, intelligent=False)
-    if run_cfg.duration_s < collect_s:
-        run_cfg = replace(run_cfg, duration_s=collect_s)
-    result = simulate(run_cfg, seed, collect_1ms_s=collect_s)
-    series = EceSeries(interval_ns=RETRAIN_BIN_NS,
-                       counts=np.array(result.bins1ms, dtype=np.int64))
-    model.retrain_one_epoch(series.counts)
-    report = model.score(series.counts, epochs=1)
+    if run_cfg.duration_s < RETRAIN_DEMO_COLLECT_S:
+        run_cfg = replace(run_cfg, duration_s=RETRAIN_DEMO_COLLECT_S)
+    result = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)
+    counts = np.array(result.bins1ms, dtype=np.int64)
+    model.retrain_one_epoch(counts)
+    report = model.score(counts, epochs=1)
     out_ckpt = os.path.join(outdir, "retrained.json")
     save_checkpoint(model, out_ckpt)
     write_fit_report_csv(report, os.path.join(outdir, "fit_report.csv"))

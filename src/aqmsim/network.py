@@ -245,10 +245,10 @@ class PingProbe:
 
     REPLY_SIZE = 64
 
-    def __init__(self, sim, fid: int, src, dst, interval_ns: int = 100 * MS,
+    def __init__(self, sim, cid: int, src, dst, interval_ns: int = 100 * MS,
                  start_ns: int = 0, request_size: int = 64):
         self.sim = sim
-        self.fid = fid
+        self.cid = cid
         self.src = src
         self.dst = dst
         self.interval_ns = interval_ns
@@ -259,23 +259,19 @@ class PingProbe:
         src.attach(self, receiver_end=False)
         dst.attach(self, receiver_end=True)
 
-    @property
-    def cid(self) -> int:
-        return self.fid
-
     def start(self) -> None:
         self.sim.schedule(self.start_ns, self._send_request)
 
     def _send_request(self) -> None:
         now = self.sim.now
-        pkt = Packet(self.fid, self._seq, self.request_size, ECT0, F_ACK,
+        pkt = Packet(self.cid, self._seq, self.request_size, ECT0, F_ACK,
                      now, self.dst.node_id)
         self._seq += 1
         self.src.egress.send(pkt)
         self.sim.schedule(now + self.interval_ns, self._send_request)
 
     def on_receiver_receive(self, pkt) -> None:
-        reply = Packet(self.fid, pkt.seq, self.REPLY_SIZE, ECT0, F_ACK,
+        reply = Packet(self.cid, pkt.seq, self.REPLY_SIZE, ECT0, F_ACK,
                        pkt.sent_at, self.src.node_id)
         self.dst.egress.send(reply)
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MS
-
 STEPS = 10
 DROPOUT = 0.20
 ADAM_LR = 1e-3
@@ -37,7 +35,6 @@ def neurons_per_layer(n_in: int, n_samples: int, n_layers: int) -> int:
 class EceSeries:
     """Counts of ECE-marked (non-negotiation) packets per fixed interval."""
 
-    interval_ns: int
     counts: np.ndarray
 
     def __post_init__(self):
@@ -388,9 +385,13 @@ class LstmForecaster:
     # -- training -------------------------------------------------------------
 
     def _split_rows(self, n_samples: int) -> int:
-        """Window rows whose target falls inside the first 80% of samples."""
-        n_train_samples = int(n_samples * TRAIN_SPLIT)
-        return max(n_train_samples - self.steps, 0)
+        """Window rows whose target falls inside the first 80% of samples;
+        a series that leaves the training subset no window is refused."""
+        n_train = int(n_samples * TRAIN_SPLIT) - self.steps
+        if n_train < 1:
+            raise ValueError(f"training subset of a {n_samples}-sample series has "
+                             f"no complete {self.steps}-step window")
+        return n_train
 
     def fit(self, counts, epochs: int, batch_size: int = BATCH_SIZE) -> FitReport:
         """Pre-train on a raw count series for a number of epochs.
@@ -401,7 +402,6 @@ class LstmForecaster:
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
         counts = np.asarray(counts, dtype=np.float64)
-        self._set_bounds(counts)
         self._run_epochs(counts, epochs, batch_size)
         return self.score(counts, epochs)
 
@@ -409,11 +409,7 @@ class LstmForecaster:
         """Transfer step: exactly one epoch on new data, starting from the
         current weights; normalization bounds are refreshed for the new data.
         It trains only: a caller that wants the fit scored calls score()."""
-        counts = np.asarray(counts, dtype=np.float64)
-        if len(counts) < self.steps + 1:
-            raise ValueError("re-training series is too short")
-        self._set_bounds(counts)
-        self._run_epochs(counts, 1, batch_size)
+        self._run_epochs(np.asarray(counts, dtype=np.float64), 1, batch_size)
 
     def score(self, counts, epochs: int) -> FitReport:
         """Error of the current weights on a raw count series, normalized
@@ -421,21 +417,22 @@ class LstmForecaster:
         passes over batch-sized slices of the windows; `epochs` is recorded
         as trained."""
         counts = np.asarray(counts, dtype=np.float64)
+        n_train = self._split_rows(len(counts))
         X, y = build_windows(normalize(counts, self.norm_min, self.norm_max), self.steps)
-        return self._report(X, y, self._split_rows(len(counts)), epochs)
+        return self._report(X, y, n_train, epochs)
 
     def _set_bounds(self, counts: np.ndarray) -> None:
         """Min-max bounds of the training subset (first 80% of samples)."""
         train = counts[:int(len(counts) * TRAIN_SPLIT)]
-        self.norm_min = float(train.min()) if len(train) else 0.0
-        self.norm_max = float(train.max()) if len(train) else 0.0
+        self.norm_min = float(train.min())
+        self.norm_max = float(train.max())
 
     def _run_epochs(self, counts: np.ndarray, epochs: int, batch_size: int) -> None:
+        """Set the bounds from `counts`, then train on its training split."""
+        n_train = self._split_rows(len(counts))
+        self._set_bounds(counts)
         norm = normalize(counts, self.norm_min, self.norm_max)
         X, y = build_windows(norm, self.steps)
-        n_train = self._split_rows(len(counts))
-        if n_train < 1:
-            raise ValueError("training subset has no complete window")
         Xtr, ytr = X[:n_train], y[:n_train]
         # Adam runs on every parameter but b_out as one vector, in place.
         n = self._flat.size - 1
@@ -518,7 +515,7 @@ class LstmForecaster:
 
 
 def synth_trace(rng, length: int, p_on_enter: float = 0.05, p_on_stay: float = 0.90,
-                lam: float = 20.0, interval_ns: int = 100 * MS) -> EceSeries:
+                lam: float = 20.0) -> EceSeries:
     """ON/OFF bursty counts: a two-state chain where the OFF state emits zero
     and the ON state emits Poisson(lam) counts per interval."""
     if isinstance(rng, (int, np.integer)):
@@ -532,7 +529,7 @@ def synth_trace(rng, length: int, p_on_enter: float = 0.05, p_on_stay: float = 0
             on = rng.random() < p_on_enter
         if on:
             counts[k] = rng.poisson(lam)
-    return EceSeries(interval_ns=interval_ns, counts=counts)
+    return EceSeries(counts=counts)
 
 
 def stationary_off_probability(p_on_enter: float, p_on_stay: float) -> float:
@@ -542,7 +539,7 @@ def stationary_off_probability(p_on_enter: float, p_on_stay: float) -> float:
     return leave / (p_on_enter + leave)
 
 
-def ingest_trace(path, interval_ns: int = 100 * MS) -> EceSeries:
+def ingest_trace(path) -> EceSeries:
     """Read a two-column CSV: interval_index (0-based consecutive), ece_count."""
     counts = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -562,7 +559,7 @@ def ingest_trace(path, interval_ns: int = 100 * MS) -> EceSeries:
             if cnt < 0:
                 raise ValueError(f"{path}:{ln + 1}: negative count")
             counts.append(cnt)
-    return EceSeries(interval_ns=interval_ns, counts=np.array(counts, dtype=np.int64))
+    return EceSeries(counts=np.array(counts, dtype=np.int64))
 
 
 def write_trace(series: EceSeries, path) -> None:

@@ -18,45 +18,27 @@ INITIAL_RTO = SECOND
 INITIAL_CWND = 10.0
 
 
-class CubicParams:
-    """Growth constant and multiplicative decrease factor."""
-
-    __slots__ = ("C", "beta")
-
-    def __init__(self, C: float = 0.4, beta: float = 0.7):
-        if C <= 0:
-            raise ValueError("C must be positive")
-        if not 0 < beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        self.C = C
-        self.beta = beta
+# CUBIC's growth constant and multiplicative decrease factor (RFC 9438).
+CUBIC_C = 0.4
+CUBIC_BETA = 0.7
+# Reno-equivalent additive increase (packets per RTT) used for the
+# TCP-friendly region.
+AIMD_RATE = 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
 
 
-DEFAULT_CUBIC = CubicParams()
-
-
-def cubic_k(w_max: float, params: CubicParams = DEFAULT_CUBIC) -> float:
+def cubic_k(w_max: float) -> float:
     """Seconds from a reduction until the window is back at w_max."""
-    return (w_max * (1.0 - params.beta) / params.C) ** (1.0 / 3.0)
+    return (w_max * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
 
 
-def cubic_window(t_since_epoch: float, w_max: float, params: CubicParams = DEFAULT_CUBIC) -> float:
+def cubic_window(t_since_epoch: float, w_max: float) -> float:
     """Window size C*(t-K)^3 + w_max in packets, floored at one packet."""
     if t_since_epoch < 0:
         raise ValueError("t_since_epoch must be >= 0")
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    w = params.C * (t_since_epoch - cubic_k(w_max, params)) ** 3 + w_max
+    w = CUBIC_C * (t_since_epoch - cubic_k(w_max)) ** 3 + w_max
     return w if w > 1.0 else 1.0
-
-
-def aimd_rate(params: CubicParams = DEFAULT_CUBIC) -> float:
-    """Reno-equivalent additive increase (packets per RTT) used for the
-    TCP-friendly region: 3 * (1 - beta) / (1 + beta)."""
-    return 3.0 * (1.0 - params.beta) / (1.0 + params.beta)
-
-
-AIMD_RATE = aimd_rate()
 
 
 def negotiate_ecn(initiator_capable: bool, responder_capable: bool) -> bool:
@@ -163,7 +145,10 @@ class Connection:
             self.established = True
             self.ecn_negotiated = negotiate_ecn(self.ecn_capable,
                                                 bool(pkt.flags & F_ECE))
-            self._rtt_sample(now - self.syn_sent_ns)
+            # The first RTT sample: no data is acked yet, so srtt_ns is 0.
+            self.srtt_ns = now - self.syn_sent_ns
+            if self.rtt_cb is not None:
+                self.rtt_cb(self.srtt_ns)
             self.rto_backoff = 1
             self._try_send()
             return
@@ -189,7 +174,7 @@ class Connection:
             t = pop(seq, None)
             if t is not None:
                 t0 = t
-        if t0 is not None:  # _rtt_sample, inline
+        if t0 is not None:
             sample = now - t0
             self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
             if self.rtt_cb is not None:
@@ -207,15 +192,6 @@ class Connection:
         self.rto_deadline = now + (base if base > MIN_RTO else MIN_RTO)
         self._try_send()
 
-    def _rtt_sample(self, sample_ns: int) -> None:
-        # `_ack_advance` has a copy of this inline; change both together.
-        if self.srtt_ns == 0:
-            self.srtt_ns = sample_ns
-        else:
-            self.srtt_ns = (7 * self.srtt_ns + sample_ns) // 8
-        if self.rtt_cb is not None:
-            self.rtt_cb(sample_ns)
-
     def _rto(self) -> int:
         # `_ack_advance` has a copy of this inline at backoff 1.
         base = 2 * self.srtt_ns if self.srtt_ns else INITIAL_RTO
@@ -232,7 +208,7 @@ class Connection:
                 t = (self.sim.now - self.epoch_start_ns + self.srtt_ns) / SECOND
                 # cubic_window(t, w_max) from the cached K. Its one-packet
                 # floor cannot change the comparison: cwnd is never below 1.
-                target = DEFAULT_CUBIC.C * (t - self.k_s) ** 3 + self.w_max
+                target = CUBIC_C * (t - self.k_s) ** 3 + self.w_max
                 if target > self.cwnd:
                     self.cwnd += (target - self.cwnd) / self.cwnd
                 else:
@@ -248,7 +224,7 @@ class Connection:
         if now >= self.in_cwr_until:
             self.w_max = self.cwnd
             self.k_s = cubic_k(self.w_max)
-            self.cwnd = max(DEFAULT_CUBIC.beta * self.cwnd, 1.0)
+            self.cwnd = max(CUBIC_BETA * self.cwnd, 1.0)
             self.ssthresh = self.cwnd
             self.w_est = self.cwnd
             self.epoch_start_ns = now
@@ -320,7 +296,7 @@ class Connection:
         # Timeout: collapse to one segment and restart from the first hole.
         self.w_max = max(self.cwnd, 1.0)
         self.k_s = cubic_k(self.w_max)
-        self.ssthresh = max(DEFAULT_CUBIC.beta * self.cwnd, 2.0)
+        self.ssthresh = max(CUBIC_BETA * self.cwnd, 2.0)
         self.cwnd = 1.0
         self.w_est = 1.0
         self.epoch_start_ns = now

@@ -233,6 +233,20 @@ class TestTraining:
             m.fit(synth_trace(8, 120).counts, epochs=-3)
         assert np.array_equal(m.get_flat(), theta0)
 
+    def test_series_without_training_window_rejected_by_every_entry(self):
+        # 12 samples at 10 steps give two windows, but the first 80% (9
+        # samples) hold none, so there is nothing to train or score on.
+        m = LstmForecaster(steps=10, layers=1, hidden=4, seed=1)
+        theta0 = m.get_flat().copy()
+        bounds0 = (m.norm_min, m.norm_max)
+        for call in (lambda c: m.fit(c, epochs=1), m.retrain_one_epoch,
+                     lambda c: m.score(c, 0)):
+            with pytest.raises(ValueError, match="12-sample series has no complete "
+                                                 "10-step window"):
+                call(np.arange(12.0))
+        assert np.array_equal(m.get_flat(), theta0)
+        assert (m.norm_min, m.norm_max) == bounds0
+
     def test_report_pass_keeps_no_bptt_cache(self):
         # The end-of-fit report of the default model on 5,990 windows (the
         # 6,000-sample default trace) runs inference only, in batch-sized
@@ -355,7 +369,7 @@ class TestTraces:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            EceSeries(interval_ns=1, counts=np.array([1, -1]))
+            EceSeries(counts=np.array([1, -1]))
 
 
 class TestCheckpoint:

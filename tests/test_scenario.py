@@ -1,8 +1,11 @@
+from collections import Counter
+from dataclasses import fields
+
 import pytest
 
 from aqmsim.engine import MS, US
-from aqmsim.scenario import (ScenarioConfig, apply_overrides, apply_setting,
-                             load_config)
+from aqmsim.scenario import (KEY_SPECS, ScenarioConfig, apply_overrides,
+                             apply_setting, load_config)
 
 
 def test_defaults_reproduce_fixed_topology():
@@ -90,3 +93,10 @@ def test_validation_rejects_bad_shapes():
     cfg = apply_setting(ScenarioConfig(), "target_us", "200000")  # 200 ms >= interval
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_every_field_has_exactly_one_config_key():
+    # A field without a key is a knob that config files cannot reach; a key
+    # without a field fails only when some file uses it.
+    per_field = Counter(name for name, _ in KEY_SPECS.values())
+    assert dict(per_field) == {f.name: 1 for f in fields(ScenarioConfig)}

@@ -1,17 +1,16 @@
 import pytest
 
 from aqmsim.aqm import AqmParams, TailDrop
-from aqmsim.engine import MS, SECOND, Simulator
+from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
 from aqmsim.network import EgressPort, Host
 from aqmsim.packets import (CE, ECT0, NOT_ECT, F_ACK, F_CWR, F_ECE, F_SYN, Packet)
-from aqmsim.transport import (AIMD_RATE, MSS, Connection, CubicParams,
+from aqmsim.transport import (AIMD_RATE, CUBIC_BETA, CUBIC_C, MSS, Connection,
                               cubic_window, negotiate_ecn, syn_flags, synack_flags)
 
 
 class TestCubicWindow:
     def test_equals_wmax_at_k(self):
-        p = CubicParams()
-        k = (100 * (1 - p.beta) / p.C) ** (1 / 3)
+        k = (100 * (1 - CUBIC_BETA) / CUBIC_C) ** (1 / 3)
         assert cubic_window(k, 100.0) == pytest.approx(100.0, abs=1e-9)
 
     def test_at_zero_equals_beta_wmax(self):
@@ -40,8 +39,6 @@ class TestCubicWindow:
             cubic_window(-1.0, 10.0)
         with pytest.raises(ValueError):
             cubic_window(0.0, 0.5)
-        with pytest.raises(ValueError):
-            CubicParams(beta=1.0)
 
 
 class TestNegotiation:
@@ -306,6 +303,21 @@ class TestEndToEndPair:
         assert conn.delivered_bytes > 100 * 1500
         assert conn.delivered_bytes <= conn.snd_nxt
         assert conn.rcv_nxt <= conn.snd_nxt
+
+    def test_handshake_round_trip_is_the_first_rtt_sample(self):
+        bw, prop = 10 * 10**6, 5 * MS
+        sim, conn = self.build(bw, prop)
+        samples = []
+        conn.rtt_cb = samples.append
+        # SYN and SYN-ACK are 64 B each way: one serialization plus one
+        # propagation delay per direction.
+        rtt = 2 * transmit_delay(64, bw, prop)
+        sim.run(rtt - 1)
+        assert not conn.established
+        sim.run(rtt)
+        assert conn.established
+        assert conn.srtt_ns == rtt
+        assert samples == [rtt]
 
     def test_srtt_close_to_path_rtt(self):
         sim, conn = self.build()
