@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .engine import MS, SECOND, US, Simulator
-from .predictor import (STEPS, LstmForecaster, load_checkpoint,
+from .predictor import (STEPS, LstmForecaster, ingest_trace, load_checkpoint,
                         neurons_per_layer, save_checkpoint, synth_trace)
 from .rng import RngHub
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _scaled_int
 from .transport import Connection
 from .network import PingProbe, Topology
 from .tuner import QLearningTuner, RewardSample, TunerConfig, power_reward
@@ -94,6 +94,16 @@ class RunResult:
     bins1ms: list = field(default_factory=list)
 
 
+def load_loop_checkpoint(path) -> LstmForecaster:
+    """The checkpointed forecaster, refused unless it forecasts from one epoch's bins."""
+    model = load_checkpoint(path)
+    if model.steps != SECOND // BIN_NS:
+        raise ValueError(f"{path}: checkpoint field 'steps' is {model.steps}, but the "
+                         f"control loop forecasts from the {SECOND // BIN_NS} "
+                         f"bins of each epoch")
+    return model
+
+
 class SimContext:
     """One fully wired simulation run."""
 
@@ -159,12 +169,7 @@ class SimContext:
         if cfg.intelligent:
             if not cfg.checkpoint:
                 raise ValueError("intelligent runs need a predictor checkpoint")
-            self.model = load_checkpoint(cfg.checkpoint)
-            if self.model.steps != SECOND // BIN_NS:
-                raise ValueError(
-                    f"{cfg.checkpoint}: checkpoint field 'steps' is {self.model.steps}, "
-                    f"but the control loop forecasts from the {SECOND // BIN_NS} "
-                    f"bins of each epoch")
+            self.model = load_loop_checkpoint(cfg.checkpoint)
             self.tuner = QLearningTuner(
                 TunerConfig(alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon),
                 self.model, self.rng_hub.stream("tuner"), self.reward_normalizer)
@@ -360,20 +365,37 @@ def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> RunResult:
 # -- multi-run experiments ------------------------------------------------------
 
 
-def _simulate_summary(args):
-    cfg, seed = args
+def _simulate_summary(task):
+    _, cfg, seed = task
     return simulate(cfg, seed).summary
 
 
-def _run_all(tasks, jobs: int):
-    """Run (cfg, seed) tasks, preserving order; fan out when jobs > 1."""
-    if jobs is None or jobs < 1:
+def _validate_all(tasks) -> None:
+    """Check every task's config before any task runs."""
+    for _, cfg, _ in tasks:
+        cfg.validate()
+
+
+def _run_labelled(tasks, jobs: int):
+    """Run (label, cfg, seed) tasks in order; fan out when jobs > 1 (0 = cpu
+    count). Returns the summaries in task order, and grouped by label with
+    the labels in first-seen order."""
+    if jobs < 1:
         jobs = os.cpu_count() or 1
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        return [_simulate_summary(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_simulate_summary, tasks))
+        summaries = [_simulate_summary(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            summaries = list(pool.map(_simulate_summary, tasks))
+    groups = {}
+    for (label, _, _), s in zip(tasks, summaries):
+        groups.setdefault(label, []).append(s)
+    return summaries, groups
+
+
+def _mean(runs, key) -> float:
+    return sum(r[key] for r in runs) / len(runs)
 
 
 SWEEP_TARGETS_MS = (0.05, 0.5, 1.0, 2.0, 4.0, 6.0)
@@ -397,92 +419,67 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
     seeds that reach no random draw of the run repeat one trajectory.
     """
     _require_runs(seeds=seeds, targets=targets_ms, disciplines=disciplines)
-    os.makedirs(outdir, exist_ok=True)
+    ms_to_ns = _scaled_int(MS)
     tasks = []
-    keys = []
     for disc in disciplines:
         for t_ms in targets_ms:
-            target_ns = int(round(t_ms * MS))
+            target_ns = ms_to_ns(t_ms)
             run_cfg = replace(cfg, disc=disc, intelligent=False,
                               duration_s=duration_s, target_ns=target_ns,
                               interval_ns=20 * target_ns)
-            for seed in seeds:
-                tasks.append((run_cfg, seed))
-                keys.append((disc, t_ms))
-    summaries = _run_all(tasks, jobs)
-    out_rows = []
-    for disc in disciplines:
-        for t_ms in targets_ms:
-            runs = [s for key, s in zip(keys, summaries) if key == (disc, t_ms)]
-            n = len(runs)
-            out_rows.append({
-                "disc": disc,
-                "target_us": int(round(t_ms * 1000)),
-                "interval_us": int(round(t_ms * 1000)) * 20,
-                "mrtt_us_mean": sum(r["mean_mrtt_us"] for r in runs) / n,
-                "throughput_bps_mean": sum(r["mean_throughput_bps"] for r in runs) / n,
-                "conn_rtt_us_mean": sum(r["mean_conn_rtt_us"] for r in runs) / n,
-                "conn_goodput_bps_mean": sum(r["mean_conn_goodput_bps"] for r in runs) / n,
-                "seeds": n,
-                "distinct_runs": len({tuple(v for k, v in r.items() if k != "seed")
-                                      for r in runs}),
-            })
+            tasks += [((disc, t_ms), run_cfg, seed) for seed in seeds]
+    _validate_all(tasks)
+    os.makedirs(outdir, exist_ok=True)
+    _, groups = _run_labelled(tasks, jobs)
+    out_rows = [{
+        "disc": disc,
+        "target_us": int(round(t_ms * 1000)),
+        "interval_us": int(round(t_ms * 1000)) * 20,
+        "mrtt_us_mean": _mean(runs, "mean_mrtt_us"),
+        "throughput_bps_mean": _mean(runs, "mean_throughput_bps"),
+        "conn_rtt_us_mean": _mean(runs, "mean_conn_rtt_us"),
+        "conn_goodput_bps_mean": _mean(runs, "mean_conn_goodput_bps"),
+        "seeds": len(runs),
+        "distinct_runs": len({tuple(v for k, v in r.items() if k != "seed")
+                              for r in runs}),
+    } for (disc, t_ms), runs in groups.items()]
     write_csv(os.path.join(outdir, "sweep.csv"), SWEEP_COLUMNS,
               [named(SWEEP_COLUMNS, r) for r in out_rows])
     return out_rows
 
 
-def ensure_checkpoint(cfg: ScenarioConfig, outdir, epochs: int = 100) -> str:
-    """Return cfg.checkpoint, pre-training a default one if unset."""
-    if cfg.checkpoint:
-        return cfg.checkpoint
-    path = os.path.join(outdir, "pretrained.json")
-    if not os.path.exists(path):
-        pretrain_predictor(path, epochs=epochs)
-    return path
-
-
 def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
-                 disciplines=("codel", "fq_codel"), jobs: int = 0,
-                 pretrain_epochs: int = 100) -> dict:
+                 disciplines=("codel", "fq_codel"), jobs: int = 0) -> dict:
     """Intelligent vs static arms over shared seeds; Table-style occupancy.
 
     Static arms keep the configured defaults for the whole run; intelligent
-    arms start from the same defaults and retune every second.
+    arms start from the same defaults and retune every second, forecasting
+    with cfg.checkpoint, or else with outdir/pretrained.json, trained if absent.
     """
     _require_runs(seeds=seeds, disciplines=disciplines)
-    arms = [replace(cfg, disc=disc, intelligent=intelligent)
-            for disc in disciplines for intelligent in (False, True)]
+    checkpoint = cfg.checkpoint or os.path.join(outdir, "pretrained.json")
+    tasks = [((disc, arm), replace(cfg, disc=disc, intelligent=smart,
+                                   checkpoint=checkpoint if smart else ""), seed)
+             for disc in disciplines
+             for arm, smart in (("static", False), ("intelligent", True))
+             for seed in seeds]
     # A bad arm fails here, not after a pretrain of minutes.
-    for arm in arms:
-        arm.validate()
+    _validate_all(tasks)
     os.makedirs(outdir, exist_ok=True)
-    checkpoint = ensure_checkpoint(cfg, outdir, epochs=pretrain_epochs)
-    tasks = []
-    keys = []
-    for arm in arms:
-        run_cfg = replace(arm, checkpoint=checkpoint if arm.intelligent else "")
-        for seed in seeds:
-            tasks.append((run_cfg, seed))
-            keys.append((arm.disc, arm.intelligent, seed))
-    summaries = _run_all(tasks, jobs)
-    by_arm = {}
-    rows = []
-    for (disc, intelligent, seed), s in zip(keys, summaries):
-        arm = "intelligent" if intelligent else "static"
-        rows.append((disc, arm, seed) + named(COMPARE_COLUMNS[3:], s))
-        by_arm.setdefault((disc, arm), []).append(s)
-    table = {}
-    for key, runs in by_arm.items():
-        n = len(runs)
-        table[key] = {
-            "final_cumulative_power_mean": sum(r["final_cumulative_power"] for r in runs) / n,
-            "occupancy_mean_pct": sum(r["occupancy_mean_pct"] for r in runs) / n,
-            "occupancy_max_pct": max(r["occupancy_max_pct"] for r in runs),
-            "mean_mrtt_us": sum(r["mean_mrtt_us"] for r in runs) / n,
-            "mean_throughput_bps": sum(r["mean_throughput_bps"] for r in runs) / n,
-            "seeds": n,
-        }
+    if not cfg.checkpoint and not os.path.exists(checkpoint):
+        pretrain_predictor(checkpoint)
+    load_loop_checkpoint(checkpoint)  # a bad checkpoint fails before any run
+    summaries, groups = _run_labelled(tasks, jobs)
+    rows = [label + (seed,) + named(COMPARE_COLUMNS[3:], s)
+            for (label, _, seed), s in zip(tasks, summaries)]
+    table = {label: {
+        "final_cumulative_power_mean": _mean(runs, "final_cumulative_power"),
+        "occupancy_mean_pct": _mean(runs, "occupancy_mean_pct"),
+        "occupancy_max_pct": max(r["occupancy_max_pct"] for r in runs),
+        "mean_mrtt_us": _mean(runs, "mean_mrtt_us"),
+        "mean_throughput_bps": _mean(runs, "mean_throughput_bps"),
+        "seeds": len(runs),
+    } for label, runs in groups.items()}
     for (disc, arm), agg in sorted(table.items()):
         rows.append((disc, arm, "mean", agg["final_cumulative_power_mean"])
                     + named(COMPARE_COLUMNS[4:], agg))
@@ -502,8 +499,6 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
                        layers: int = 3, hidden: int = 0,
                        report_path=None, model_seed: int = 7):
     """Train a forecaster on a trace (CSV path or synthetic) and checkpoint it."""
-    from .predictor import ingest_trace  # local to keep import cheap in workers
-
     if trace_path is not None:
         series = ingest_trace(trace_path)
     else:

@@ -6,6 +6,7 @@ hold bits per second and integer nanoseconds. Unknown keys are an error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .engine import MS, US
@@ -91,8 +92,11 @@ def _parse_bool(v: str) -> bool:
 
 
 def _scaled_int(factor: int):
-    def conv(v: str) -> int:
-        return int(round(float(v) * factor))
+    def conv(v) -> int:
+        x = float(v) * factor
+        if not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {v!r}")
+        return int(round(x))
     return conv
 
 

@@ -1,7 +1,11 @@
-"""Shared test utilities: rank correlation, tiny oracles and a memory probe."""
+"""Shared test utilities: rank correlation, tiny oracles, a memory probe and
+the name of the BLAS kernel behind numpy's matmul."""
 
+import ctypes
 import math
 import tracemalloc
+
+import numpy as np
 
 
 def spearman(xs, ys) -> float:
@@ -60,3 +64,18 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def blas_core() -> str:
+    """The OpenBLAS core that numpy's bundled scipy-openblas runs (for
+    example "SkylakeX" or "Haswell"), or "unknown" when numpy does not link
+    that library. Products, and so the forecaster pins, can differ between
+    cores."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = lib.scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()

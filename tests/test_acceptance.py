@@ -14,7 +14,7 @@ import pytest
 from aqmsim.aqm import MAX_PACKET_BYTES, AqmParams, Codel, control_interval
 from aqmsim.engine import MS
 from aqmsim.harness import (TRANSFER_PROBE_BYTES, SimContext, compare_iaqm,
-                            run_scenario, target_sweep)
+                            pretrain_predictor, run_scenario, target_sweep)
 from aqmsim.packets import CE, ECT0, F_ACK, F_ECE, Packet
 from aqmsim.predictor import (LstmForecaster, build_windows, neurons_per_layer,
                               normalize, rmse, synth_trace)
@@ -35,12 +35,7 @@ def note(criterion: str, detail: str) -> None:
 def pretrained(tmp_path_factory):
     """Criterion 10's pre-training, shared with the criterion 9 comparison."""
     path = tmp_path_factory.mktemp("acceptance") / "pretrained.json"
-    series = synth_trace(1234, 6000).counts
-    model = LstmForecaster(steps=10, layers=3,
-                           hidden=neurons_per_layer(10, 6000, 3), seed=7)
-    report = model.fit(series, epochs=100)
-    from aqmsim.predictor import save_checkpoint
-    save_checkpoint(model, path)
+    model, report = pretrain_predictor(path)
     return str(path), model, report
 
 

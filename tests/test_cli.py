@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.engine import Simulator
 from aqmsim.predictor import LstmForecaster, save_checkpoint
@@ -132,6 +133,10 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     ("rand_start_max_s=0", "rand_start_max_s"),
     ("rand_access_bw_min_mbps=0", "rand_access_bw_min_mbps"),
     ("retrain_at_s=-1", "retrain_at_s"),
+    ("target_us=inf", "target_us"),
+    ("access_prop_ms=1e400", "access_prop_ms"),
+    ("exit_prop_ms=nan", "exit_prop_ms"),
+    ("bottleneck_bw_mbps=1e305", "bottleneck_bw_mbps"),
 ])
 def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, named):
     rc = main(["run", "--set", "pairs=1", "--duration-s", "1", "--set", setting,
@@ -143,11 +148,47 @@ def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, na
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [
+@pytest.fixture
+def runs(monkeypatch):
+    """The `until` of every Simulator.run call, each made a no-op."""
+    calls = []
+    monkeypatch.setattr(Simulator, "run", lambda sim, until: calls.append(until))
+    return calls
+
+
+@pytest.mark.parametrize("targets,named", [
+    ("inf", "inf"),
+    ("1,1e400", "inf"),
+    ("1,nan", "nan"),
+    ("1,1e-9", "target"),
+])
+def test_bad_sweep_target_exits_2_before_any_run(tmp_path, capsys, runs, targets, named):
+    # Every point is checked first: the 1 ms point must not run before a
+    # later one is refused.
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--targets-ms", targets, "--seeds", "1", "--jobs", "1",
+               "--sweep-duration-s", "1", "--set", "pairs=1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert named in err
+    assert "Traceback" not in err
+    assert runs == []
+    assert not out.exists()
+
+
+# The commands that load a checkpoint; each must refuse a bad one before
+# the simulator runs. compare is given its checkpoint, so it pretrains none.
+CHECKPOINT_COMMANDS = [
     ["retrain-demo", "--checkpoint", "{ckpt}", "--duration-s", "7"],
     ["run", "--set", "intelligent=true", "--set", "checkpoint={ckpt}", "--duration-s", "1"],
-])
-def test_checkpoint_missing_field_exits_2_with_one_line(tmp_path, capsys, command):
+    ["compare", "--set", "checkpoint={ckpt}", "--seeds", "1", "--disciplines", "codel",
+     "--jobs", "1", "--duration-s", "1"],
+]
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+def test_checkpoint_missing_field_exits_2_with_one_line(tmp_path, capsys, runs, command):
     ckpt = tmp_path / "partial.json"
     ckpt.write_text('{"kind": "lstm-forecaster", "version": 1}\n')
     argv = [arg.format(ckpt=ckpt) for arg in command]
@@ -157,22 +198,20 @@ def test_checkpoint_missing_field_exits_2_with_one_line(tmp_path, capsys, comman
     assert err.count("\n") == 1 and err.startswith("error:")
     assert str(ckpt) in err and "'steps'" in err
     assert "Traceback" not in err
+    assert runs == []
 
 
 def _short_rows(matrices):
     return [[row[:-1] for row in matrices[0]]] + matrices[1:]
 
 
-@pytest.mark.parametrize("command", [
-    ["retrain-demo", "--checkpoint", "{ckpt}", "--duration-s", "7"],
-    ["run", "--set", "intelligent=true", "--set", "checkpoint={ckpt}", "--duration-s", "1"],
-], ids=["retrain-demo", "run"])
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=lambda command: command[0])
 @pytest.mark.parametrize("field,corrupt", [
     ("steps", lambda blob: "ten"),
     ("Wx", lambda blob: blob["Wx"][:1]),
     ("Wh", lambda blob: _short_rows(blob["Wh"])),
 ], ids=["mistyped-steps", "short-Wx-list", "short-Wh-rows"])
-def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, command,
+def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, runs, command,
                                                      field, corrupt):
     ckpt = tmp_path / "bad.json"
     save_checkpoint(LstmForecaster(layers=2, hidden=3, seed=1), ckpt)
@@ -186,25 +225,42 @@ def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, command,
     assert err.count("\n") == 1 and err.startswith("error:")
     assert str(ckpt) in err and repr(field) in err
     assert "Traceback" not in err
+    assert runs == []
     assert not os.path.exists(tmp_path / "out" / "epochs.csv")
 
 
-def test_checkpoint_steps_unlike_the_loop_exits_2_before_the_run(tmp_path, capsys,
-                                                                 monkeypatch):
-    # The loop forecasts from the 10 bins of 100 ms in each 1 s epoch; a
-    # 12-step model would otherwise fail at the first forecast, a simulated
-    # second into the run.
-    runs = []
-    monkeypatch.setattr(Simulator, "run", lambda sim, until: runs.append(until))
-    ckpt = tmp_path / "steps12.json"
-    save_checkpoint(LstmForecaster(steps=12, layers=1, hidden=3, seed=1), ckpt)
-    rc = main(["run", "--set", "intelligent=true", "--set", f"checkpoint={ckpt}",
-               "--set", "pairs=1", "--duration-s", "2", "--out", str(tmp_path / "out")])
+def test_compare_missing_checkpoint_exits_2_without_pretraining(tmp_path, capsys, runs,
+                                                                monkeypatch):
+    # Only an unset checkpoint is pre-trained; a configured one that is
+    # missing is an error, never a file that compare makes.
+    pretrains = []
+    monkeypatch.setattr(harness, "pretrain_predictor",
+                        lambda path, **kwargs: pretrains.append(path))
+    ckpt = tmp_path / "nope.json"
+    argv = [arg.format(ckpt=ckpt) for arg in CHECKPOINT_COMMANDS[2]]
+    rc = main(argv + ["--set", "pairs=1", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error:")
-    assert str(ckpt) in err and "'steps'" in err
-    assert "Traceback" not in err
+    assert str(ckpt) in err
+    assert runs == [] and pretrains == []
+    assert not ckpt.exists()
+
+
+def test_checkpoint_steps_unlike_the_loop_exits_2_before_the_run(tmp_path, capsys, runs):
+    # The loop forecasts from the 10 bins of 100 ms in each 1 s epoch; a
+    # 12-step model would otherwise fail at the first forecast, a simulated
+    # second into the run. retrain-demo retrains a model of any step count.
+    ckpt = tmp_path / "steps12.json"
+    save_checkpoint(LstmForecaster(steps=12, layers=1, hidden=3, seed=1), ckpt)
+    for command in CHECKPOINT_COMMANDS[1:]:
+        argv = [arg.format(ckpt=ckpt) for arg in command]
+        rc = main(argv + ["--set", "pairs=1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, command[0]
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert str(ckpt) in err and "'steps'" in err
+        assert "Traceback" not in err
     assert runs == []
 
 

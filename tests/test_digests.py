@@ -25,6 +25,7 @@ from aqmsim.harness import (compare_iaqm, pretrain_predictor, retrain_demo,
                             run_scenario, target_sweep, write_fit_report_csv)
 from aqmsim.predictor import STEPS, FitReport, LstmForecaster, synth_trace
 from aqmsim.scenario import ScenarioConfig
+from helpers import blas_core
 
 SEED = 3
 DURATION_S = 10
@@ -44,11 +45,21 @@ GOLDEN = {
         "ed904e096a83511faef0054a571d1935a3716ba283b0c5243b9f95de2b43ae0a",
 }
 
+# The OpenBLAS core these BLAS-dependent pins were taken on; a failure on
+# another core may be the kernel's rounding, not a change of the code.
+PINNED_BLAS_CORE = "SkylakeX"
+
+
+def blas_note() -> str:
+    return (f"BLAS-dependent pin taken on OpenBLAS core {PINNED_BLAS_CORE}, "
+            f"running on {blas_core()}")
+
+
 # sha256 of `get_flat().tobytes()` after `fit` plus `retrain_one_epoch`, by
 # (layers, hidden). Widths below 4 are pinned too: OpenBLAS rounds some
 # products with so narrow an operand differently when it is contiguous. Like
 # the compare.csv pin, these rest on numpy's matmul, so they are taken with
-# numpy 2.4's bundled OpenBLAS.
+# numpy 2.4's bundled OpenBLAS, on the core above.
 TRAINED_WEIGHTS = {
     (1, 5): "484049f67f97dbfe0aba5f0070f996440c21ec6edd6ef6a5a2f96ed68be4b419",
     (2, 5): "650c2dc02259ed7bdbc4ce13d0b8e187bbf6a356f78e0a4b687a70fbec43b8bb",
@@ -139,7 +150,8 @@ def test_benchmark_workload_digests_unchanged(tmp_path, workload):
                              retrain_at_s=6, checkpoint=str(ckpt))
     run_scenario(cfg, 1, tmp_path)
     assert (file_digest(tmp_path / "epochs.csv"),
-            file_digest(tmp_path / "summary.csv")) == BENCHMARK_WORKLOADS[workload]
+            file_digest(tmp_path / "summary.csv")) == BENCHMARK_WORKLOADS[workload], (
+        blas_note())
 
 
 def test_sweep_csv_digest_unchanged(tmp_path):
@@ -155,7 +167,7 @@ def test_compare_csv_digest_unchanged(tmp_path):
     cfg = ScenarioConfig(pairs=2, duration_s=4, checkpoint=str(ckpt), retrain_at_s=0)
     compare_iaqm(cfg, tmp_path / "cmp", seeds=(1, 2), jobs=1)
     assert file_digest(tmp_path / "cmp" / "compare.csv") == (
-        "8867d725735d158aa600892b0ec956d6808c61f3f71380245ab118802f952a1c")
+        "8867d725735d158aa600892b0ec956d6808c61f3f71380245ab118802f952a1c"), blas_note()
 
 
 def test_fit_report_csv_digest_unchanged(tmp_path):
@@ -178,9 +190,9 @@ def test_retrain_demo_digests_unchanged(tmp_path):
                          bottleneck_bw_bps=10 * 10**6)
     retrain_demo(cfg, ckpt, tmp_path / "demo", seed=1)
     assert file_digest(tmp_path / "demo" / "fit_report.csv") == (
-        "ff4b6019f1dafb5a1bcaa98d42bc42ad0dcd7b7fb4eb8a4488afc3a042cd13e4")
+        "ff4b6019f1dafb5a1bcaa98d42bc42ad0dcd7b7fb4eb8a4488afc3a042cd13e4"), blas_note()
     assert file_digest(tmp_path / "demo" / "retrained.json") == (
-        "8e1ee5b0c924c92873a3ddefef7a81dd73967e6d96a589ed586a925b6e90bc4f")
+        "8e1ee5b0c924c92873a3ddefef7a81dd73967e6d96a589ed586a925b6e90bc4f"), blas_note()
 
 
 def _trained_weights_digest(layers: int, hidden: int) -> str:
@@ -197,7 +209,7 @@ def test_trained_weights_unchanged(layers, hidden):
     # Dropout is on (the default 0.2); 15 Adam steps in all, so a one-ulp
     # change in any parameter, b_out included, changes the digest.
     assert (_trained_weights_digest(layers, hidden)
-            == TRAINED_WEIGHTS[(layers, hidden)])
+            == TRAINED_WEIGHTS[(layers, hidden)]), blas_note()
 
 
 def _gradient_digest(layers: int, hidden: int) -> str:
@@ -220,4 +232,4 @@ def _gradient_digest(layers: int, hidden: int) -> str:
 
 @pytest.mark.parametrize("layers,hidden", sorted(GRADIENTS))
 def test_gradients_unchanged(layers, hidden):
-    assert _gradient_digest(layers, hidden) == GRADIENTS[(layers, hidden)]
+    assert _gradient_digest(layers, hidden) == GRADIENTS[(layers, hidden)], blas_note()
