@@ -2,19 +2,25 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import harness
 from .scenario import ScenarioConfig, apply_overrides, load_config
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool, duration: bool) -> None:
+    """The flags the simulating commands share; --seed and --duration-s only
+    on the commands that read them, so that argparse refuses them elsewhere."""
     p.add_argument("--config", help="path to a key = value config file")
-    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+    if seed:
+        p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--duration-s", type=int, help="simulated seconds override")
+    if duration:
+        p.add_argument("--duration-s", type=int, help="simulated seconds override")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="config override, repeatable")
     p.add_argument("--jobs", type=int, default=0,
@@ -26,10 +32,26 @@ def _build_config(args) -> ScenarioConfig:
     if args.config:
         cfg = load_config(args.config, cfg)
     cfg = apply_overrides(cfg, args.overrides)
-    if args.duration_s is not None:
+    if getattr(args, "duration_s", None) is not None:
         cfg = replace(cfg, duration_s=args.duration_s)
     cfg.validate()
     return cfg
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def _parse_list(flag: str, text: str, conv) -> list:
+    """A comma-separated flag's entries; a bad one is reported with its flag,
+    as a bad --set value is with its key."""
+    try:
+        return [conv(entry) for entry in text.split(",") if entry]
+    except ValueError as exc:
+        raise ValueError(f"bad value for {flag}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -38,24 +60,27 @@ def main(argv=None) -> int:
         description="Deterministic AQM simulator with an ECN-driven "
                     "forecast-and-tune control loop.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags match whole, never by prefix: sweep's and compare's --seeds
+    # would otherwise take an unregistered --seed.
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    p_run = sub.add_parser("run", help="run one scenario, write epochs/summary CSVs")
-    _add_common(p_run)
+    p_run = command("run", help="run one scenario, write epochs/summary CSVs")
+    _add_common(p_run, seed=True, duration=True)
 
-    p_sweep = sub.add_parser("sweep", help="target/interval sweep per discipline")
-    _add_common(p_sweep)
+    p_sweep = command("sweep", help="target/interval sweep per discipline")
+    _add_common(p_sweep, seed=False, duration=False)
     p_sweep.add_argument("--targets-ms", default="0.05,0.5,1,2,4,6",
                          help="comma-separated target values in ms")
     p_sweep.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
     p_sweep.add_argument("--sweep-duration-s", type=int, default=20,
                          help="simulated seconds per sweep point (default 20)")
 
-    p_cmp = sub.add_parser("compare", help="intelligent vs static arms")
-    _add_common(p_cmp)
+    p_cmp = command("compare", help="intelligent vs static arms")
+    _add_common(p_cmp, seed=False, duration=True)
     p_cmp.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     p_cmp.add_argument("--disciplines", default="codel,fq_codel")
 
-    p_pre = sub.add_parser("pretrain", help="pre-train the congestion forecaster")
+    p_pre = command("pretrain", help="pre-train the congestion forecaster")
     p_pre.add_argument("--trace", help="trace CSV (interval_index,ece_count); "
                                        "omitted = synthetic bursty trace")
     p_pre.add_argument("--synth-seed", type=int, default=1234)
@@ -63,10 +88,10 @@ def main(argv=None) -> int:
     p_pre.add_argument("--epochs", type=int, default=100)
     p_pre.add_argument("--out", default="out")
 
-    p_rt = sub.add_parser("retrain-demo",
-                          help="random-scenario transfer: collect 6 s of 1 ms "
-                               "bins, one-epoch retrain")
-    _add_common(p_rt)
+    p_rt = command("retrain-demo",
+                   help="random-scenario transfer: collect 6 s of 1 ms "
+                        "bins, one-epoch retrain")
+    _add_common(p_rt, seed=True, duration=True)
     p_rt.add_argument("--checkpoint", required=True,
                       help="pre-trained forecaster checkpoint")
 
@@ -91,8 +116,8 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         cfg = _build_config(args)
-        targets = [float(x) for x in args.targets_ms.split(",") if x]
-        seeds = [int(x) for x in args.seeds.split(",") if x]
+        targets = _parse_list("--targets-ms", args.targets_ms, _finite_float)
+        seeds = _parse_list("--seeds", args.seeds, int)
         rows = harness.target_sweep(cfg, args.out, targets_ms=targets, seeds=seeds,
                                     duration_s=args.sweep_duration_s, jobs=args.jobs)
         for r in rows:
@@ -104,7 +129,7 @@ def _dispatch(args) -> int:
 
     if args.command == "compare":
         cfg = _build_config(args)
-        seeds = [int(x) for x in args.seeds.split(",") if x]
+        seeds = _parse_list("--seeds", args.seeds, int)
         discs = [d for d in args.disciplines.split(",") if d]
         table = harness.compare_iaqm(cfg, args.out, seeds=seeds,
                                      disciplines=discs, jobs=args.jobs)

@@ -22,9 +22,10 @@ from .rng import RngHub
 from .scenario import ScenarioConfig, _scaled_int
 from .transport import Connection
 from .network import PingProbe, Topology
-from .tuner import QLearningTuner, RewardSample, TunerConfig, power_reward
+from .tuner import QLearningTuner, power_reward
 
 BIN_NS = 100 * MS
+EPOCH_BINS = SECOND // BIN_NS  # ECE bins per 1 s decision epoch
 RETRAIN_BIN_NS = 1 * MS
 RETRAIN_DEMO_COLLECT_S = 6  # seconds of 1 ms bins that retrain-demo trains on
 PING_INTERVAL_NS = 100 * MS  # ten request/response pairs per epoch
@@ -97,11 +98,21 @@ class RunResult:
 def load_loop_checkpoint(path) -> LstmForecaster:
     """The checkpointed forecaster, refused unless it forecasts from one epoch's bins."""
     model = load_checkpoint(path)
-    if model.steps != SECOND // BIN_NS:
+    if model.steps != EPOCH_BINS:
         raise ValueError(f"{path}: checkpoint field 'steps' is {model.steps}, but the "
-                         f"control loop forecasts from the {SECOND // BIN_NS} "
+                         f"control loop forecasts from the {EPOCH_BINS} "
                          f"bins of each epoch")
     return model
+
+
+def _epoch_mean(samples, last, term=None):
+    """The mean of an epoch's samples (of term(sample), if given), which it
+    clears; `last` carried over when the epoch has none."""
+    if not samples:
+        return last
+    mean = sum(samples if term is None else map(term, samples)) / len(samples)
+    samples.clear()
+    return mean
 
 
 class SimContext:
@@ -116,7 +127,7 @@ class SimContext:
         self.topo = Topology(self.sim, cfg, self.rng_hub)
         self.duration_ns = cfg.duration_s * SECOND
 
-        n_bins = cfg.duration_s * 10 + 1
+        n_bins = cfg.duration_s * EPOCH_BINS + 1
         self.bins100 = [0] * n_bins
         self._n_bins = n_bins
         collect_1ms_s = max(collect_1ms_s,
@@ -170,9 +181,8 @@ class SimContext:
             if not cfg.checkpoint:
                 raise ValueError("intelligent runs need a predictor checkpoint")
             self.model = load_loop_checkpoint(cfg.checkpoint)
-            self.tuner = QLearningTuner(
-                TunerConfig(alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon),
-                self.model, self.rng_hub.stream("tuner"), self.reward_normalizer)
+            self.tuner = QLearningTuner(cfg.alpha, cfg.gamma, cfg.epsilon, self.model,
+                                        self.rng_hub.stream("tuner"))
             if cfg.retrain_at_s > 0 and cfg.retrain_at_s <= cfg.duration_s:
                 self.sim.schedule(cfg.retrain_at_s * SECOND, self._retrain)
 
@@ -186,7 +196,6 @@ class SimContext:
         self._mrtt_ns = float(self.topo.base_rtt_ns())
         self._conn_rtt_ns = float(self.topo.base_rtt_ns())
         self._thr_bps = TRANSFER_PROBE_BYTES * 8.0 * SECOND / self.topo.base_rtt_ns()
-        self._current_decision = None
         self._occ_max_pct = 0.0
         self._agg_sum_bps = 0.0
         for k in range(1, cfg.duration_s + 1):
@@ -220,27 +229,12 @@ class SimContext:
         self._prev_agg_delivered = agg
         self._agg_sum_bps += agg_bps
 
-        carried = 0
-        samples = self.pinger.samples
-        if samples:
-            self._mrtt_ns = sum(samples) / len(samples)
-            samples.clear()
-        else:
-            carried = 1
-        mrtt_ns = self._mrtt_ns
-
-        transfers = self.transfer_probe.samples
-        if transfers:
-            bits = TRANSFER_PROBE_BYTES * 8.0 * SECOND
-            self._thr_bps = sum(bits / d for d in transfers) / len(transfers)
-            transfers.clear()
-        throughput_bps = self._thr_bps
-
-        conn_samples = self._conn_rtt_samples
-        if conn_samples:
-            self._conn_rtt_ns = sum(conn_samples) / len(conn_samples)
-            conn_samples.clear()
-        conn_rtt_ns = self._conn_rtt_ns
+        carried = 0 if self.pinger.samples else 1
+        self._mrtt_ns = _epoch_mean(self.pinger.samples, self._mrtt_ns)
+        bits = TRANSFER_PROBE_BYTES * 8.0 * SECOND
+        self._thr_bps = _epoch_mean(self.transfer_probe.samples, self._thr_bps,
+                                    lambda d: bits / d)
+        self._conn_rtt_ns = _epoch_mean(self._conn_rtt_samples, self._conn_rtt_ns)
 
         area = stats.drain_area(now)
         occupancy_pct = 100.0 * area / (SECOND * cfg.hard_limit)
@@ -255,49 +249,41 @@ class SimContext:
         self._prev_marks = marks
         self._prev_drops = drops_total
 
-        sample = RewardSample(conn_goodput_bps, conn_rtt_ns / SECOND)
-        predicted = None
-        if self.tuner is not None:
-            reward, predicted = self.tuner.learn(
-                sample, self.bins100[max(k * 10 - 10, 0):k * 10])
-        else:
-            reward = power_reward(sample, self.reward_normalizer)
+        reward = power_reward(conn_goodput_bps, self._conn_rtt_ns / SECOND,
+                              self.reward_normalizer)
         self.cumulative_power += reward
-
-        dec = self._current_decision
-        if dec is not None:
-            state, action = dec.state, dec.action
-            target_ns, interval_ns = dec.target_ns, dec.interval_ns
-        else:
-            state = action = ""
-            target_ns, interval_ns = cfg.target_ns, cfg.interval_ns
-        observed_prev = self.bins100[(k - 1) * 10 - 1] if k > 1 else 0
+        predicted = state = action = ""
+        if self.tuner is not None:
+            predicted = self.tuner.learn(
+                reward, self.bins100[(k - 1) * EPOCH_BINS:k * EPOCH_BINS])
+            if self.tuner.pending is not None:
+                state, action = self.tuner.pending.state, self.tuner.pending.action
+        params = self.topo.aqm_params
+        observed_prev = self.bins100[(k - 1) * EPOCH_BINS - 1] if k > 1 else 0
 
         self.rows.append((
             k - 1,
             observed_prev,
             state,
             action,
-            target_ns // US,
-            interval_ns // US,
-            throughput_bps,
-            mrtt_ns / US,
+            params.target // US,
+            params.interval // US,
+            self._thr_bps,
+            self._mrtt_ns / US,
             reward,
-            "" if predicted is None else predicted,
+            predicted,
             occupancy_pct,
             d_drops,
             d_marks,
             self.cumulative_power,
             carried,
             conn_goodput_bps,
-            conn_rtt_ns / US,
+            self._conn_rtt_ns / US,
         ))
 
         if self.tuner is not None and k < cfg.duration_s:
-            observed = self.bins100[k * 10 - 1]
-            decision = self.tuner.decide(observed)
-            self.topo.aqm_params.set(decision.target_ns, decision.interval_ns)
-            self._current_decision = decision
+            decision = self.tuner.decide(self.bins100[k * EPOCH_BINS - 1])
+            params.set(decision.target_ns, decision.interval_ns)
 
     # -- results ---------------------------------------------------------------
 
@@ -523,9 +509,7 @@ def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1):
     if run_cfg.duration_s < RETRAIN_DEMO_COLLECT_S:
         run_cfg = replace(run_cfg, duration_s=RETRAIN_DEMO_COLLECT_S)
     result = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)
-    counts = np.array(result.bins1ms, dtype=np.int64)
-    model.retrain_one_epoch(counts)
-    report = model.score(counts, epochs=1)
+    report = model.fit(np.array(result.bins1ms, dtype=np.int64), 1)
     out_ckpt = os.path.join(outdir, "retrained.json")
     save_checkpoint(model, out_ckpt)
     write_fit_report_csv(report, os.path.join(outdir, "fit_report.csv"))

@@ -213,9 +213,6 @@ class LstmForecaster:
     def get_flat(self) -> np.ndarray:
         return self._flat.copy()
 
-    def set_flat(self, flat: np.ndarray) -> None:
-        self._flat[...] = flat
-
     # -- forward / backward ---------------------------------------------------
 
     def _forward(self, X: np.ndarray, masks=None, keep: bool = False):
@@ -532,13 +529,6 @@ def synth_trace(rng, length: int, p_on_enter: float = 0.05, p_on_stay: float = 0
     return EceSeries(counts=counts)
 
 
-def stationary_off_probability(p_on_enter: float, p_on_stay: float) -> float:
-    leave = 1.0 - p_on_stay
-    if p_on_enter + leave == 0:
-        return 1.0
-    return leave / (p_on_enter + leave)
-
-
 def ingest_trace(path) -> EceSeries:
     """Read a two-column CSV: interval_index (0-based consecutive), ece_count."""
     counts = []
@@ -560,12 +550,6 @@ def ingest_trace(path) -> EceSeries:
                 raise ValueError(f"{path}:{ln + 1}: negative count")
             counts.append(cnt)
     return EceSeries(counts=np.array(counts, dtype=np.int64))
-
-
-def write_trace(series: EceSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, c in enumerate(series.counts):
-            fh.write(f"{i},{int(c)}\n")
 
 
 # -- checkpoints ------------------------------------------------------------

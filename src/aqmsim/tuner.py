@@ -21,50 +21,6 @@ ACTION_STEP_NS = 50 * US
 INTERVAL_FACTOR = 20  # target is 5% of interval
 
 
-@dataclass
-class TunerConfig:
-    alpha: float = 0.5
-    gamma: float = 0.8
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        for name in ("alpha", "gamma", "epsilon"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-
-
-@dataclass
-class RewardSample:
-    """Probe-measured goodput and round trip for one decision epoch."""
-    throughput_bps: float
-    mrtt_s: float
-
-    def power(self) -> float:
-        if self.mrtt_s <= 0:
-            raise ValueError("measured RTT must be positive")
-        if self.throughput_bps < 0:
-            raise ValueError("throughput must be nonnegative")
-        return self.throughput_bps / self.mrtt_s
-
-
-class QTable:
-    """100x100 action-value matrix plus the discretization reference maxima."""
-
-    def __init__(self, n_states: int = N_LEVELS, n_actions: int = N_ACTIONS):
-        self.values = np.zeros((n_states, n_actions))
-        self.max_obs_ref = 1.0
-        self.max_pred_ref = 1.0
-
-    def note_observed(self, value: float) -> None:
-        if value > self.max_obs_ref:
-            self.max_obs_ref = float(value)
-
-    def note_predicted(self, value: float) -> None:
-        if value > self.max_pred_ref:
-            self.max_pred_ref = float(value)
-
-
 def discretize(value: float, max_ref: float, levels: int = N_LEVELS) -> int:
     """floor(levels * value / max_ref), clamped into [0, levels-1]."""
     if value < 0:
@@ -87,30 +43,35 @@ def action_to_params(index: int) -> tuple:
     return target, INTERVAL_FACTOR * target
 
 
-def select_action(q: QTable, state: int, epsilon: float, rng) -> int:
+def select_action(q: np.ndarray, state: int, epsilon: float, rng) -> int:
     """Epsilon-greedy over one table row; argmax ties break to lowest index."""
-    if not 0 <= state < q.values.shape[0]:
+    if not 0 <= state < q.shape[0]:
         raise ValueError(f"state {state} out of range")
     if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(0, q.values.shape[1]))
-    return int(np.argmax(q.values[state]))
+        return int(rng.integers(0, q.shape[1]))
+    return int(np.argmax(q[state]))
 
 
-def q_update(q: QTable, s: int, a: int, r: float, s_next: int,
+def q_update(q: np.ndarray, s: int, a: int, r: float, s_next: int,
              alpha: float, gamma: float) -> None:
+    """Watkins' one-step update of q[s, a] in place."""
     if not math.isfinite(r):
         raise ValueError(f"non-finite reward: {r}")
-    row = q.values
-    best_next = row[s_next].max()
-    row[s, a] += alpha * (r + gamma * best_next - row[s, a])
+    best_next = q[s_next].max()
+    q[s, a] += alpha * (r + gamma * best_next - q[s, a])
 
 
-def power_reward(sample: RewardSample, normalizer: float) -> float:
-    """Normalized power; the normalizer (bottleneck_bps / base_rtt) keeps
-    rewards O(1) and, scaling every reward equally, leaves argmax unchanged."""
+def power_reward(throughput_bps: float, rtt_s: float, normalizer: float) -> float:
+    """Normalized power, throughput / RTT / normalizer; the normalizer
+    (bottleneck_bps / base_rtt) keeps rewards O(1) and, scaling every reward
+    equally, leaves argmax unchanged."""
+    if rtt_s <= 0:
+        raise ValueError("measured RTT must be positive")
+    if throughput_bps < 0:
+        raise ValueError("throughput must be nonnegative")
     if normalizer <= 0:
         raise ValueError("normalizer must be positive")
-    return sample.power() / normalizer
+    return throughput_bps / rtt_s / normalizer
 
 
 @dataclass
@@ -122,40 +83,42 @@ class EpochDecision:
 
 
 class QLearningTuner:
-    """Drives one decision per epoch: observe, select, apply, later learn."""
+    """Drives one decision per epoch: observe, select, apply, later learn.
 
-    def __init__(self, config: TunerConfig, predictor, rng,
-                 reward_normalizer: float, table: QTable | None = None):
-        self.config = config
+    `q` is the 100x100 action-value table; `max_obs_ref` and `max_pred_ref`
+    are the running maxima that observed and predicted counts are
+    discretized against, never below 1."""
+
+    def __init__(self, alpha: float, gamma: float, epsilon: float, predictor, rng):
+        self.alpha = alpha
+        self.gamma = gamma
+        self.epsilon = epsilon
         self.predictor = predictor
         self.rng = rng
-        self.reward_normalizer = reward_normalizer
-        self.table = table if table is not None else QTable()
+        self.q = np.zeros((N_LEVELS, N_ACTIONS))
+        self.max_obs_ref = 1.0
+        self.max_pred_ref = 1.0
         self.pending: EpochDecision | None = None
         self.updates = 0
 
     def decide(self, observed_count: float) -> EpochDecision:
         """Pick and record the action for the next epoch."""
-        self.table.note_observed(observed_count)
-        s = discretize(observed_count, self.table.max_obs_ref)
-        a = select_action(self.table, s, self.config.epsilon, self.rng)
+        self.max_obs_ref = max(self.max_obs_ref, float(observed_count))
+        s = discretize(observed_count, self.max_obs_ref)
+        a = select_action(self.q, s, self.epsilon, self.rng)
         target, interval = action_to_params(a)
         self.pending = EpochDecision(s, a, target, interval)
         return self.pending
 
-    def learn(self, sample: RewardSample, recent_counts) -> tuple:
-        """Close out the pending decision with its measured reward.
-
-        Returns (reward, predicted_next_count) for logging; no-op when no
-        decision is outstanding.
-        """
-        reward = power_reward(sample, self.reward_normalizer)
+    def learn(self, reward: float, recent_counts) -> float:
+        """Close out the pending decision with its reward and return the
+        forecast next count; with no decision outstanding, only forecast."""
         predicted = self.predictor.predict_next_count(recent_counts)
         if self.pending is None:
-            return reward, predicted
-        self.table.note_predicted(predicted)
-        s_next = discretize(predicted, self.table.max_pred_ref)
-        q_update(self.table, self.pending.state, self.pending.action, reward,
-                 s_next, self.config.alpha, self.config.gamma)
+            return predicted
+        self.max_pred_ref = max(self.max_pred_ref, float(predicted))
+        s_next = discretize(predicted, self.max_pred_ref)
+        q_update(self.q, self.pending.state, self.pending.action, reward,
+                 s_next, self.alpha, self.gamma)
         self.updates += 1
-        return reward, predicted
+        return predicted

@@ -1,5 +1,6 @@
-"""Shared test utilities: rank correlation, tiny oracles, a memory probe and
-the name of the BLAS kernel behind numpy's matmul."""
+"""Shared test utilities: rank correlation, tiny oracles, a memory probe, the
+name of the BLAS kernel behind numpy's matmul, a trace writer and a setter
+of a forecaster's flat parameter vector."""
 
 import ctypes
 import math
@@ -79,3 +80,25 @@ def blas_core() -> str:
     corename.argtypes = []
     corename.restype = ctypes.c_char_p
     return corename().decode()
+
+
+def stationary_off_probability(p_on_enter: float, p_on_stay: float) -> float:
+    """Long-run share of OFF intervals in synth_trace's two-state chain."""
+    leave = 1.0 - p_on_stay
+    if p_on_enter + leave == 0:
+        return 1.0
+    return leave / (p_on_enter + leave)
+
+
+def write_trace(series, path) -> None:
+    """Write an EceSeries as the `interval_index,ece_count` CSV that
+    ingest_trace reads."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i, c in enumerate(series.counts):
+            fh.write(f"{i},{int(c)}\n")
+
+
+def set_flat(model, flat) -> None:
+    """Overwrite every forecaster parameter from one vector laid out as
+    model.get_flat()."""
+    model._flat[...] = flat

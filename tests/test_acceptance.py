@@ -19,8 +19,8 @@ from aqmsim.packets import CE, ECT0, F_ACK, F_ECE, Packet
 from aqmsim.predictor import (LstmForecaster, build_windows, neurons_per_layer,
                               normalize, rmse, synth_trace)
 from aqmsim.scenario import ScenarioConfig
-from aqmsim.tuner import QTable, q_update
-from helpers import spearman, value_iteration
+from aqmsim.tuner import q_update
+from helpers import set_flat, spearman, value_iteration
 
 SWEEP_SECONDS = 20
 COMPARE_SECONDS = 300
@@ -59,19 +59,19 @@ def test_c02_windowing_matches_bruteforce():
 
 
 def test_c03_q_update_arithmetic_and_bound():
-    q = QTable()
+    q = np.zeros((100, 100))
     q_update(q, 0, 0, 1.0, 0, 0.5, 0.8)
-    assert abs(q.values[0, 0] - 0.5) < 1e-12
+    assert abs(q[0, 0] - 0.5) < 1e-12
     q_update(q, 0, 0, 1.0, 0, 0.5, 0.8)
-    assert abs(q.values[0, 0] - 0.95) < 1e-12
+    assert abs(q[0, 0] - 0.95) < 1e-12
 
-    q = QTable()
+    q = np.zeros((100, 100))
     rng = np.random.default_rng(3)
     for _ in range(100_000):
         q_update(q, int(rng.integers(100)), int(rng.integers(100)),
                  float(rng.random()), int(rng.integers(100)), 0.5, 0.8)
     bound = 1.0 / (1.0 - 0.8)
-    assert float(np.abs(q.values).max()) <= bound + 1e-9
+    assert float(np.abs(q).max()) <= bound + 1e-9
     note("criterion 3", "0 -> 0.5 -> 0.95 exact; |Q| <= R_max/(1-gamma) over 1e5 updates")
 
 
@@ -80,7 +80,7 @@ def test_c04_toy_mdp_converges_to_value_iteration():
     rewards = [[0.0, 0.5], [0.0, 1.0], [0.2, 0.0]]
     gamma = 0.8
     oracle = np.array(value_iteration(transitions, rewards, gamma))
-    q = QTable(3, 2)
+    q = np.zeros((3, 2))
     visits = np.zeros((3, 2))
     rng = np.random.default_rng(4)
     s = 0
@@ -92,7 +92,7 @@ def test_c04_toy_mdp_converges_to_value_iteration():
         s2 = transitions[s][a]
         q_update(q, s, a, rewards[s][a], s2, alpha, gamma)
         s = s2
-    err = float(np.abs(q.values - oracle).max())
+    err = float(np.abs(q - oracle).max())
     assert err < 1e-2, f"max-norm error {err}"
     note("criterion 4", f"toy-MDP Q-learning within {err:.2e} of value iteration")
 
@@ -107,18 +107,18 @@ def test_c05_lstm_gradient_check():
     checked = 0
     worst = 0.0
     for _ in range(5):
-        m.set_flat(theta0 + 0.25 * rng.standard_normal(theta0.size))
+        set_flat(m, theta0 + 0.25 * rng.standard_normal(theta0.size))
         base = m.get_flat()
         _, grads = m.loss_and_gradients(X, y)
         flat = np.concatenate([g.ravel() for g in grads])
         for i in rng.choice(base.size, size=5, replace=False):
             step = np.zeros_like(base)
             step[i] = h
-            m.set_flat(base + step)
+            set_flat(m, base + step)
             lp, _ = m.loss_and_gradients(X, y)
-            m.set_flat(base - step)
+            set_flat(m, base - step)
             lm, _ = m.loss_and_gradients(X, y)
-            m.set_flat(base)
+            set_flat(m, base)
             fd = (lp - lm) / (2 * h)
             rel = abs(fd - flat[i]) / max(abs(fd), abs(flat[i]), 1e-8)
             worst = max(worst, rel)

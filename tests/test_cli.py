@@ -137,6 +137,9 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     ("access_prop_ms=1e400", "access_prop_ms"),
     ("exit_prop_ms=nan", "exit_prop_ms"),
     ("bottleneck_bw_mbps=1e305", "bottleneck_bw_mbps"),
+    ("alpha=1.5", "alpha must be in [0, 1]"),
+    ("gamma=2", "gamma must be in [0, 1]"),
+    ("epsilon=-0.1", "epsilon must be in [0, 1]"),
 ])
 def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, named):
     rc = main(["run", "--set", "pairs=1", "--duration-s", "1", "--set", setting,
@@ -161,6 +164,8 @@ def runs(monkeypatch):
     ("1,1e400", "inf"),
     ("1,nan", "nan"),
     ("1,1e-9", "target"),
+    ("inf", "--targets-ms"),
+    ("1,abc", "--targets-ms"),
 ])
 def test_bad_sweep_target_exits_2_before_any_run(tmp_path, capsys, runs, targets, named):
     # Every point is checked first: the 1 ms point must not run before a
@@ -173,6 +178,37 @@ def test_bad_sweep_target_exits_2_before_any_run(tmp_path, capsys, runs, targets
     assert err.count("\n") == 1 and err.startswith("error:")
     assert named in err
     assert "Traceback" not in err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_bad_seed_entry_exits_2_naming_the_flag(tmp_path, capsys, runs, command):
+    out = tmp_path / "exp"
+    rc = main([command, "--seeds", "1,x", "--jobs", "1", "--set", "pairs=1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "--seeds" in err and "'x'" in err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("sweep", "--seed"),
+    ("compare", "--seed"),
+    ("sweep", "--duration-s"),
+])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, runs, command, flag):
+    # Registered only where read, and matched whole: sweep's and compare's
+    # --seeds must not take --seed by prefix.
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, "9", "--seeds", "1", "--jobs", "1", "--set", "pairs=1",
+                        "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 

@@ -25,7 +25,7 @@ from aqmsim.harness import (compare_iaqm, pretrain_predictor, retrain_demo,
                             run_scenario, target_sweep, write_fit_report_csv)
 from aqmsim.predictor import STEPS, FitReport, LstmForecaster, synth_trace
 from aqmsim.scenario import ScenarioConfig
-from helpers import blas_core
+from helpers import blas_core, set_flat
 
 SEED = 3
 DURATION_S = 10
@@ -216,7 +216,7 @@ def _gradient_digest(layers: int, hidden: int) -> str:
     rng = np.random.default_rng(5)
     model = LstmForecaster(steps=STEPS, layers=layers, hidden=hidden, seed=11)
     theta = model.get_flat()
-    model.set_flat(theta + 0.5 * rng.standard_normal(theta.size))
+    set_flat(model, theta + 0.5 * rng.standard_normal(theta.size))
     h = hashlib.sha256()
     for batch in (1, 38, 64, 229):
         X = 3.0 * rng.random((batch, STEPS))

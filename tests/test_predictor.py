@@ -6,9 +6,8 @@ import pytest
 from aqmsim.predictor import (BATCH_SIZE, EceSeries, LstmForecaster, build_windows,
                               denormalize, ingest_trace, load_checkpoint, mae,
                               neurons_per_layer, normalize, rmse,
-                              save_checkpoint, stationary_off_probability,
-                              synth_trace, write_trace)
-from helpers import traced_peak
+                              save_checkpoint, synth_trace)
+from helpers import set_flat, stationary_off_probability, traced_peak, write_trace
 
 
 class TestNeuronSizing:
@@ -166,11 +165,11 @@ class TestGradients:
         for i in idx:
             step = np.zeros_like(theta)
             step[i] = h
-            m.set_flat(theta + step)
+            set_flat(m, theta + step)
             lp, _ = m.loss_and_gradients(X, y)
-            m.set_flat(theta - step)
+            set_flat(m, theta - step)
             lm, _ = m.loss_and_gradients(X, y)
-            m.set_flat(theta)
+            set_flat(m, theta)
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(flat_grad[i]), 1e-8)
             assert abs(fd - flat_grad[i]) / denom < 1e-4, f"param {i}: {fd} vs {flat_grad[i]}"
@@ -183,7 +182,7 @@ class TestGradients:
         theta0 = m.get_flat()
         checked = 0
         for point in range(5):
-            m.set_flat(theta0 + 0.3 * rng.standard_normal(theta0.size))
+            set_flat(m, theta0 + 0.3 * rng.standard_normal(theta0.size))
             base = m.get_flat()
             _, grads = m.loss_and_gradients(X, y)
             flat_grad = np.concatenate([g.ravel() for g in grads])
@@ -191,11 +190,11 @@ class TestGradients:
             for i in rng.choice(base.size, size=4, replace=False):
                 step = np.zeros_like(base)
                 step[i] = h
-                m.set_flat(base + step)
+                set_flat(m, base + step)
                 lp, _ = m.loss_and_gradients(X, y)
-                m.set_flat(base - step)
+                set_flat(m, base - step)
                 lm, _ = m.loss_and_gradients(X, y)
-                m.set_flat(base)
+                set_flat(m, base)
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(flat_grad[i]), 1e-8)
                 assert abs(fd - flat_grad[i]) / denom < 1e-4

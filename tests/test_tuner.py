@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from aqmsim.engine import MS, US
-from aqmsim.tuner import (QLearningTuner, QTable, RewardSample, TunerConfig,
-                          action_to_params, discretize, power_reward, q_update,
-                          select_action)
+from aqmsim.tuner import (QLearningTuner, action_to_params, discretize, power_reward,
+                          q_update, select_action)
 from helpers import value_iteration
 
 
@@ -50,18 +49,18 @@ class TestActionGrid:
 
 class TestSelectAction:
     def test_all_zero_row_tie_breaks_to_zero(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         rng = np.random.default_rng(0)
         assert select_action(q, 5, 0.0, rng) == 0
 
     def test_unique_max_selected(self):
-        q = QTable()
-        q.values[7, 42] = 3.0
+        q = np.zeros((100, 100))
+        q[7, 42] = 3.0
         rng = np.random.default_rng(0)
         assert select_action(q, 7, 0.0, rng) == 42
 
     def test_full_exploration_is_uniform(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         rng = np.random.default_rng(99)
         counts = np.zeros(100)
         n = 10_000
@@ -73,34 +72,34 @@ class TestSelectAction:
         assert chi2 < 148
 
     def test_state_bounds(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         with pytest.raises(ValueError):
             select_action(q, 100, 0.0, np.random.default_rng(0))
 
 
 class TestQUpdate:
     def test_two_step_hand_sequence(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         q_update(q, 3, 4, 1.0, 3, alpha=0.5, gamma=0.8)
-        assert q.values[3, 4] == pytest.approx(0.5, abs=1e-12)
+        assert q[3, 4] == pytest.approx(0.5, abs=1e-12)
         # max over the next-state row is now 0.5
         q_update(q, 3, 4, 1.0, 3, alpha=0.5, gamma=0.8)
-        assert q.values[3, 4] == pytest.approx(0.95, abs=1e-12)
+        assert q[3, 4] == pytest.approx(0.95, abs=1e-12)
 
     def test_zero_alpha_is_noop(self):
-        q = QTable()
-        q.values[1, 1] = 0.25
+        q = np.zeros((100, 100))
+        q[1, 1] = 0.25
         q_update(q, 1, 1, 10.0, 2, alpha=0.0, gamma=0.8)
-        assert q.values[1, 1] == 0.25
+        assert q[1, 1] == 0.25
 
     def test_rejects_non_finite_reward(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 q_update(q, 0, 0, bad, 0, 0.5, 0.8)
 
     def test_bounded_by_rmax_over_one_minus_gamma(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         rng = np.random.default_rng(5)
         gamma = 0.8
         bound = 1.0 / (1.0 - gamma)
@@ -109,19 +108,19 @@ class TestQUpdate:
             a = int(rng.integers(100))
             s2 = int(rng.integers(100))
             q_update(q, s, a, float(rng.random()), s2, alpha=0.5, gamma=gamma)
-        assert float(np.abs(q.values).max()) <= bound + 1e-9
+        assert float(np.abs(q).max()) <= bound + 1e-9
 
     def test_frozen_environment_contracts_geometrically(self):
-        q = QTable()
+        q = np.zeros((100, 100))
         r_star = 0.7
         gamma = 0.8
         alpha = 0.5
-        q.values[2, :] = 0.3  # frozen next-state row
+        q[2, :] = 0.3  # frozen next-state row
         target = r_star + gamma * 0.3
         errors = []
         for _ in range(30):
             q_update(q, 1, 0, r_star, 2, alpha, gamma)
-            errors.append(abs(q.values[1, 0] - target))
+            errors.append(abs(q[1, 0] - target))
         for prev, cur in zip(errors, errors[1:]):
             assert cur <= (1 - alpha) * prev + 1e-12
 
@@ -130,62 +129,40 @@ class TestQUpdate:
         steps = [(int(rng.integers(10)), int(rng.integers(10)),
                   float(rng.random()), int(rng.integers(10)))
                  for _ in range(500)]
-        qa, qb = QTable(10, 10), QTable(10, 10)
+        qa, qb = np.zeros((10, 10)), np.zeros((10, 10))
         c = 37.5
         for s, a, r, s2 in steps:
             q_update(qa, s, a, r, s2, 0.5, 0.8)
             q_update(qb, s, a, c * r, s2, 0.5, 0.8)
-        assert np.allclose(qb.values, c * qa.values, rtol=1e-12)
-        assert np.array_equal(np.argmax(qa.values, axis=1), np.argmax(qb.values, axis=1))
+        assert np.allclose(qb, c * qa, rtol=1e-12)
+        assert np.array_equal(np.argmax(qa, axis=1), np.argmax(qb, axis=1))
 
 
 class TestPowerReward:
     def test_raw_power_example(self):
-        sample = RewardSample(20e6, 0.040)
-        assert sample.power() == pytest.approx(5e8)
+        assert power_reward(20e6, 0.040, 1.0) == pytest.approx(5e8)
+
+    def test_power_then_normalizer_float_order(self):
+        # The two orders differ in the last bit here; the epoch rows hold
+        # throughput / rtt / normalizer.
+        assert power_reward(20e6, 0.0377, 3.7e8) == 20e6 / 0.0377 / 3.7e8
+        assert power_reward(20e6, 0.0377, 3.7e8) != 20e6 / (0.0377 * 3.7e8)
 
     def test_zero_throughput_zero_reward(self):
-        assert power_reward(RewardSample(0.0, 0.05), 1e6) == 0.0
+        assert power_reward(0.0, 0.05, 1e6) == 0.0
 
     def test_zero_rtt_rejected(self):
-        with pytest.raises(ValueError):
-            RewardSample(1e6, 0.0).power()
+        with pytest.raises(ValueError, match="RTT"):
+            power_reward(1e6, 0.0, 1.0)
 
     def test_negative_throughput_rejected(self):
-        with pytest.raises(ValueError):
-            RewardSample(-1.0, 0.05).power()
+        with pytest.raises(ValueError, match="throughput"):
+            power_reward(-1.0, 0.05, 1.0)
 
     def test_normalizer_validation(self):
-        with pytest.raises(ValueError):
-            power_reward(RewardSample(1.0, 1.0), 0.0)
-
-
-class TestReferenceMaxima:
-    def test_non_decreasing(self):
-        q = QTable()
-        q.note_observed(5.0)
-        q.note_observed(2.0)
-        assert q.max_obs_ref == 5.0
-        q.note_predicted(3.0)
-        q.note_predicted(1.0)
-        assert q.max_pred_ref == 3.0
-
-    def test_start_at_one(self):
-        q = QTable()
-        assert q.max_obs_ref == 1.0
-        assert q.max_pred_ref == 1.0
-
-
-class TestTunerConfig:
-    def test_defaults(self):
-        cfg = TunerConfig()
-        assert (cfg.alpha, cfg.gamma, cfg.epsilon) == (0.5, 0.8, 0.5)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            TunerConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            TunerConfig(epsilon=-0.1)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="normalizer"):
+                power_reward(1.0, 1.0, bad)
 
 
 class _StubPredictor:
@@ -196,43 +173,64 @@ class _StubPredictor:
         return self.value
 
 
+def _tuner(epsilon=0.0, predicted=0.0):
+    return QLearningTuner(0.5, 0.8, epsilon, _StubPredictor(predicted),
+                          np.random.default_rng(1))
+
+
+class TestReferenceMaxima:
+    def test_non_decreasing(self):
+        tuner = _tuner()
+        tuner.decide(observed_count=5.0)
+        tuner.decide(observed_count=2.0)
+        assert tuner.max_obs_ref == 5.0
+        tuner.predictor.value = 3.0
+        tuner.learn(1.0, [0] * 10)
+        tuner.predictor.value = 1.0
+        tuner.learn(1.0, [0] * 10)
+        assert tuner.max_pred_ref == 3.0
+
+    def test_start_at_one(self):
+        tuner = _tuner()
+        assert tuner.max_obs_ref == 1.0
+        assert tuner.max_pred_ref == 1.0
+        tuner.decide(observed_count=0.5)
+        tuner.learn(1.0, [0] * 10)
+        assert (tuner.max_obs_ref, tuner.max_pred_ref) == (1.0, 1.0)
+
+
 class TestDecisionFlow:
-    def _tuner(self, epsilon=0.0, predicted=0.0):
-        cfg = TunerConfig(epsilon=epsilon)
-        rng = np.random.default_rng(1)
-        return QLearningTuner(cfg, _StubPredictor(predicted), rng,
-                              reward_normalizer=1.0)
 
     def test_first_epoch_exploit_applies_action_zero(self):
-        tuner = self._tuner()
+        tuner = _tuner()
         dec = tuner.decide(observed_count=0.0)
         assert dec.action == 0
         assert (dec.target_ns, dec.interval_ns) == (50 * US, 1 * MS)
-        assert not tuner.table.values.any()
-        tuner.learn(RewardSample(5.0, 1.0), recent_counts=[0] * 10)
-        assert np.count_nonzero(tuner.table.values) == 1
+        assert tuner.q.shape == (100, 100) and not tuner.q.any()
+        tuner.learn(5.0, recent_counts=[0] * 10)
+        assert np.count_nonzero(tuner.q) == 1
 
     def test_zero_prediction_updates_against_level_zero(self):
-        tuner = self._tuner(predicted=0.0)
+        tuner = _tuner(predicted=0.0)
         tuner.decide(observed_count=3.0)
-        reward, predicted = tuner.learn(RewardSample(2.0, 1.0), [0] * 10)
+        predicted = tuner.learn(2.0, [0] * 10)
         assert predicted == 0.0
         assert tuner.updates == 1
-        assert reward == 2.0
+        # alpha 0.5 times reward 2 at the pending (state, action)
+        assert tuner.q[tuner.pending.state, tuner.pending.action] == 1.0
 
     def test_learn_without_pending_decision_is_logged_only(self):
-        tuner = self._tuner()
-        reward, _ = tuner.learn(RewardSample(1.0, 1.0), [0] * 10)
-        assert reward == 1.0
+        tuner = _tuner()
+        assert tuner.learn(1.0, [0] * 10) == 0.0
         assert tuner.updates == 0
-        assert not tuner.table.values.any()
+        assert not tuner.q.any()
 
     def test_reference_maxima_grow_with_observations(self):
-        tuner = self._tuner(predicted=40.0)
+        tuner = _tuner(predicted=40.0)
         tuner.decide(observed_count=250.0)
-        assert tuner.table.max_obs_ref == 250.0
-        tuner.learn(RewardSample(1.0, 1.0), [0] * 10)
-        assert tuner.table.max_pred_ref == 40.0
+        assert tuner.max_obs_ref == 250.0
+        tuner.learn(1.0, [0] * 10)
+        assert tuner.max_pred_ref == 40.0
 
 
 class TestToyMdpConvergence:
@@ -243,7 +241,7 @@ class TestToyMdpConvergence:
         gamma = 0.8
         oracle = np.array(value_iteration(transitions, rewards, gamma))
 
-        q = QTable(3, 2)
+        q = np.zeros((3, 2))
         visits = np.zeros((3, 2))
         rng = np.random.default_rng(42)
         s = 0
@@ -254,4 +252,4 @@ class TestToyMdpConvergence:
             s2 = transitions[s][a]
             q_update(q, s, a, rewards[s][a], s2, alpha, gamma)
             s = s2
-        assert float(np.abs(q.values - oracle).max()) < 1e-2
+        assert float(np.abs(q - oracle).max()) < 1e-2
