@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
 from functools import partial
 
 from . import harness
-from .scenario import ScenarioConfig, apply_overrides, load_config
+from .engine import MS
+from .scenario import ScenarioConfig, _scaled_int, apply_overrides, load_config
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool, duration: bool) -> None:
@@ -17,14 +17,12 @@ def _add_common(p: argparse.ArgumentParser, seed: bool, duration: bool) -> None:
     on the commands that read them, so that argparse refuses them elsewhere."""
     p.add_argument("--config", help="path to a key = value config file")
     if seed:
-        p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+        p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     if duration:
         p.add_argument("--duration-s", type=int, help="simulated seconds override")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="config override, repeatable")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="parallel worker processes (0 = cpu count)")
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -38,10 +36,23 @@ def _build_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _finite_float(text: str) -> float:
+def _seed(text: str) -> int:
+    """A seed: an integer >= 0, as numpy's seed sequences take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer seed >= 0, got {text!r}")
+    return value
+
+
+def _target_ms(text: str) -> float:
+    """A sweep target in ms that is finite and at least 1 ns once rounded to
+    the nanoseconds a run is configured in."""
     value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value}")
+    if _scaled_int(MS)(value) < 1:
+        raise ValueError(f"a target must be at least 1 ns, got {text!r} ms")
     return value
 
 
@@ -50,7 +61,7 @@ def _parse_list(flag: str, text: str, conv) -> list:
     as a bad --set value is with its key."""
     try:
         return [conv(entry) for entry in text.split(",") if entry]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"bad value for {flag}: {exc}") from None
 
 
@@ -79,11 +90,15 @@ def main(argv=None) -> int:
     _add_common(p_cmp, seed=False, duration=True)
     p_cmp.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     p_cmp.add_argument("--disciplines", default="codel,fq_codel")
+    # Only the experiments fan out; run and retrain-demo refuse --jobs.
+    for p in (p_sweep, p_cmp):
+        p.add_argument("--jobs", type=int, default=0,
+                       help="parallel worker processes (0 = cpu count)")
 
     p_pre = command("pretrain", help="pre-train the congestion forecaster")
     p_pre.add_argument("--trace", help="trace CSV (interval_index,ece_count); "
                                        "omitted = synthetic bursty trace")
-    p_pre.add_argument("--synth-seed", type=int, default=1234)
+    p_pre.add_argument("--synth-seed", type=_seed, default=1234)
     p_pre.add_argument("--length", type=int, default=6000)
     p_pre.add_argument("--epochs", type=int, default=100)
     p_pre.add_argument("--out", default="out")
@@ -116,8 +131,8 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         cfg = _build_config(args)
-        targets = _parse_list("--targets-ms", args.targets_ms, _finite_float)
-        seeds = _parse_list("--seeds", args.seeds, int)
+        targets = _parse_list("--targets-ms", args.targets_ms, _target_ms)
+        seeds = _parse_list("--seeds", args.seeds, _seed)
         rows = harness.target_sweep(cfg, args.out, targets_ms=targets, seeds=seeds,
                                     duration_s=args.sweep_duration_s, jobs=args.jobs)
         for r in rows:
@@ -129,7 +144,7 @@ def _dispatch(args) -> int:
 
     if args.command == "compare":
         cfg = _build_config(args)
-        seeds = _parse_list("--seeds", args.seeds, int)
+        seeds = _parse_list("--seeds", args.seeds, _seed)
         discs = [d for d in args.disciplines.split(",") if d]
         table = harness.compare_iaqm(cfg, args.out, seeds=seeds,
                                      disciplines=discs, jobs=args.jobs)

@@ -10,8 +10,7 @@ across processes; each run is fully determined by (config, seed).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -91,8 +90,8 @@ def write_csv(path, columns, rows) -> None:
 class RunResult:
     rows: list
     summary: dict
-    bins100: list = field(default_factory=list)
-    bins1ms: list = field(default_factory=list)
+    bins100: list
+    bins1ms: list
 
 
 def load_loop_checkpoint(path) -> LstmForecaster:
@@ -357,9 +356,11 @@ def _simulate_summary(task):
 
 
 def _validate_all(tasks) -> None:
-    """Check every task's config before any task runs."""
-    for _, cfg, _ in tasks:
+    """Check every task's config and seed before any task runs."""
+    for _, cfg, seed in tasks:
         cfg.validate()
+        if seed < 0:
+            raise ValueError(f"seeds must be >= 0, got {seed}")
 
 
 def _run_labelled(tasks, jobs: int):
@@ -372,6 +373,8 @@ def _run_labelled(tasks, jobs: int):
     if jobs <= 1:
         summaries = [_simulate_summary(t) for t in tasks]
     else:
+        # Imported here: a run that does not fan out never loads the pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_simulate_summary, tasks))
     groups = {}

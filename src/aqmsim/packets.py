@@ -10,7 +10,6 @@ CE = 3
 # TCP flag bits.
 F_SYN = 1
 F_ACK = 2
-F_FIN = 4
 F_ECE = 8
 F_CWR = 16
 

@@ -56,17 +56,14 @@ class FitReport:
 
 
 def build_windows(values, steps: int = STEPS):
-    """Slide a length-`steps` window over the series.
-
-    Row r of X is values[r .. r+steps-1]; y[r] is values[r+steps].
-    """
+    """Slide a length-`steps` window over the series. Row r of X is
+    values[r .. r+steps-1] and y[r] is values[r+steps]; both are views of
+    the float64 series, X a read-only view, so nothing is copied."""
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     if n < steps + 1:
         raise ValueError(f"series of length {n} has no complete {steps}-step window")
-    rows = n - steps
-    idx = np.arange(steps)[None, :] + np.arange(rows)[:, None]
-    return v[idx], v[steps:]
+    return np.lib.stride_tricks.sliding_window_view(v[:-1], steps), v[steps:]
 
 
 def normalize(values, lo: float, hi: float):
@@ -390,7 +387,7 @@ class LstmForecaster:
                              f"no complete {self.steps}-step window")
         return n_train
 
-    def fit(self, counts, epochs: int, batch_size: int = BATCH_SIZE) -> FitReport:
+    def fit(self, counts, epochs: int) -> FitReport:
         """Pre-train on a raw count series for a number of epochs.
 
         Bounds for min-max normalization come from the training subset only
@@ -399,14 +396,14 @@ class LstmForecaster:
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
         counts = np.asarray(counts, dtype=np.float64)
-        self._run_epochs(counts, epochs, batch_size)
+        self._run_epochs(counts, epochs)
         return self.score(counts, epochs)
 
-    def retrain_one_epoch(self, counts, batch_size: int = BATCH_SIZE) -> None:
+    def retrain_one_epoch(self, counts) -> None:
         """Transfer step: exactly one epoch on new data, starting from the
         current weights; normalization bounds are refreshed for the new data.
         It trains only: a caller that wants the fit scored calls score()."""
-        self._run_epochs(np.asarray(counts, dtype=np.float64), 1, batch_size)
+        self._run_epochs(np.asarray(counts, dtype=np.float64), 1)
 
     def score(self, counts, epochs: int) -> FitReport:
         """Error of the current weights on a raw count series, normalized
@@ -424,7 +421,7 @@ class LstmForecaster:
         self.norm_min = float(train.min())
         self.norm_max = float(train.max())
 
-    def _run_epochs(self, counts: np.ndarray, epochs: int, batch_size: int) -> None:
+    def _run_epochs(self, counts: np.ndarray, epochs: int) -> None:
         """Set the bounds from `counts`, then train on its training split."""
         n_train = self._split_rows(len(counts))
         self._set_bounds(counts)
@@ -441,9 +438,9 @@ class LstmForecaster:
         m_b = v_b = 0.0
         step = 0
         for _ in range(epochs):
-            for lo in range(0, n_train, batch_size):
-                xb = Xtr[lo:lo + batch_size]
-                yb = ytr[lo:lo + batch_size]
+            for lo in range(0, n_train, BATCH_SIZE):
+                xb = Xtr[lo:lo + BATCH_SIZE]
+                yb = ytr[lo:lo + BATCH_SIZE]
                 masks = self._draw_masks(len(xb))
                 loss, _ = self.loss_and_gradients(xb, yb, masks, out=grad)
                 if not math.isfinite(loss):
@@ -511,12 +508,11 @@ class LstmForecaster:
 # -- traces ---------------------------------------------------------------
 
 
-def synth_trace(rng, length: int, p_on_enter: float = 0.05, p_on_stay: float = 0.90,
-                lam: float = 20.0) -> EceSeries:
+def synth_trace(seed: int, length: int, p_on_enter: float = 0.05,
+                p_on_stay: float = 0.90, lam: float = 20.0) -> EceSeries:
     """ON/OFF bursty counts: a two-state chain where the OFF state emits zero
     and the ON state emits Poisson(lam) counts per interval."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence([int(rng), 0x545243]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x545243]))
     counts = np.zeros(length, dtype=np.int64)
     on = False
     for k in range(length):

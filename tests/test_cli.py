@@ -177,38 +177,76 @@ def test_bad_sweep_target_exits_2_before_any_run(tmp_path, capsys, runs, targets
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error:")
     assert named in err
+    assert "--targets-ms" in err
+    if targets == "1,1e-9":
+        assert "'1e-9'" in err
     assert "Traceback" not in err
     assert runs == []
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_bad_seed_entry_exits_2_naming_the_flag(tmp_path, capsys, runs, command):
+def test_bad_seed_entry_exits_2_naming_the_flag(tmp_path, capsys, runs, monkeypatch,
+                                                command):
+    # A negative seed is refused before compare pretrains its checkpoint.
+    pretrains = []
+    monkeypatch.setattr(harness, "pretrain_predictor",
+                        lambda path, **kwargs: pretrains.append(path))
     out = tmp_path / "exp"
-    rc = main([command, "--seeds", "1,x", "--jobs", "1", "--set", "pairs=1",
-               "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.count("\n") == 1 and err.startswith("error:")
-    assert "--seeds" in err and "'x'" in err
-    assert runs == []
+    for seeds, entry in (("1,x", "'x'"), ("-1", "'-1'"), ("1,-2", "'-2'")):
+        rc = main([command, "--seeds", seeds, "--jobs", "1", "--set", "pairs=1",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "--seeds" in err and entry in err
+    assert runs == [] and pretrains == []
     assert not out.exists()
+
+
+# The rest of each command line: what the command requires, and a --jobs
+# for the experiments, which take it.
+COMMAND_REST = {
+    "sweep": ["--seeds", "1", "--jobs", "1"],
+    "compare": ["--seeds", "1", "--jobs", "1"],
+    "run": [],
+    "retrain-demo": ["--checkpoint", "absent.json"],
+    "pretrain": [],
+}
 
 
 @pytest.mark.parametrize("command,flag", [
     ("sweep", "--seed"),
     ("compare", "--seed"),
     ("sweep", "--duration-s"),
+    ("run", "--jobs"),
+    ("retrain-demo", "--jobs"),
 ])
 def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, runs, command, flag):
     # Registered only where read, and matched whole: sweep's and compare's
     # --seeds must not take --seed by prefix.
     out = tmp_path / "exp"
     with pytest.raises(SystemExit) as exit_info:
-        main([command, flag, "9", "--seeds", "1", "--jobs", "1", "--set", "pairs=1",
-                        "--out", str(out)])
+        main([command, flag, "9", *COMMAND_REST[command], "--set", "pairs=1",
+              "--out", str(out)])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--seed"),
+    ("retrain-demo", "--seed"),
+    ("pretrain", "--synth-seed"),
+])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, runs, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, "-3", *COMMAND_REST[command], "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "'-3'" in err
     assert runs == []
     assert not out.exists()
 

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqmsim.engine import MS
+from aqmsim import harness
+from aqmsim.engine import MS, Simulator
 from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
                             SUMMARY_COLUMNS, SWEEP_COLUMNS, SimContext,
-                            pretrain_predictor, retrain_demo, run_scenario,
-                            simulate, target_sweep)
+                            compare_iaqm, pretrain_predictor, retrain_demo,
+                            run_scenario, simulate, target_sweep)
 from aqmsim.packets import CE, F_ECE
 from aqmsim.predictor import LstmForecaster
 from aqmsim.scenario import ScenarioConfig
@@ -327,6 +328,20 @@ class TestSweepAndCompare:
         assert [(r["seeds"], r["distinct_runs"]) for r in rows] == [(2, 2)]
         last = (tmp_path / "rand" / "sweep.csv").read_text().splitlines()[-1]
         assert last.endswith(",2,2")
+
+    def test_negative_seed_refused_before_any_run(self, tmp_path, monkeypatch):
+        # The last seed is bad: the first must not run, and compare must not
+        # pretrain its checkpoint first.
+        calls = []
+        monkeypatch.setattr(Simulator, "run", lambda sim, until: calls.append(until))
+        monkeypatch.setattr(harness, "pretrain_predictor",
+                            lambda path, **kwargs: calls.append(path))
+        for experiment in (target_sweep, compare_iaqm):
+            with pytest.raises(ValueError, match="seeds must be >= 0, got -1"):
+                experiment(small_cfg(pairs=1), tmp_path / "exp", seeds=(1, -1),
+                           disciplines=("codel",), jobs=1)
+        assert calls == []
+        assert not (tmp_path / "exp").exists()
 
     def test_retrain_demo_outputs(self, tmp_path, tiny_checkpoint):
         cfg = replace(ScenarioConfig(), pairs=2, duration_s=7,

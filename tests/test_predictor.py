@@ -43,15 +43,20 @@ class TestWindows:
             build_windows(np.arange(10))
 
     def test_matches_bruteforce_slices(self):
+        # Lengths from the one-window minimum up; a float64 series is viewed,
+        # never copied, and the windows are read-only.
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            n = int(rng.integers(11, 200))
+        lengths = [11, 75, 6000] + [int(n) for n in rng.integers(11, 200, size=100)]
+        for n in lengths:
             series = rng.integers(0, 50, size=n)
             X, y = build_windows(series)
             assert X.shape == (n - 10, 10)
-            for r in range(n - 10):
-                assert list(X[r]) == list(series[r:r + 10])
-                assert y[r] == series[r + 10]
+            assert np.array_equal(X, [series[r:r + 10] for r in range(n - 10)])
+            assert np.array_equal(y, [series[r + 10] for r in range(n - 10)])
+            floats = series.astype(np.float64)
+            X, y = build_windows(floats)
+            assert np.shares_memory(X, floats) and np.shares_memory(y, floats)
+            assert not X.flags.writeable
 
     def test_shift_consumes_one_sample(self):
         series = np.arange(30)
