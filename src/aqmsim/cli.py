@@ -9,6 +9,7 @@ from functools import partial
 
 from . import harness
 from .engine import MS
+from .predictor import STEPS, min_series_length
 from .scenario import ScenarioConfig, _scaled_int, apply_overrides, load_config
 
 
@@ -20,7 +21,8 @@ def _add_common(p: argparse.ArgumentParser, seed: bool, duration: bool) -> None:
         p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     if duration:
-        p.add_argument("--duration-s", type=int, help="simulated seconds override")
+        p.add_argument("--duration-s", type=_int_at_least(1),
+                       help="simulated seconds override")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="config override, repeatable")
 
@@ -36,15 +38,22 @@ def _build_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _seed(text: str) -> int:
-    """A seed: an integer >= 0, as numpy's seed sequences take."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer seed >= 0, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer >= `least`; argparse reports a refused
+    value with the flag's name."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return convert
+
+
+# A seed is an integer >= 0, as numpy's seed sequences take.
+_seed = _int_at_least(0)
 
 
 def _target_ms(text: str) -> float:
@@ -83,7 +92,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--targets-ms", default="0.05,0.5,1,2,4,6",
                          help="comma-separated target values in ms")
     p_sweep.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
-    p_sweep.add_argument("--sweep-duration-s", type=int, default=20,
+    p_sweep.add_argument("--sweep-duration-s", type=_int_at_least(1), default=20,
                          help="simulated seconds per sweep point (default 20)")
 
     p_cmp = command("compare", help="intelligent vs static arms")
@@ -92,14 +101,17 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--disciplines", default="codel,fq_codel")
     # Only the experiments fan out; run and retrain-demo refuse --jobs.
     for p in (p_sweep, p_cmp):
-        p.add_argument("--jobs", type=int, default=0,
+        p.add_argument("--jobs", type=_int_at_least(0), default=0,
                        help="parallel worker processes (0 = cpu count)")
 
     p_pre = command("pretrain", help="pre-train the congestion forecaster")
     p_pre.add_argument("--trace", help="trace CSV (interval_index,ece_count); "
                                        "omitted = synthetic bursty trace")
     p_pre.add_argument("--synth-seed", type=_seed, default=1234)
-    p_pre.add_argument("--length", type=int, default=6000)
+    least = min_series_length(STEPS)
+    p_pre.add_argument("--length", type=_int_at_least(least), default=6000,
+                       help=f"synthetic trace samples (default 6000; at least {least}, "
+                            f"so that the training split holds a {STEPS}-step window)")
     p_pre.add_argument("--epochs", type=int, default=100)
     p_pre.add_argument("--out", default="out")
 
@@ -156,6 +168,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "pretrain":
+        if args.epochs < 0:
+            raise ValueError(f"--epochs must be >= 0, got {args.epochs}")
         os.makedirs(args.out, exist_ok=True)
         ckpt = os.path.join(args.out, "pretrained.json")
         _, report = harness.pretrain_predictor(

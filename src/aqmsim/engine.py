@@ -18,12 +18,12 @@ SECOND = 1_000_000_000
 _NO_ARG = object()
 
 
-def transmit_delay(size_bytes: int, bandwidth_bps: int, prop_delay_ns: int = 0) -> int:
-    """Serialization plus propagation delay in integer ns (round-half-up)."""
+def transmit_delay(size_bytes: int, bandwidth_bps: int) -> int:
+    """Serialization delay in integer ns (round-half-up)."""
     if bandwidth_bps <= 0:
         raise ValueError("bandwidth_bps must be positive")
     num = size_bytes * 8 * SECOND
-    return (num + bandwidth_bps // 2) // bandwidth_bps + prop_delay_ns
+    return (num + bandwidth_bps // 2) // bandwidth_bps
 
 
 class Simulator:

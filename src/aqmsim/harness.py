@@ -355,8 +355,11 @@ def _simulate_summary(task):
     return simulate(cfg, seed).summary
 
 
-def _validate_all(tasks) -> None:
-    """Check every task's config and seed before any task runs."""
+def _validate_all(tasks, jobs: int) -> None:
+    """Check the worker count, and every task's config and seed, before any
+    task runs."""
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0 (0 = cpu count), got {jobs}")
     for _, cfg, seed in tasks:
         cfg.validate()
         if seed < 0:
@@ -367,7 +370,7 @@ def _run_labelled(tasks, jobs: int):
     """Run (label, cfg, seed) tasks in order; fan out when jobs > 1 (0 = cpu
     count). Returns the summaries in task order, and grouped by label with
     the labels in first-seen order."""
-    if jobs < 1:
+    if jobs == 0:
         jobs = os.cpu_count() or 1
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
@@ -417,7 +420,7 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
                               duration_s=duration_s, target_ns=target_ns,
                               interval_ns=20 * target_ns)
             tasks += [((disc, t_ms), run_cfg, seed) for seed in seeds]
-    _validate_all(tasks)
+    _validate_all(tasks, jobs)
     os.makedirs(outdir, exist_ok=True)
     _, groups = _run_labelled(tasks, jobs)
     out_rows = [{
@@ -453,7 +456,7 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
              for arm, smart in (("static", False), ("intelligent", True))
              for seed in seeds]
     # A bad arm fails here, not after a pretrain of minutes.
-    _validate_all(tasks)
+    _validate_all(tasks, jobs)
     os.makedirs(outdir, exist_ok=True)
     if not cfg.checkpoint and not os.path.exists(checkpoint):
         pretrain_predictor(checkpoint)

@@ -192,12 +192,10 @@ class Host:
     """End host with a single uplink; hands each packet to the handler of
     its flow's end on this host."""
 
-    __slots__ = ("sim", "node_id", "name", "egress", "handlers")
+    __slots__ = ("node_id", "egress", "handlers")
 
-    def __init__(self, sim, node_id: int, name: str):
-        self.sim = sim
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.name = name
         self.egress = None
         self.handlers = {}
 
@@ -213,12 +211,11 @@ class Router:
     """Static routing by destination node id, with an optional tap that
     counts ECE-flagged, non-negotiation packets headed to one side."""
 
-    __slots__ = ("sim", "node_id", "name", "routes", "ece_count_ids", "ece_hook")
+    __slots__ = ("sim", "node_id", "routes", "ece_count_ids", "ece_hook")
 
-    def __init__(self, sim, node_id: int, name: str):
+    def __init__(self, sim, node_id: int):
         self.sim = sim
         self.node_id = node_id
-        self.name = name
         self.routes = {}
         self.ece_count_ids = frozenset()
         self.ece_hook = None
@@ -288,12 +285,12 @@ class Topology:
         self.cfg = cfg
         n = cfg.pairs
         ids = iter(range(2 * n + 4))
-        self.hosts_b = [Host(sim, next(ids), f"b{i}") for i in range(n)]
-        self.hosts_a = [Host(sim, next(ids), f"a{i}") for i in range(n)]
-        self.mon_b = Host(sim, next(ids), "monB")
-        self.mon_a = Host(sim, next(ids), "monA")
-        self.r1 = Router(sim, next(ids), "R1")
-        self.r2 = Router(sim, next(ids), "R2")
+        self.hosts_b = [Host(next(ids)) for _ in range(n)]
+        self.hosts_a = [Host(next(ids)) for _ in range(n)]
+        self.mon_b = Host(next(ids))
+        self.mon_a = Host(next(ids))
+        self.r1 = Router(sim, next(ids))
+        self.r2 = Router(sim, next(ids))
 
         access = []
         if cfg.random_topology:

@@ -31,6 +31,20 @@ def neurons_per_layer(n_in: int, n_samples: int, n_layers: int) -> int:
     return math.ceil((n_in + math.sqrt(n_samples)) / n_layers)
 
 
+def train_rows(n_samples: int, steps: int) -> int:
+    """Window rows whose target falls inside the first 80% of a series'
+    samples (the training split); below 1 the split holds no window."""
+    return int(n_samples * TRAIN_SPLIT) - steps
+
+
+def min_series_length(steps: int) -> int:
+    """The fewest samples whose training split holds one window."""
+    n = steps + 1
+    while train_rows(n, steps) < 1:
+        n += 1
+    return n
+
+
 @dataclass
 class EceSeries:
     """Counts of ECE-marked (non-negotiation) packets per fixed interval."""
@@ -159,10 +173,10 @@ class LstmForecaster:
         self.norm_min = 0.0
         self.norm_max = 0.0
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C53544D]))
-        # Arrays a training step writes, kept between steps by name at the
-        # largest batch seen: first-touch page faults on fresh multi-megabyte
-        # arrays cost about as much as a step's arithmetic. Emptied when
-        # training ends.
+        # Arrays a forward pass and a training step write, kept between
+        # passes by name at the largest batch seen: first-touch page faults
+        # on fresh multi-megabyte arrays cost about as much as a step's
+        # arithmetic. Emptied when training, scoring or a forecast ends.
         self._scratch = {}
         h = hidden
         self._shapes = []
@@ -212,18 +226,17 @@ class LstmForecaster:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _forward(self, X: np.ndarray, masks=None, keep: bool = False):
+    def _forward(self, X: np.ndarray, masks=None):
         """Run the recurrence over a (B, steps) batch.
 
-        Returns the predictions, the BPTT cache (with `keep`, for training;
-        None otherwise) and the top layer's last hidden state. Per layer the
-        cache holds the layer's (B, T, D) input and step-major slabs: gate
-        sigmoids S (T, B, 4H), whose g block is then overwritten with the
-        input gate i (the factor the g block takes in backward), g =
-        tanh(z_g) and tanh(c) G and TC (T, B, H), and cell and hidden states
-        C and Hs (T + 1, B, H; slot 0 is the zero initial state). Without
-        `keep`, S, G and TC hold only the current step and C the current and
-        previous.
+        Returns the predictions, the BPTT cache and the top layer's last
+        hidden state. Per layer the cache holds the layer's (B, T, D) input
+        and step-major slabs: gate sigmoids S (T, B, 4H), whose g block is
+        then overwritten with the input gate i (the factor the g block takes
+        in backward), g = tanh(z_g) and tanh(c) G and TC (T, B, H), and cell
+        and hidden states C and Hs (T + 1, B, H; slot 0 is the zero initial
+        state). The cache lives in the model's scratch arrays, so it is valid
+        until the next call.
 
         Layer outputs are copied to a batch-major (B, T, H) array, the layout
         the products with the next layer's weights (and the output head's
@@ -232,23 +245,17 @@ class LstmForecaster:
         """
         B, T = X.shape
         H = self.hidden
-        n_keep = T if keep else 1
-        n_cell = T + 1 if keep else 2
-        # Training keeps every layer's arrays for BPTT; inference shares one
-        # set across layers, alternating two output arrays.
-        store = self._scratch if keep else {}
+        store = self._scratch
         z, zh, d = (_buffer(store, name, (B, 4 * H)) for name in ("z", "zh", "d"))
         ig = _buffer(store, "ig", (B, H))
-        cache = [] if keep else None
+        cache = []
         layer_in = X[:, :, None]  # (B, T, 1): layer 0's input width is 1
         for l in range(self.layers):
             Wx, Wh, b = self.Wx[l], self.Wh[l], self.b[l]
-            lk = l if keep else None
-            S = _buffer(store, ("S", lk), (n_keep, B, 4 * H))
-            G, TC = (_buffer(store, (name, lk), (n_keep, B, H)) for name in ("G", "TC"))
-            C = _buffer(store, ("C", lk), (n_cell, B, H))
-            Hs = _buffer(store, ("Hs", lk), (T + 1, B, H))
-            outs = _buffer(store, ("outs", l if keep else l % 2), (B, T, H))
+            S = _buffer(store, ("S", l), (T, B, 4 * H))
+            G, TC = (_buffer(store, (name, l), (T, B, H)) for name in ("G", "TC"))
+            C, Hs = (_buffer(store, (name, l), (T + 1, B, H)) for name in ("C", "Hs"))
+            outs = _buffer(store, ("outs", l), (B, T, H))
             C[0] = 0.0
             Hs[0] = 0.0
             for t in range(T):
@@ -260,20 +267,17 @@ class LstmForecaster:
                 np.matmul(Hs[t], Wh.T, out=zh)
                 z += zh
                 z += b
-                s, g, tc = S[t % n_keep], G[t % n_keep], TC[t % n_keep]
+                s, g, tc, c = S[t], G[t], TC[t], C[t + 1]
                 # One sigmoid over all 4H columns; the g block's is unused.
                 _sigmoid(z, s, zh, d)
                 np.tanh(z[:, 2 * H:3 * H], out=g)
-                c_prev, c = C[t % n_cell], C[(t + 1) % n_cell]
-                np.multiply(s[:, H:2 * H], c_prev, out=c)
+                np.multiply(s[:, H:2 * H], C[t], out=c)
                 np.multiply(s[:, :H], g, out=ig)
                 c += ig
                 np.tanh(c, out=tc)
                 np.multiply(s[:, 3 * H:], tc, out=Hs[t + 1])
-                if keep:
-                    s[:, 2 * H:3 * H] = s[:, :H]
-            if keep:
-                cache.append((layer_in, S, G, TC, C, Hs))
+                s[:, 2 * H:3 * H] = s[:, :H]
+            cache.append((layer_in, S, G, TC, C, Hs))
             steps_out = Hs[1:].transpose(1, 0, 2)
             if l < self.layers - 1 and masks is not None:
                 layer_in = np.multiply(steps_out, masks[l][:, None, :], out=outs)
@@ -290,6 +294,7 @@ class LstmForecaster:
         if w.shape[1] != self.steps:
             raise ValueError(f"window must have {self.steps} values")
         yhat, _, _ = self._forward(w)
+        self._scratch.clear()
         return float(yhat[0])
 
     def predict_next_count(self, recent_counts) -> float:
@@ -309,7 +314,7 @@ class LstmForecaster:
         """
         B, T = X.shape
         H = self.hidden
-        yhat, cache, top_last = self._forward(X, masks, keep=True)
+        yhat, cache, top_last = self._forward(X, masks)
         err = yhat - y
         loss = float(np.mean(err ** 2))
         dy = 2.0 * err / B
@@ -379,9 +384,9 @@ class LstmForecaster:
     # -- training -------------------------------------------------------------
 
     def _split_rows(self, n_samples: int) -> int:
-        """Window rows whose target falls inside the first 80% of samples;
-        a series that leaves the training subset no window is refused."""
-        n_train = int(n_samples * TRAIN_SPLIT) - self.steps
+        """train_rows() of the series; a series that leaves the training
+        split no window is refused."""
+        n_train = train_rows(n_samples, self.steps)
         if n_train < 1:
             raise ValueError(f"training subset of a {n_samples}-sample series has "
                              f"no complete {self.steps}-step window")
@@ -479,7 +484,8 @@ class LstmForecaster:
 
     def _report(self, X, y, n_train: int, epochs: int) -> FitReport:
         # Each split is scored in BATCH_SIZE-row slices from its first row, so
-        # working memory is bounded by the batch, not the series. OpenBLAS
+        # working memory, one slice's BPTT cache, is bounded by the batch, not
+        # the series. OpenBLAS
         # works in row blocks, and a row's last bits can depend on its offset
         # in a pass: the slices keep each offset modulo BATCH_SIZE (a multiple
         # of the blocks), so they give the bits of one pass over the split. A
@@ -492,6 +498,7 @@ class LstmForecaster:
                 ends.pop()
             preds.append(np.concatenate([self._forward(part[lo:hi])[0] for lo, hi
                                          in zip([0] + ends, ends + [len(part)])]))
+        self._scratch.clear()
         pred_tr, pred_te = preds
         return FitReport(
             rmse_train=rmse(y[:n_train], pred_tr),

@@ -6,7 +6,7 @@ import pytest
 from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.engine import Simulator
-from aqmsim.predictor import LstmForecaster, save_checkpoint
+from aqmsim.predictor import STEPS, LstmForecaster, min_series_length, save_checkpoint
 
 
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
@@ -251,6 +251,48 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, runs, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("pretrain", "--length", "-5"),
+    ("pretrain", "--length", "0"),
+    # Two windows, but the training split (the first 9 samples) holds none.
+    ("pretrain", "--length", "12"),
+    ("sweep", "--jobs", "-3"),
+    ("compare", "--jobs", "-3"),
+    ("sweep", "--sweep-duration-s", "0"),
+    ("run", "--duration-s", "0"),
+    ("compare", "--duration-s", "0"),
+    ("retrain-demo", "--duration-s", "0"),
+])
+def test_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, runs, monkeypatch,
+                                                   command, flag, value):
+    pretrains = []
+    monkeypatch.setattr(harness, "pretrain_predictor",
+                        lambda path, **kwargs: pretrains.append(path))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *COMMAND_REST[command], flag, value, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and repr(value) in err
+    assert runs == [] and pretrains == []
+    assert not out.exists()
+
+
+def test_pretrain_length_minimum_is_the_split_rule(tmp_path):
+    # The least --length the CLI takes is the shortest series the forecaster
+    # trains on: 14 samples at 10 steps.
+    least = min_series_length(STEPS)
+    assert least == 14
+    model = LstmForecaster(steps=STEPS, layers=1, hidden=2, seed=1)
+    assert model._split_rows(least) == 1
+    with pytest.raises(ValueError, match="no complete"):
+        model._split_rows(least - 1)
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--length", str(least), "--epochs", "1",
+                 "--out", str(out)]) == 0
+    assert (out / "pretrained.json").exists()
+
+
 # The commands that load a checkpoint; each must refuse a bad one before
 # the simulator runs. compare is given its checkpoint, so it pretrains none.
 CHECKPOINT_COMMANDS = [
@@ -344,5 +386,5 @@ def test_pretrain_negative_epochs_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error:")
-    assert "epochs" in err
-    assert not os.path.exists(out / "fit_report.csv")
+    assert "--epochs" in err
+    assert not out.exists()

@@ -65,8 +65,8 @@ def test_random_event_storm_is_deterministic():
 
 def test_transmit_delay_examples():
     assert transmit_delay(1500, 20 * 10**6) == 600_000
-    assert transmit_delay(0, 55 * 10**6, 20 * MS) == 20 * MS
-    assert transmit_delay(1500, 100 * 10**6, 20 * MS) == 20 * MS + 120 * US
+    assert transmit_delay(0, 55 * 10**6) == 0
+    assert transmit_delay(1500, 100 * 10**6) == 120 * US
     with pytest.raises(ValueError):
         transmit_delay(1500, 0)
 

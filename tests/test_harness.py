@@ -343,6 +343,20 @@ class TestSweepAndCompare:
         assert calls == []
         assert not (tmp_path / "exp").exists()
 
+    def test_negative_jobs_refused_before_any_run(self, tmp_path, monkeypatch):
+        # Only 0 means "cpu count"; a negative count is an error, found
+        # before any run and before compare pretrains its checkpoint.
+        calls = []
+        monkeypatch.setattr(Simulator, "run", lambda sim, until: calls.append(until))
+        monkeypatch.setattr(harness, "pretrain_predictor",
+                            lambda path, **kwargs: calls.append(path))
+        for experiment in (target_sweep, compare_iaqm):
+            with pytest.raises(ValueError, match="jobs must be >= 0 .*, got -1"):
+                experiment(small_cfg(pairs=1), tmp_path / "exp", seeds=(1,),
+                           disciplines=("codel",), jobs=-1)
+        assert calls == []
+        assert not (tmp_path / "exp").exists()
+
     def test_retrain_demo_outputs(self, tmp_path, tiny_checkpoint):
         cfg = replace(ScenarioConfig(), pairs=2, duration_s=7,
                       random_topology=True, bottleneck_bw_bps=10 * 10**6)

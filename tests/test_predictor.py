@@ -251,16 +251,20 @@ class TestTraining:
         assert np.array_equal(m.get_flat(), theta0)
         assert (m.norm_min, m.norm_max) == bounds0
 
-    def test_report_pass_keeps_no_bptt_cache(self):
+    def test_report_pass_bounded_by_the_batch(self):
         # The end-of-fit report of the default model on 5,990 windows (the
-        # 6,000-sample default trace) runs inference only, in batch-sized
-        # slices. With every step's BPTT cache kept it peaked at 285 MB, and
-        # as one pass per split at 60 MB.
+        # 6,000-sample default trace) runs in batch-sized slices, each
+        # keeping one slice's BPTT cache (4.7 MB peak). Scored in one pass
+        # with the cache it peaked at 285 MB, and as one cache-free pass per
+        # split at 60 MB. The cache is emptied when the report returns.
         series = synth_trace(1, 6000).counts
         m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
         report, peak = traced_peak(m.fit, series, epochs=0)
         assert report.n_train_windows + report.n_test_windows == 5990
         assert peak < 8e6, f"report pass peaked at {peak / 1e6:.1f} MB"
+        assert m._scratch == {}
+        m.predict_next_count(series[-10:])
+        assert m._scratch == {}
 
     def test_retrain_allocates_no_report(self):
         # The control loop's retrain: one epoch of the default model on

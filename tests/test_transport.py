@@ -57,10 +57,8 @@ class TestNegotiation:
 class StubHost:
     """Captures everything a connection endpoint transmits."""
 
-    def __init__(self, sim, node_id, name):
-        self.sim = sim
+    def __init__(self, node_id):
         self.node_id = node_id
-        self.name = name
         self.sent = []
         self.egress = self
 
@@ -72,8 +70,8 @@ class StubHost:
 
 
 def stub_conn(sim, ecn=True):
-    src = StubHost(sim, 0, "src")
-    dst = StubHost(sim, 1, "dst")
+    src = StubHost(0)
+    dst = StubHost(1)
     conn = Connection(sim, 0, src, dst, ecn_capable=ecn)
     return conn, src, dst
 
@@ -288,8 +286,8 @@ class TestEndToEndPair:
 
     def build(self, bw=10 * 10**6, prop=5 * MS):
         sim = Simulator()
-        b = Host(sim, 0, "b")
-        a = Host(sim, 1, "a")
+        b = Host(0)
+        a = Host(1)
         b.egress = EgressPort(sim, bw, prop, TailDrop(AqmParams()), a)
         a.egress = EgressPort(sim, bw, prop, TailDrop(AqmParams()), b)
         conn = Connection(sim, 0, b, a)
@@ -311,7 +309,7 @@ class TestEndToEndPair:
         conn.rtt_cb = samples.append
         # SYN and SYN-ACK are 64 B each way: one serialization plus one
         # propagation delay per direction.
-        rtt = 2 * transmit_delay(64, bw, prop)
+        rtt = 2 * (transmit_delay(64, bw) + prop)
         sim.run(rtt - 1)
         assert not conn.established
         sim.run(rtt)
