@@ -28,9 +28,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool, duration: bool) -> None:
 
 
 def _build_config(args) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
+    cfg = load_config(args.config) if args.config else ScenarioConfig()
     cfg = apply_overrides(cfg, args.overrides)
     if getattr(args, "duration_s", None) is not None:
         cfg = replace(cfg, duration_s=args.duration_s)
@@ -170,7 +168,6 @@ def _dispatch(args) -> int:
     if args.command == "pretrain":
         if args.epochs < 0:
             raise ValueError(f"--epochs must be >= 0, got {args.epochs}")
-        os.makedirs(args.out, exist_ok=True)
         ckpt = os.path.join(args.out, "pretrained.json")
         _, report = harness.pretrain_predictor(
             ckpt, trace_path=args.trace, synth_seed=args.synth_seed,

@@ -16,18 +16,19 @@ import numpy as np
 
 from .engine import MS, SECOND, US, Simulator
 from .predictor import (STEPS, LstmForecaster, ingest_trace, load_checkpoint,
-                        neurons_per_layer, save_checkpoint, synth_trace)
+                        min_series_length, neurons_per_layer, save_checkpoint,
+                        synth_trace)
 from .rng import RngHub
 from .scenario import ScenarioConfig, _scaled_int
 from .transport import Connection
 from .network import PingProbe, Topology
-from .tuner import QLearningTuner, power_reward
+from .tuner import INTERVAL_FACTOR, QLearningTuner, power_reward
 
 BIN_NS = 100 * MS
 EPOCH_BINS = SECOND // BIN_NS  # ECE bins per 1 s decision epoch
 RETRAIN_BIN_NS = 1 * MS
 RETRAIN_DEMO_COLLECT_S = 6  # seconds of 1 ms bins that retrain-demo trains on
-PING_INTERVAL_NS = 100 * MS  # ten request/response pairs per epoch
+RAND_START_MAX_S = 10
 TRANSFER_PROBE_BYTES = 1500  # single-segment probe transfers time the path
 
 # One column table per output file: (name, format spec) in file order. A
@@ -140,14 +141,15 @@ class SimContext:
         r1.ece_hook = self._note_ece
 
         # Bulk transfers B -> A plus the monitor pair's probe connection.
-        # The monitor comes up first; load starts at bulk_start_ms.
+        # The monitor comes up first; load starts at bulk_start_ms, or on a
+        # random topology at a draw in [0, RAND_START_MAX_S) s per flow.
         self.conns = []
         stream = self.rng_hub.stream("flow-starts") if cfg.random_topology else None
         for i in range(cfg.pairs):
             if cfg.random_topology:
-                start = int(stream.integers(0, cfg.rand_start_max_s * SECOND))
+                start = int(stream.integers(0, RAND_START_MAX_S * SECOND))
             else:
-                start = cfg.bulk_start_ms * MS + i * cfg.flow_stagger_ms * MS
+                start = cfg.bulk_start_ms * MS
             conn = Connection(self.sim, i, self.topo.hosts_b[i], self.topo.hosts_a[i],
                               ecn_capable=cfg.ecn, start_ns=start)
             conn.start()
@@ -163,11 +165,10 @@ class SimContext:
         self._conn_rtt_samples = []
         self.monitor.rtt_cb = self._conn_rtt_samples.append
         self.pinger = PingProbe(self.sim, cfg.pairs + 1, self.topo.mon_b,
-                                self.topo.mon_a, interval_ns=PING_INTERVAL_NS,
-                                start_ns=cfg.monitor_start_ms * MS)
+                                self.topo.mon_a, start_ns=cfg.monitor_start_ms * MS)
         self.pinger.start()
         self.transfer_probe = PingProbe(self.sim, cfg.pairs + 2, self.topo.mon_b,
-                                        self.topo.mon_a, interval_ns=PING_INTERVAL_NS,
+                                        self.topo.mon_a,
                                         start_ns=cfg.monitor_start_ms * MS + 50 * MS,
                                         request_size=TRANSFER_PROBE_BYTES)
         self.transfer_probe.start()
@@ -403,7 +404,8 @@ def _require_runs(**lists) -> None:
 def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
                  seeds=(1, 2, 3), disciplines=("codel", "fq_codel"),
                  duration_s: int = 20, jobs: int = 0) -> list:
-    """Fixed-topology sweep of (target, interval = 20x target) per discipline.
+    """Fixed-topology sweep of (target, interval = INTERVAL_FACTOR x target)
+    per discipline, the rule of the tuner's action grid.
 
     Returns one dict per (discipline, target) with seed-averaged mean mRTT
     and mean throughput; also written to sweep.csv. `distinct_runs` counts
@@ -418,7 +420,7 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
             target_ns = ms_to_ns(t_ms)
             run_cfg = replace(cfg, disc=disc, intelligent=False,
                               duration_s=duration_s, target_ns=target_ns,
-                              interval_ns=20 * target_ns)
+                              interval_ns=INTERVAL_FACTOR * target_ns)
             tasks += [((disc, t_ms), run_cfg, seed) for seed in seeds]
     _validate_all(tasks, jobs)
     os.makedirs(outdir, exist_ok=True)
@@ -426,7 +428,7 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
     out_rows = [{
         "disc": disc,
         "target_us": int(round(t_ms * 1000)),
-        "interval_us": int(round(t_ms * 1000)) * 20,
+        "interval_us": int(round(t_ms * 1000)) * INTERVAL_FACTOR,
         "mrtt_us_mean": _mean(runs, "mean_mrtt_us"),
         "throughput_bps_mean": _mean(runs, "mean_throughput_bps"),
         "conn_rtt_us_mean": _mean(runs, "mean_conn_rtt_us"),
@@ -490,11 +492,18 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
                        length: int = 6000, epochs: int = 100,
                        layers: int = 3, hidden: int = 0,
                        report_path=None, model_seed: int = 7):
-    """Train a forecaster on a trace (CSV path or synthetic) and checkpoint it."""
+    """Train a forecaster on a trace (CSV path or synthetic) and checkpoint it;
+    the checkpoint's directory is made only once the trace has passed its checks."""
     if trace_path is not None:
         series = ingest_trace(trace_path)
+        least = min_series_length(STEPS)
+        if len(series.counts) < least:
+            raise ValueError(f"trace {trace_path} has {len(series.counts)} samples; "
+                             f"pretraining needs at least {least}, so that the "
+                             f"training split holds a {STEPS}-step window")
     else:
         series = synth_trace(synth_seed, length)
+    os.makedirs(os.path.dirname(checkpoint_path) or os.curdir, exist_ok=True)
     if hidden <= 0:
         hidden = neurons_per_layer(STEPS, len(series.counts), layers)
     model = LstmForecaster(steps=STEPS, layers=layers, hidden=hidden,

@@ -211,11 +211,10 @@ class Router:
     """Static routing by destination node id, with an optional tap that
     counts ECE-flagged, non-negotiation packets headed to one side."""
 
-    __slots__ = ("sim", "node_id", "routes", "ece_count_ids", "ece_hook")
+    __slots__ = ("sim", "routes", "ece_count_ids", "ece_hook")
 
-    def __init__(self, sim, node_id: int):
+    def __init__(self, sim):
         self.sim = sim
-        self.node_id = node_id
         self.routes = {}
         self.ece_count_ids = frozenset()
         self.ece_hook = None
@@ -241,14 +240,14 @@ class PingProbe:
     """
 
     REPLY_SIZE = 64
+    INTERVAL_NS = 100 * MS  # ten request/response pairs per 1 s epoch
 
-    def __init__(self, sim, cid: int, src, dst, interval_ns: int = 100 * MS,
-                 start_ns: int = 0, request_size: int = 64):
+    def __init__(self, sim, cid: int, src, dst, start_ns: int = 0,
+                 request_size: int = 64):
         self.sim = sim
         self.cid = cid
         self.src = src
         self.dst = dst
-        self.interval_ns = interval_ns
         self.start_ns = start_ns
         self.request_size = request_size
         self.samples = []
@@ -265,7 +264,7 @@ class PingProbe:
                      now, self.dst.node_id)
         self._seq += 1
         self.src.egress.send(pkt)
-        self.sim.schedule(now + self.interval_ns, self._send_request)
+        self.sim.schedule(now + self.INTERVAL_NS, self._send_request)
 
     def on_receiver_receive(self, pkt) -> None:
         reply = Packet(self.cid, pkt.seq, self.REPLY_SIZE, ECT0, F_ACK,
@@ -276,6 +275,12 @@ class PingProbe:
         self.samples.append(self.sim.now - pkt.sent_at)
 
 
+# The random topology's access links: bandwidth and one-way propagation,
+# each drawn uniformly from these inclusive integer ranges per sender.
+RAND_ACCESS_BW_MBPS = (50, 200)
+RAND_PROP_MS = (1, 20)
+
+
 class Topology:
     """Dumbbell: sender hosts behind edge router R1, one bottleneck link to
     R2, receiver hosts behind R2, and one monitor pair."""
@@ -284,63 +289,56 @@ class Topology:
         self.sim = sim
         self.cfg = cfg
         n = cfg.pairs
-        ids = iter(range(2 * n + 4))
+        ids = iter(range(2 * n + 2))
         self.hosts_b = [Host(next(ids)) for _ in range(n)]
         self.hosts_a = [Host(next(ids)) for _ in range(n)]
         self.mon_b = Host(next(ids))
         self.mon_a = Host(next(ids))
-        self.r1 = Router(sim, next(ids))
-        self.r2 = Router(sim, next(ids))
+        self.r1 = Router(sim)
+        self.r2 = Router(sim)
 
-        access = []
+        configured = (cfg.access_bw_bps, cfg.access_prop_ns)
         if cfg.random_topology:
             rng = rng_hub.stream("topology")
-            for _ in range(n):
-                bw = int(rng.integers(cfg.rand_access_bw_min_mbps,
-                                      cfg.rand_access_bw_max_mbps + 1)) * 10**6
-                prop = int(rng.integers(cfg.rand_prop_min_ms,
-                                        cfg.rand_prop_max_ms + 1)) * MS
-                access.append((bw, prop))
+            (bw_lo, bw_hi), (prop_lo, prop_hi) = RAND_ACCESS_BW_MBPS, RAND_PROP_MS
+            access = [(int(rng.integers(bw_lo, bw_hi + 1)) * 10**6,
+                       int(rng.integers(prop_lo, prop_hi + 1)) * MS) for _ in range(n)]
         else:
-            access = [(cfg.access_bw_bps, cfg.access_prop_ns)] * n
+            access = [configured] * n
 
         hash_seed = int(rng_hub.stream("fq-hash").integers(0, 2**63))
         self.aqm_params = AqmParams(cfg.target_ns, cfg.interval_ns,
                                     cfg.hard_limit, cfg.ecn)
         self.bottleneck = make_discipline(cfg.disc, self.aqm_params, hash_seed)
 
-        a_side = frozenset(h.node_id for h in self.hosts_a) | {self.mon_a.node_id}
+        b_hosts = self.hosts_b + [self.mon_b]
+        a_hosts = self.hosts_a + [self.mon_a]
 
         def link(bw, prop, dst):
             return Link(sim, bw, prop, cfg.hard_limit, dst)
 
-        # B-side uplinks and R1 return ports.
-        for host, (bw, prop) in zip(self.hosts_b, access):
-            host.egress = link(bw, prop, self.r1)
-            self.r1.routes[host.node_id] = link(bw, prop, host)
-        self.mon_b.egress = link(cfg.access_bw_bps, cfg.access_prop_ns, self.r1)
-        self.r1.routes[self.mon_b.node_id] = link(cfg.access_bw_bps,
-                                                  cfg.access_prop_ns, self.mon_b)
+        def attach(host, router, bw, prop):
+            """The host's uplink to the router and the router's port back."""
+            host.egress = link(bw, prop, router)
+            router.routes[host.node_id] = link(bw, prop, host)
+
+        # B side: the monitor keeps the configured access link.
+        for host, (bw, prop) in zip(b_hosts, access + [configured]):
+            attach(host, self.r1, bw, prop)
 
         # The single bottleneck R1 -> R2 carries every A-bound packet.
         bport = EgressPort(sim, cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns,
                            self.bottleneck, self.r2)
-        for dst_id in a_side:
-            self.r1.routes[dst_id] = bport
+        for host in a_hosts:
+            self.r1.routes[host.node_id] = bport
         self.bottleneck_port = bport
 
         # A-side links and the reverse bottleneck direction.
-        for host in self.hosts_a:
-            host.egress = link(cfg.exit_bw_bps, cfg.exit_prop_ns, self.r2)
-            self.r2.routes[host.node_id] = link(cfg.exit_bw_bps, cfg.exit_prop_ns, host)
-        self.mon_a.egress = link(cfg.exit_bw_bps, cfg.exit_prop_ns, self.r2)
-        self.r2.routes[self.mon_a.node_id] = link(cfg.exit_bw_bps, cfg.exit_prop_ns,
-                                                  self.mon_a)
-
+        for host in a_hosts:
+            attach(host, self.r2, cfg.exit_bw_bps, cfg.exit_prop_ns)
         rev = link(cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns, self.r1)
-        for host in self.hosts_b:
+        for host in b_hosts:
             self.r2.routes[host.node_id] = rev
-        self.r2.routes[self.mon_b.node_id] = rev
 
     def base_rtt_ns(self) -> int:
         """Idle round trip on the monitor path (propagation only)."""

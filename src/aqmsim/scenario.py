@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .aqm import DEFAULT_HARD_LIMIT, DEFAULT_INTERVAL, DEFAULT_TARGET
 from .engine import MS, US
 
 MBPS = 10**6
@@ -29,22 +30,16 @@ class ScenarioConfig:
     bottleneck_prop_ns: int = 0
     exit_bw_bps: int = 100 * MBPS
     exit_prop_ns: int = 0
-    target_ns: int = 5 * MS
-    interval_ns: int = 100 * MS
-    hard_limit: int = 1000
+    target_ns: int = DEFAULT_TARGET
+    interval_ns: int = DEFAULT_INTERVAL
+    hard_limit: int = DEFAULT_HARD_LIMIT
     alpha: float = 0.5
     gamma: float = 0.8
     epsilon: float = 0.5
     checkpoint: str = ""
     retrain_at_s: int = 6
     random_topology: bool = False
-    rand_access_bw_min_mbps: int = 50
-    rand_access_bw_max_mbps: int = 200
-    rand_prop_min_ms: int = 1
-    rand_prop_max_ms: int = 20
-    rand_start_max_s: int = 10
     bulk_start_ms: int = 50
-    flow_stagger_ms: int = 0
     monitor_start_ms: int = 0
 
     def validate(self) -> None:
@@ -67,13 +62,6 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.rand_access_bw_min_mbps > self.rand_access_bw_max_mbps:
-            raise ValueError("random access bandwidth range is inverted")
-        if self.rand_prop_min_ms > self.rand_prop_max_ms:
-            raise ValueError("random propagation range is inverted")
-        for key in ("rand_access_bw_min_mbps", "rand_start_max_s"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
         for key in NON_NEGATIVE_KEYS:
             if getattr(self, KEY_SPECS[key][0]) < 0:
                 raise ValueError(f"{key} must be >= 0")
@@ -122,13 +110,7 @@ KEY_SPECS = {
     "checkpoint": ("checkpoint", str),
     "retrain_at_s": ("retrain_at_s", int),
     "random_topology": ("random_topology", _parse_bool),
-    "rand_access_bw_min_mbps": ("rand_access_bw_min_mbps", int),
-    "rand_access_bw_max_mbps": ("rand_access_bw_max_mbps", int),
-    "rand_prop_min_ms": ("rand_prop_min_ms", int),
-    "rand_prop_max_ms": ("rand_prop_max_ms", int),
-    "rand_start_max_s": ("rand_start_max_s", int),
     "bulk_start_ms": ("bulk_start_ms", int),
-    "flow_stagger_ms": ("flow_stagger_ms", int),
     "monitor_start_ms": ("monitor_start_ms", int),
 }
 
@@ -136,8 +118,7 @@ KEY_SPECS = {
 # Delays and start offsets: a negative one would schedule events in the
 # past, or (retrain_at_s) silently never happen; 0 turns the retrain off.
 NON_NEGATIVE_KEYS = ("access_prop_ms", "bottleneck_prop_ms", "exit_prop_ms",
-                     "rand_prop_min_ms", "bulk_start_ms", "flow_stagger_ms",
-                     "monitor_start_ms", "retrain_at_s")
+                     "bulk_start_ms", "monitor_start_ms", "retrain_at_s")
 
 
 def apply_setting(cfg: ScenarioConfig, key: str, value: str, where: str = "") -> ScenarioConfig:
@@ -152,8 +133,8 @@ def apply_setting(cfg: ScenarioConfig, key: str, value: str, where: str = "") ->
     return replace(cfg, **{attr: parsed})
 
 
-def load_config(path, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    cfg = base if base is not None else ScenarioConfig()
+def load_config(path) -> ScenarioConfig:
+    cfg = ScenarioConfig()
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()

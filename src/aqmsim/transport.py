@@ -75,7 +75,7 @@ class Connection:
         # receiver
         "rcv_nxt", "ooo", "ece_pending", "delivered_bytes",
         # hooks
-        "rtt_cb", "receiver_log",
+        "rtt_cb",
     )
 
     def __init__(self, sim, cid: int, src, dst, *, ecn_capable: bool = True,
@@ -116,7 +116,6 @@ class Connection:
         self.delivered_bytes = 0
 
         self.rtt_cb = None
-        self.receiver_log = None
 
         src.attach(self, receiver_end=False)
         dst.attach(self, receiver_end=True)
@@ -319,8 +318,6 @@ class Connection:
             self.ece_pending = False
         if pkt.ecn == CE:
             self.ece_pending = True
-        if self.receiver_log is not None:
-            self.receiver_log.append(("data", pkt.ecn, pkt.flags))
         seq = pkt.seq
         if seq == self.rcv_nxt:
             self.rcv_nxt += MSS
@@ -333,6 +330,4 @@ class Connection:
         flags = F_ACK | F_ECE if self.ece_pending else F_ACK
         ack = Packet(self.cid, self.rcv_nxt, ACK_SIZE, NOT_ECT,
                      flags, now, self.src.node_id)
-        if self.receiver_log is not None:
-            self.receiver_log.append(("ack", self.ece_pending, flags))
         self.dst.egress.send(ack)

@@ -21,18 +21,13 @@ ACTION_STEP_NS = 50 * US
 INTERVAL_FACTOR = 20  # target is 5% of interval
 
 
-def discretize(value: float, max_ref: float, levels: int = N_LEVELS) -> int:
-    """floor(levels * value / max_ref), clamped into [0, levels-1]."""
+def discretize(value: float, max_ref: float) -> int:
+    """floor(N_LEVELS * value / max_ref), clamped into [0, N_LEVELS-1]."""
     if value < 0:
         raise ValueError("value must be nonnegative")
     if max_ref <= 0:
         return 0
-    level = int(levels * value / max_ref)
-    if level < 0:
-        return 0
-    if level > levels - 1:
-        return levels - 1
-    return level
+    return min(int(N_LEVELS * value / max_ref), N_LEVELS - 1)
 
 
 def action_to_params(index: int) -> tuple:

@@ -1,12 +1,16 @@
 """Shared test utilities: rank correlation, tiny oracles, a memory probe, the
-name of the BLAS kernel behind numpy's matmul, a trace writer and a setter
-of a forecaster's flat parameter vector."""
+name of the BLAS kernel behind numpy's matmul, a trace writer, a setter
+of a forecaster's flat parameter vector and a recorder of what a
+connection's receiver sees and sends."""
 
 import ctypes
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
+
+from aqmsim.packets import F_ECE, F_SYN
 
 
 def spearman(xs, ys) -> float:
@@ -102,3 +106,27 @@ def set_flat(model, flat) -> None:
     """Overwrite every forecaster parameter from one vector laid out as
     model.get_flat()."""
     model._flat[...] = flat
+
+
+def record_receiver(conn) -> list:
+    """The list that a run fills with what `conn`'s receiver sees and sends,
+    SYNs skipped: ("data", ecn, flags) for each segment that arrives, then
+    ("ack", ECE set, flags) for the ACK it answers with. Call before the
+    run; it wraps the receiver's handler and its host's uplink."""
+    log = []
+    host = conn.dst
+    handle, uplink = host.handlers[conn.cid], host.egress
+
+    def on_segment(pkt):
+        if not pkt.flags & F_SYN:
+            log.append(("data", pkt.ecn, pkt.flags))
+        handle(pkt)
+
+    def send(pkt):
+        if pkt.flow_id == conn.cid and not pkt.flags & F_SYN:
+            log.append(("ack", bool(pkt.flags & F_ECE), pkt.flags))
+        uplink.send(pkt)
+
+    host.handlers[conn.cid] = on_segment
+    host.egress = SimpleNamespace(send=send)
+    return log

@@ -20,7 +20,7 @@ from aqmsim.predictor import (LstmForecaster, build_windows, neurons_per_layer,
                               normalize, rmse, synth_trace)
 from aqmsim.scenario import ScenarioConfig
 from aqmsim.tuner import q_update
-from helpers import set_flat, spearman, value_iteration
+from helpers import record_receiver, set_flat, spearman, value_iteration
 
 SWEEP_SECONDS = 20
 COMPARE_SECONDS = 300
@@ -169,14 +169,13 @@ def test_c07_ecn_semantics_end_to_end():
     cfg = replace(ScenarioConfig(), pairs=6, duration_s=10, disc="codel",
                   target_ns=1 * MS, interval_ns=20 * MS, hard_limit=60)
     ctx = SimContext(cfg, seed=11)
-    for conn in ctx.conns:
-        conn.receiver_log = []
+    logs = {conn: record_receiver(conn) for conn in ctx.conns}
     ctx.run()
 
     # (a) CE appears only on packets from ECN-negotiated (ECT) senders
     ce_seen = 0
     for conn in ctx.conns:
-        for kind, ecn, flags in conn.receiver_log:
+        for kind, ecn, flags in logs[conn]:
             if kind == "data" and ecn == CE:
                 assert conn.ecn_negotiated
                 ce_seen += 1
@@ -186,7 +185,7 @@ def test_c07_ecn_semantics_end_to_end():
     acks_checked = 0
     for conn in ctx.conns:
         pending = False
-        for kind, ecn, flags in conn.receiver_log:
+        for kind, ecn, flags in logs[conn]:
             if kind == "data":
                 if flags & 16:
                     pending = False
@@ -209,7 +208,7 @@ def test_c07_ecn_semantics_end_to_end():
     stats = ctx.topo.bottleneck.stats
     assert stats.dropped_overflow > 0
     delivered_ce = sum(1 for conn in ctx.conns
-                       for kind, ecn, _ in conn.receiver_log
+                       for kind, ecn, _ in logs[conn]
                        if kind == "data" and ecn == CE)
     queued_ce = sum(1 for p in ctx.topo.bottleneck.queued_packets() if p.ecn == CE)
     assert delivered_ce + queued_ce <= stats.marked

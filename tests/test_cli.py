@@ -125,13 +125,9 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     ("access_prop_ms=-5", "access_prop_ms"),
     ("bottleneck_prop_ms=-5", "bottleneck_prop_ms"),
     ("exit_prop_ms=-5", "exit_prop_ms"),
-    ("rand_prop_min_ms=-5", "rand_prop_min_ms"),
     ("bulk_start_ms=-5", "bulk_start_ms"),
-    ("flow_stagger_ms=-5", "flow_stagger_ms"),
     ("monitor_start_ms=-5", "monitor_start_ms"),
     ("access_prop_ms=0", "access_prop_ms + bottleneck_prop_ms + exit_prop_ms"),
-    ("rand_start_max_s=0", "rand_start_max_s"),
-    ("rand_access_bw_min_mbps=0", "rand_access_bw_min_mbps"),
     ("retrain_at_s=-1", "retrain_at_s"),
     ("target_us=inf", "target_us"),
     ("access_prop_ms=1e400", "access_prop_ms"),
@@ -149,6 +145,47 @@ def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, na
     assert err.count("\n") == 1 and err.startswith("error:")
     assert named in err
     assert "Traceback" not in err
+
+
+# Not config keys: the random topology's ranges are constants, and every
+# bulk flow of the fixed topology starts at bulk_start_ms.
+@pytest.mark.parametrize("key", [
+    "rand_access_bw_min_mbps", "rand_access_bw_max_mbps", "rand_prop_min_ms",
+    "rand_prop_max_ms", "rand_start_max_s", "flow_stagger_ms",
+])
+def test_removed_config_key_exits_2(tmp_path, capsys, key):
+    out = tmp_path / "run"
+    rc = main(["run", "--set", "pairs=1", "--duration-s", "1", "--set", f"{key}=5",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "unknown config key" in err and key in err
+    assert not out.exists()
+
+
+# A trace that pretrain cannot train on is refused, naming the file, before
+# --out is made: too short for a training window, rows out of order, absent.
+@pytest.mark.parametrize("case,named", [
+    ("short", "3 samples"),
+    ("out_of_order", "out of order"),
+    ("missing", "No such file"),
+])
+def test_pretrain_bad_trace_exits_2_before_out(tmp_path, capsys, case, named):
+    trace = tmp_path / "trace.csv"
+    if case == "short":
+        trace.write_text("0,1\n1,0\n2,4\n")
+    elif case == "out_of_order":
+        trace.write_text("".join(f"{i},1\n" for i in (*range(20), 25)))
+    out = tmp_path / "pre"
+    rc = main(["pretrain", "--trace", str(trace), "--epochs", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert named in err and str(trace) in err
+    if case == "short":
+        assert f"at least {min_series_length(STEPS)}" in err
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
 from aqmsim.packets import CE, F_ECE
 from aqmsim.predictor import LstmForecaster
 from aqmsim.scenario import ScenarioConfig
+from helpers import record_receiver
 
 
 def header(columns) -> str:
@@ -231,31 +232,30 @@ def instrumented():
     cfg = small_cfg(pairs=6, duration_s=10, disc="codel",
                     target_ns=1 * MS, interval_ns=20 * MS, hard_limit=60)
     ctx = SimContext(cfg, seed=11)
-    for conn in ctx.conns:
-        conn.receiver_log = []
-    res = ctx.run()
-    return ctx, res
+    logs = {conn: record_receiver(conn) for conn in ctx.conns}
+    ctx.run()
+    return ctx, logs
 
 
 class TestEcnSemantics:
     """End-to-end assertions on the CE -> ECE -> CWR chain."""
 
     def test_ce_only_on_ect_packets(self, instrumented):
-        ctx, _ = instrumented
+        ctx, logs = instrumented
         seen_ce = 0
         for conn in ctx.conns:
-            for kind, ecn, flags in conn.receiver_log:
+            for kind, ecn, flags in logs[conn]:
                 if kind == "data" and ecn == CE:
                     seen_ce += 1
                     assert conn.ecn_negotiated
         assert seen_ce > 0
 
     def test_ece_echoed_until_cwr(self, instrumented):
-        ctx, _ = instrumented
+        ctx, logs = instrumented
         checked = 0
         for conn in ctx.conns:
             pending = False
-            for kind, ecn, flags in conn.receiver_log:
+            for kind, ecn, flags in logs[conn]:
                 if kind == "data":
                     if flags & 16:  # CWR
                         pending = False
@@ -277,11 +277,11 @@ class TestEcnSemantics:
         assert reductions > 10
 
     def test_overflow_drops_never_marked(self, instrumented):
-        ctx, _ = instrumented
+        ctx, logs = instrumented
         stats = ctx.topo.bottleneck.stats
         assert stats.dropped_overflow > 0  # hard limit 60 forced overflow
         delivered_ce = sum(1 for conn in ctx.conns
-                           for kind, ecn, _ in conn.receiver_log
+                           for kind, ecn, _ in logs[conn]
                            if kind == "data" and ecn == CE)
         queued_ce = sum(1 for pkt in ctx.topo.bottleneck.queued_packets()
                         if pkt.ecn == CE)
