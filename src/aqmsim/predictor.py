@@ -117,9 +117,8 @@ def _buffer(store: dict, key, shape) -> np.ndarray:
 
     The kept array is made when `shape` does not fit in it, and a smaller
     shape gets its leading slice, so an epoch's ragged last mini-batch reuses
-    the full batches' arrays. Callers vary only the batch axis, and every
-    slice they hand to a matrix product (one row block of a step slab, or
-    the leading rows of a batch-major array) stays C-contiguous.
+    the full batches' arrays. Callers vary only the batch axis, so each
+    step's (B, ·) slab of a slice stays C-contiguous.
     """
     arr = store.get(key)
     if arr is None or (arr.shape != shape
@@ -128,22 +127,22 @@ def _buffer(store: dict, key, shape) -> np.ndarray:
     return arr if arr.shape == shape else arr[tuple(map(slice, shape))]
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray, e: np.ndarray, d: np.ndarray) -> None:
-    """Write sigmoid(z) into `out`, using `e` and `d` (shaped like `z`) as
-    scratch.
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> None:
+    """Write sigmoid(z) = (1 + tanh(z / 2)) / 2 into `out`; tanh saturates
+    where exp(-z) would overflow."""
+    np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
 
-    With e = exp(-|z|), the sigmoid is max(sign(z), e) / (1 + e), that is
-    1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0: bit for bit the two
-    branches of the sign-split form, exp never overflows, and no element is
-    selected by a mask.
-    """
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.add(e, 1.0, out=d)
-    np.sign(z, out=out)
-    np.maximum(out, e, out=out)
-    np.divide(out, d, out=out)
+
+def _param_shapes(layers: int, hidden: int) -> list:
+    """Parameter shapes in param_list() order, then b_out's (1,)."""
+    h = hidden
+    shapes = []
+    for l in range(layers):
+        shapes += [(4 * h, 1 if l == 0 else h), (4 * h, h), (4 * h,)]
+    return shapes + [(h,), (1,)]
 
 
 class LstmForecaster:
@@ -179,10 +178,7 @@ class LstmForecaster:
         # arithmetic. Emptied when training, scoring or a forecast ends.
         self._scratch = {}
         h = hidden
-        self._shapes = []
-        for l in range(layers):
-            self._shapes += [(4 * h, 1 if l == 0 else h), (4 * h, h), (4 * h,)]
-        self._shapes += [(h,), (1,)]
+        self._shapes = _param_shapes(layers, hidden)
         self._flat = np.zeros(sum(math.prod(shape) for shape in self._shapes))
         views = self._unflatten(self._flat)
         self.Wx, self.Wh, self.b = views[0:-2:3], views[1:-2:3], views[2:-2:3]
@@ -230,46 +226,40 @@ class LstmForecaster:
         """Run the recurrence over a (B, steps) batch.
 
         Returns the predictions, the BPTT cache and the top layer's last
-        hidden state. Per layer the cache holds the layer's (B, T, D) input
-        and step-major slabs: gate sigmoids S (T, B, 4H), whose g block is
-        then overwritten with the input gate i (the factor the g block takes
-        in backward), g = tanh(z_g) and tanh(c) G and TC (T, B, H), and cell
-        and hidden states C and Hs (T + 1, B, H; slot 0 is the zero initial
-        state). The cache lives in the model's scratch arrays, so it is valid
-        until the next call.
-
-        Layer outputs are copied to a batch-major (B, T, H) array, the layout
-        the products with the next layer's weights (and the output head's
-        gradient) have always read: OpenBLAS rounds some products with a
-        narrow operand (H < 4) differently when it is contiguous.
+        hidden state. Per layer the cache holds the layer's step-major
+        (T, B, D) input and step-major slabs: gate sigmoids S (T, B, 4H),
+        whose g block is then overwritten with the input gate i (the factor
+        the g block takes in backward), g = tanh(z_g) and tanh(c) G and TC
+        (T, B, H), and cell and hidden states C and Hs (T + 1, B, H; slot 0
+        is the zero initial state). The cache lives in the model's scratch
+        arrays, so it is valid until the next call.
         """
         B, T = X.shape
         H = self.hidden
         store = self._scratch
-        z, zh, d = (_buffer(store, name, (B, 4 * H)) for name in ("z", "zh", "d"))
+        z, zh = (_buffer(store, name, (B, 4 * H)) for name in ("z", "zh"))
         ig = _buffer(store, "ig", (B, H))
         cache = []
-        layer_in = X[:, :, None]  # (B, T, 1): layer 0's input width is 1
+        layer_in = X.T[:, :, None]  # (T, B, 1): layer 0's input width is 1
         for l in range(self.layers):
             Wx, Wh, b = self.Wx[l], self.Wh[l], self.b[l]
             S = _buffer(store, ("S", l), (T, B, 4 * H))
             G, TC = (_buffer(store, (name, l), (T, B, H)) for name in ("G", "TC"))
             C, Hs = (_buffer(store, (name, l), (T + 1, B, H)) for name in ("C", "Hs"))
-            outs = _buffer(store, ("outs", l), (B, T, H))
             C[0] = 0.0
             Hs[0] = 0.0
             for t in range(T):
                 if l == 0:
                     # One input per step: the projection is a broadcast product.
-                    np.multiply(layer_in[:, t], Wx[:, 0], out=z)
+                    np.multiply(layer_in[t], Wx[:, 0], out=z)
                 else:
-                    np.matmul(layer_in[:, t], Wx.T, out=z)
+                    np.matmul(layer_in[t], Wx.T, out=z)
                 np.matmul(Hs[t], Wh.T, out=zh)
                 z += zh
                 z += b
                 s, g, tc, c = S[t], G[t], TC[t], C[t + 1]
                 # One sigmoid over all 4H columns; the g block's is unused.
-                _sigmoid(z, s, zh, d)
+                _sigmoid(z, s)
                 np.tanh(z[:, 2 * H:3 * H], out=g)
                 np.multiply(s[:, H:2 * H], C[t], out=c)
                 np.multiply(s[:, :H], g, out=ig)
@@ -278,13 +268,11 @@ class LstmForecaster:
                 np.multiply(s[:, 3 * H:], tc, out=Hs[t + 1])
                 s[:, 2 * H:3 * H] = s[:, :H]
             cache.append((layer_in, S, G, TC, C, Hs))
-            steps_out = Hs[1:].transpose(1, 0, 2)
+            layer_in = Hs[1:]
             if l < self.layers - 1 and masks is not None:
-                layer_in = np.multiply(steps_out, masks[l][:, None, :], out=outs)
-            else:
-                layer_in = outs
-                np.copyto(outs, steps_out)
-        top_last = layer_in[:, -1, :]
+                layer_in = np.multiply(layer_in, masks[l],
+                                       out=_buffer(store, ("drop", l), (T, B, H)))
+        top_last = layer_in[-1]
         yhat = top_last @ self.w_out + self.b_out
         return yhat, cache, top_last
 
@@ -330,8 +318,7 @@ class LstmForecaster:
 
         # Per step dz = G * S * D, one (B, 4H) product: for the i/f/g/o
         # blocks G = (dc g, dc c_prev, dc, dh tanh(c)), S = (i, f, i, o) and
-        # D = (1 - i, 1 - f, 1 - g^2, 1 - o). The g block is (dc i)(1 - g^2),
-        # with dc i rounded first, as dg = dc i is.
+        # D = (1 - i, 1 - f, 1 - g^2, 1 - o).
         dz, deriv = (_buffer(self._scratch, name, (B, 4 * H)) for name in ("dz", "deriv"))
         dc, dh_time, dc_time, tmp = (_buffer(self._scratch, name, (B, H))
                                      for name in ("dc", "dh_time", "dc_time", "tmp"))
@@ -371,7 +358,7 @@ class LstmForecaster:
                 np.multiply(g, g, out=deriv[:, g_blk])
                 np.subtract(1.0, deriv[:, g_blk], out=deriv[:, g_blk])
                 dz *= deriv
-                gWx[l] += dz.T @ layer_in[:, t]
+                gWx[l] += dz.T @ layer_in[t]
                 gWh[l] += dz.T @ Hs[t]
                 gb[l] += dz.sum(axis=0)
                 if l > 0:
@@ -433,21 +420,18 @@ class LstmForecaster:
         norm = normalize(counts, self.norm_min, self.norm_max)
         X, y = build_windows(norm, self.steps)
         Xtr, ytr = X[:n_train], y[:n_train]
-        # Adam runs on every parameter but b_out as one vector, in place.
-        n = self._flat.size - 1
-        theta = self._flat[:n]
-        grad = np.empty(n + 1)
-        g = grad[:n]
-        m, v = np.zeros(n), np.zeros(n)
-        num, den = np.empty(n), np.empty(n)
-        m_b = v_b = 0.0
+        # Adam runs on the flat parameter vector, in place.
+        theta = self._flat
+        g = np.empty_like(theta)
+        m, v = np.zeros_like(theta), np.zeros_like(theta)
+        num, den = np.empty_like(theta), np.empty_like(theta)
         step = 0
         for _ in range(epochs):
             for lo in range(0, n_train, BATCH_SIZE):
                 xb = Xtr[lo:lo + BATCH_SIZE]
                 yb = ytr[lo:lo + BATCH_SIZE]
                 masks = self._draw_masks(len(xb))
-                loss, _ = self.loss_and_gradients(xb, yb, masks, out=grad)
+                loss, _ = self.loss_and_gradients(xb, yb, masks, out=g)
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"training diverged: non-finite loss at update {step}")
@@ -467,12 +451,6 @@ class LstmForecaster:
                 den += ADAM_EPS
                 num /= den
                 theta -= num
-                # b_out stays a scalar update: its ((1 - b2) g) g rounds
-                # differently from the vector's (1 - b2) g^2.
-                gb = float(grad[n])
-                m_b = ADAM_B1 * m_b + (1 - ADAM_B1) * gb
-                v_b = ADAM_B2 * v_b + (1 - ADAM_B2) * gb * gb
-                self.b_out -= ADAM_LR * (m_b / b1c) / (math.sqrt(v_b / b2c) + ADAM_EPS)
         self._scratch.clear()
 
     def _draw_masks(self, batch: int):
@@ -483,23 +461,12 @@ class LstmForecaster:
                 for _ in range(self.layers - 1)]
 
     def _report(self, X, y, n_train: int, epochs: int) -> FitReport:
-        # Each split is scored in BATCH_SIZE-row slices from its first row, so
-        # working memory, one slice's BPTT cache, is bounded by the batch, not
-        # the series. OpenBLAS
-        # works in row blocks, and a row's last bits can depend on its offset
-        # in a pass: the slices keep each offset modulo BATCH_SIZE (a multiple
-        # of the blocks), so they give the bits of one pass over the split. A
-        # lone last row joins the slice before it, because a one-row pass is
-        # a vector product and rounds differently.
-        preds = []
-        for part in (X[:n_train], X[n_train:]):
-            ends = list(range(BATCH_SIZE, len(part), BATCH_SIZE))
-            if ends and len(part) - ends[-1] == 1:
-                ends.pop()
-            preds.append(np.concatenate([self._forward(part[lo:hi])[0] for lo, hi
-                                         in zip([0] + ends, ends + [len(part)])]))
+        # Scored in BATCH_SIZE-row slices, so working memory, one slice's BPTT
+        # cache, is bounded by the batch, not the series.
+        pred = np.concatenate([self._forward(X[lo:lo + BATCH_SIZE])[0]
+                               for lo in range(0, len(X), BATCH_SIZE)])
         self._scratch.clear()
-        pred_tr, pred_te = preds
+        pred_tr, pred_te = pred[:n_train], pred[n_train:]
         return FitReport(
             rmse_train=rmse(y[:n_train], pred_tr),
             rmse_test=rmse(y[n_train:], pred_te),
@@ -592,23 +559,35 @@ def _number_field(path, blob: dict, key: str, integer: bool = False):
     if not isinstance(value, kinds) or isinstance(value, bool):
         what = "an integer" if integer else "a number"
         raise ValueError(f"{path}: checkpoint field {key!r} must be {what}, got {value!r}")
-    return value
+    if integer:
+        return value
+    # json reads NaN and Infinity, and an integer too large for a float.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{path}: checkpoint field {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _array_field(path, key: str, value, shape) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: checkpoint field {key} is not a numeric array") from None
     if arr.shape != shape:
         raise ValueError(f"{path}: checkpoint field {key} has shape {arr.shape}, "
                          f"expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: checkpoint field {key} holds a non-finite value")
     return arr
 
 
 def load_checkpoint(path) -> LstmForecaster:
-    """Read a checkpoint written by save_checkpoint. A missing, mistyped or
-    mis-shaped field raises ValueError naming the path and the field."""
+    """Read a checkpoint written by save_checkpoint. A missing, mistyped,
+    non-finite or mis-shaped field raises ValueError naming the path and the
+    field."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
@@ -621,13 +600,17 @@ def load_checkpoint(path) -> LstmForecaster:
     dropout, norm_min, norm_max, b_out = (
         _number_field(path, blob, key)
         for key in ("dropout", "norm_min", "norm_max", "b_out"))
-    # Checked before the model allocates its parameters, so that their size
-    # is bounded by the file's own arrays.
-    w_out = _array_field(path, "'w_out'", blob["w_out"], (hidden,))
     for key in ("Wx", "Wh", "b"):
         if not isinstance(blob[key], list) or len(blob[key]) != layers:
             raise ValueError(f"{path}: checkpoint field {key!r} must list {layers} "
                              f"arrays, one per layer")
+    # Every array is checked against the declared sizes before the model
+    # allocates its parameters, so that their size is bounded by the file's
+    # own arrays.
+    shapes = iter(_param_shapes(layers, hidden))
+    arrays = [_array_field(path, f"{key!r} (layer {l})", blob[key][l], next(shapes))
+              for l in range(layers) for key in ("Wx", "Wh", "b")]
+    arrays.append(_array_field(path, "'w_out'", blob["w_out"], next(shapes)))
     try:
         model = LstmForecaster(steps=steps, layers=layers, hidden=hidden,
                                dropout=dropout, seed=seed)
@@ -635,9 +618,7 @@ def load_checkpoint(path) -> LstmForecaster:
         raise ValueError(f"{path}: {exc}") from None
     model.norm_min = norm_min
     model.norm_max = norm_max
-    for key, views in (("Wx", model.Wx), ("Wh", model.Wh), ("b", model.b)):
-        for l, (value, view) in enumerate(zip(blob[key], views)):
-            view[...] = _array_field(path, f"{key!r} (layer {l})", value, view.shape)
-    model.w_out[...] = w_out
+    for view, arr in zip(model.param_list(), arrays):
+        view[...] = arr
     model.b_out = b_out
     return model

@@ -363,7 +363,10 @@ def _short_rows(matrices):
     ("steps", lambda blob: "ten"),
     ("Wx", lambda blob: blob["Wx"][:1]),
     ("Wh", lambda blob: _short_rows(blob["Wh"])),
-], ids=["mistyped-steps", "short-Wx-list", "short-Wh-rows"])
+    ("norm_max", lambda blob: float("nan")),
+    ("w_out", lambda blob: [float("inf")] + blob["w_out"][1:]),
+], ids=["mistyped-steps", "short-Wx-list", "short-Wh-rows", "nan-norm_max",
+        "inf-w_out"])
 def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, runs, command,
                                                      field, corrupt):
     ckpt = tmp_path / "bad.json"

@@ -56,30 +56,30 @@ def blas_note() -> str:
 
 
 # sha256 of `get_flat().tobytes()` after `fit` plus `retrain_one_epoch`, by
-# (layers, hidden). Widths below 4 are pinned too: OpenBLAS rounds some
-# products with so narrow an operand differently when it is contiguous. Like
-# the compare.csv pin, these rest on numpy's matmul, so they are taken with
-# numpy 2.4's bundled OpenBLAS, on the core above.
+# (layers, hidden). Widths from 1 up are pinned, so that a one-column hidden
+# state is covered as well as the usual sizes. Like the compare.csv pin,
+# these rest on numpy's matmul, so they are taken with numpy 2.4's bundled
+# OpenBLAS, on the core above.
 TRAINED_WEIGHTS = {
-    (1, 5): "484049f67f97dbfe0aba5f0070f996440c21ec6edd6ef6a5a2f96ed68be4b419",
-    (2, 5): "650c2dc02259ed7bdbc4ce13d0b8e187bbf6a356f78e0a4b687a70fbec43b8bb",
-    (3, 5): "74c3caa81dc844a6433b652dd1dfbb03dff9279c329720f7c66a268014fce326",
-    (2, 1): "c49649285eabba7b5882d0547a4ad3925c8f0227f80b367883ddf90c0d0b7e10",
-    (3, 3): "e1e9fe3196794fcddef3d8e2a3f3e08e1fbab35455e96de65022f13f6cf36dd5",
+    (1, 5): "0fd1afdab8c67bb3a7fe5eb14e418950c0037772f3268d4895909f7e294eec9e",
+    (2, 5): "a7e966702dcc79cf3ea180cb470daf5fc2d59e0f5ebbd63a0b9ed2a603d0f4dc",
+    (3, 5): "2a86564fab6cf0709345f8ad993048019427c96dc71bf74a95c004f42653561a",
+    (2, 1): "79513cfcd5b5b6f8559f8632185d1550afb5fe931fc3b76ec850a567570d42e1",
+    (3, 3): "4fb3f65dbf2e21c71775a206d640eb73cf9b33c3f79f12579c465c09414a3fab",
 }
 
 # sha256 of the loss, every gradient and the predictions of one BPTT pass
-# over several batch sizes, by (layers, hidden); the narrow widths catch a
-# one-ulp gradient change that Adam's rounding can hide from the weights.
+# over several batch sizes, by (layers, hidden); they catch a one-ulp
+# gradient change that Adam's rounding can hide from the weights.
 GRADIENTS = {
     (1, 3):
-        "b2cd39e714d4ee2d56ed20fc25ad2e74512ed0e6465d0b2c6bcf120cc6b9e6b5",
+        "24027322ab3fefcffe85055223f007a75d9be288f4f471fdea34be22e0ded2b6",
     (2, 1):
-        "41ee365023f7ba4324521caaccaf7c1982f62c880fbc79815c7bf69bff81f7db",
+        "01dd3a4d0b096df1416e5b64134d891ef926d7c97996d127a755ff056f6fa98a",
     (3, 3):
-        "5412d519fc5a554320a5b7f0d3f2906d618b687a3cdbec5d3fd1c49a877f6565",
+        "e42f56de49e9b4b6270e897802be9a79fedf08625c67f48e9629499e73528e68",
     (3, 30):
-        "e5ac40ea27a5b89d6df4cc2a4f0eaa25ae5623a7c89af47a714e9c4133bdc955",
+        "43c767dc5899339d6db6ce4693683fd77dd6098dd8d69a990d732e5b16febc74",
 }
 
 
@@ -192,7 +192,7 @@ def test_retrain_demo_digests_unchanged(tmp_path):
     assert file_digest(tmp_path / "demo" / "fit_report.csv") == (
         "ff4b6019f1dafb5a1bcaa98d42bc42ad0dcd7b7fb4eb8a4488afc3a042cd13e4"), blas_note()
     assert file_digest(tmp_path / "demo" / "retrained.json") == (
-        "8e1ee5b0c924c92873a3ddefef7a81dd73967e6d96a589ed586a925b6e90bc4f"), blas_note()
+        "8b18a7169f5b85c60a257cb046cf47e356c992a47240f6d737c1064a26a02500"), blas_note()
 
 
 def _trained_weights_digest(layers: int, hidden: int) -> str:

@@ -1,12 +1,14 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from aqmsim.predictor import (BATCH_SIZE, EceSeries, LstmForecaster, build_windows,
-                              denormalize, ingest_trace, load_checkpoint, mae,
-                              neurons_per_layer, normalize, rmse,
-                              save_checkpoint, synth_trace)
+from aqmsim.predictor import (BATCH_SIZE, EceSeries, LstmForecaster, _sigmoid,
+                              build_windows, denormalize, ingest_trace,
+                              load_checkpoint, mae, neurons_per_layer, normalize,
+                              rmse, save_checkpoint, synth_trace)
 from helpers import set_flat, stationary_off_probability, traced_peak, write_trace
 
 
@@ -156,6 +158,19 @@ class TestForward:
         assert m.predict_window(x_seq) == pytest.approx(expected, abs=1e-12)
 
 
+class TestSigmoid:
+    def test_saturates_silently_and_matches_the_logistic(self):
+        z = np.concatenate([[-1000.0, 1000.0], np.linspace(-40.0, 40.0, 8001)])
+        out = np.empty_like(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _sigmoid(z, out)
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+        assert (out[0], out[1]) == (0.0, 1.0)
+        grid = z[2:]
+        assert np.abs(out[2:] - 1.0 / (1.0 + np.exp(-grid))).max() <= 1e-15
+
+
 class TestGradients:
     def test_bptt_matches_central_differences(self):
         m = LstmForecaster(steps=4, layers=2, hidden=3, dropout=0.0, seed=21)
@@ -254,9 +269,9 @@ class TestTraining:
     def test_report_pass_bounded_by_the_batch(self):
         # The end-of-fit report of the default model on 5,990 windows (the
         # 6,000-sample default trace) runs in batch-sized slices, each
-        # keeping one slice's BPTT cache (4.7 MB peak). Scored in one pass
-        # with the cache it peaked at 285 MB, and as one cache-free pass per
-        # split at 60 MB. The cache is emptied when the report returns.
+        # keeping one slice's BPTT cache (4.2 MB peak). Scored in one pass
+        # with the cache it peaks at 368 MB. The cache is emptied when the
+        # report returns.
         series = synth_trace(1, 6000).counts
         m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
         report, peak = traced_peak(m.fit, series, epochs=0)
@@ -278,33 +293,33 @@ class TestTraining:
 
     @pytest.mark.parametrize("hidden", [3, 30])
     def test_score_in_slices_matches_one_pass_per_split(self, hidden, monkeypatch):
-        # 254 samples: 193 training windows (3 x 64 + 1) and 51 test ones.
-        # The lone 193rd row is scored with the 64 before it: alone it would
-        # be a one-row pass, whose prediction differs in its last bits here
-        # at H = 30.
+        # 254 samples: 244 windows, the first 193 in the training split, so
+        # one slice straddles the split and the last is ragged (52 rows).
         series = synth_trace(2, 254).counts
         m = LstmForecaster(steps=10, layers=3, hidden=hidden, seed=7)
         m._set_bounds(series.astype(np.float64))
         X, y = build_windows(normalize(series, m.norm_min, m.norm_max))
         n_train = m._split_rows(len(series))
-        assert (n_train, len(X) - n_train) == (193, 51)
+        assert (n_train, len(X)) == (193, 244)
         forward = m._forward
-        passes = []
+        slices, preds = [], []
 
         def recording(Xb, *args, **kwargs):
             out = forward(Xb, *args, **kwargs)
-            passes.append(out[0])
+            slices.append(np.array(Xb))
+            preds.append(out[0])
             return out
 
         monkeypatch.setattr(m, "_forward", recording)
         report = m.score(series, epochs=0)
-        assert [len(p) for p in passes] == [BATCH_SIZE, BATCH_SIZE, BATCH_SIZE + 1, 51]
-        whole_tr, whole_te = forward(X[:n_train])[0], forward(X[n_train:])[0]
-        assert np.array_equal(np.concatenate(passes), np.concatenate([whole_tr, whole_te]))
-        assert (report.rmse_train, report.mae_train) == (rmse(y[:n_train], whole_tr),
-                                                         mae(y[:n_train], whole_tr))
-        assert (report.rmse_test, report.mae_test) == (rmse(y[n_train:], whole_te),
-                                                       mae(y[n_train:], whole_te))
+        assert all(1 <= len(rows) <= BATCH_SIZE for rows in slices)
+        assert np.array_equal(np.concatenate(slices), X)
+        pred = np.concatenate(preds)
+        assert (report.rmse_train, report.mae_train) == (rmse(y[:n_train], pred[:n_train]),
+                                                         mae(y[:n_train], pred[:n_train]))
+        assert (report.rmse_test, report.mae_test) == (rmse(y[n_train:], pred[n_train:]),
+                                                       mae(y[n_train:], pred[n_train:]))
+        assert np.abs(pred - forward(X)[0]).max() <= 1e-12
 
     def test_training_is_deterministic(self):
         series = synth_trace(12, 150).counts
@@ -392,6 +407,45 @@ class TestCheckpoint:
         assert back.predict_window(w) == m.predict_window(w)
         assert back.norm_min == m.norm_min and back.norm_max == m.norm_max
         assert np.array_equal(back.get_flat(), m.get_flat())
+
+    @pytest.mark.parametrize("field,corrupt", [
+        ("b_out", lambda blob: float("-inf")),
+        ("norm_min", lambda blob: 10 ** 400),
+        ("Wh", lambda blob: [[[float("nan")] + blob["Wh"][0][0][1:]] + blob["Wh"][0][1:]]
+                            + blob["Wh"][1:]),
+    ], ids=["inf-number", "huge-integer", "nan-layer-array"])
+    def test_non_finite_field_refused_by_name(self, tmp_path, field, corrupt):
+        # json reads NaN, Infinity and integers too large for a float;
+        # tests/test_cli.py refuses a NaN norm_max and an infinite w_out entry
+        # under every command that loads a checkpoint.
+        path = tmp_path / "model.json"
+        save_checkpoint(LstmForecaster(layers=2, hidden=3, seed=1), path)
+        blob = json.loads(path.read_text())
+        blob[field] = corrupt(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="finite") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value) and repr(field) in str(exc.value)
+
+    def test_oversized_hidden_refused_before_the_model_is_built(self, tmp_path):
+        # A 10 kB file that declares hidden = 1500 for one layer, with a
+        # matching w_out: the model's Wh alone would be 4 x 1500^2 floats
+        # (72 MB). The arrays are checked against the declared sizes first.
+        path = tmp_path / "big.json"
+        save_checkpoint(LstmForecaster(layers=1, hidden=4, seed=1), path)
+        blob = json.loads(path.read_text())
+        blob["hidden"] = 1500
+        blob["w_out"] = [0.0] * 1500
+        path.write_text(json.dumps(blob))
+
+        def load():
+            with pytest.raises(ValueError, match=r"'Wx' \(layer 0\) has shape") as exc:
+                load_checkpoint(path)
+            return exc.value
+
+        err, peak = traced_peak(load)
+        assert str(path) in str(err)
+        assert peak < 1e6, f"loader peaked at {peak / 1e6:.1f} MB"
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "nope.json"
