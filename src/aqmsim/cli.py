@@ -114,8 +114,8 @@ def main(argv=None) -> int:
     p_pre.add_argument("--out", default="out")
 
     p_rt = command("retrain-demo",
-                   help="random-scenario transfer: collect 6 s of 1 ms "
-                        "bins, one-epoch retrain")
+                   help=f"random-scenario transfer: collect "
+                        f"{harness.RETRAIN_DEMO_COLLECT_S} s of 1 ms bins, one-epoch retrain")
     _add_common(p_rt, seed=True, duration=True)
     p_rt.add_argument("--checkpoint", required=True,
                       help="pre-trained forecaster checkpoint")
@@ -179,12 +179,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "retrain-demo":
-        cfg = _build_config(args)
-        if not cfg.random_topology:
-            cfg = replace(cfg, random_topology=True, bottleneck_bw_bps=10 * 10**6,
-                          duration_s=min(cfg.duration_s, 10))
-        _, report = harness.retrain_demo(cfg, args.checkpoint, args.out,
-                                         seed=args.seed)
+        _, report = harness.retrain_demo(_build_config(args), args.checkpoint,
+                                         args.out, seed=args.seed)
         print(f"one-epoch retrain: train RMSE {report.rmse_train:.4f} "
               f"MAE {report.mae_train:.4f} | test RMSE {report.rmse_test:.4f} "
               f"MAE {report.mae_test:.4f}")

@@ -24,8 +24,8 @@ from .transport import Connection
 from .network import PingProbe, Topology
 from .tuner import INTERVAL_FACTOR, QLearningTuner, power_reward
 
-BIN_NS = 100 * MS
-EPOCH_BINS = SECOND // BIN_NS  # ECE bins per 1 s decision epoch
+EPOCH_BINS = STEPS  # ECE bins per 1 s decision epoch: one forecast window
+BIN_NS = SECOND // EPOCH_BINS
 RETRAIN_BIN_NS = 1 * MS
 RETRAIN_DEMO_COLLECT_S = 6  # seconds of 1 ms bins that retrain-demo trains on
 RAND_START_MAX_S = 10
@@ -79,7 +79,9 @@ def named(columns, record) -> tuple:
 
 
 def write_csv(path, columns, rows) -> None:
-    """The header line of column names, then one line per row."""
+    """The header line of column names, then one line per row; makes the
+    file's directory."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
         for row in rows:
@@ -93,16 +95,6 @@ class RunResult:
     summary: dict
     bins100: list
     bins1ms: list
-
-
-def load_loop_checkpoint(path) -> LstmForecaster:
-    """The checkpointed forecaster, refused unless it forecasts from one epoch's bins."""
-    model = load_checkpoint(path)
-    if model.steps != EPOCH_BINS:
-        raise ValueError(f"{path}: checkpoint field 'steps' is {model.steps}, but the "
-                         f"control loop forecasts from the {EPOCH_BINS} "
-                         f"bins of each epoch")
-    return model
 
 
 def _epoch_mean(samples, last, term=None):
@@ -127,9 +119,7 @@ class SimContext:
         self.topo = Topology(self.sim, cfg, self.rng_hub)
         self.duration_ns = cfg.duration_s * SECOND
 
-        n_bins = cfg.duration_s * EPOCH_BINS + 1
-        self.bins100 = [0] * n_bins
-        self._n_bins = n_bins
+        self.bins100 = [0] * (cfg.duration_s * EPOCH_BINS + 1)
         collect_1ms_s = max(collect_1ms_s,
                             cfg.retrain_at_s if cfg.intelligent and cfg.retrain_at_s > 0 else 0)
         self._ms_limit_ns = min(collect_1ms_s, cfg.duration_s) * SECOND
@@ -180,7 +170,7 @@ class SimContext:
         if cfg.intelligent:
             if not cfg.checkpoint:
                 raise ValueError("intelligent runs need a predictor checkpoint")
-            self.model = load_loop_checkpoint(cfg.checkpoint)
+            self.model = load_checkpoint(cfg.checkpoint)
             self.tuner = QLearningTuner(cfg.alpha, cfg.gamma, cfg.epsilon, self.model,
                                         self.rng_hub.stream("tuner"))
             if cfg.retrain_at_s > 0 and cfg.retrain_at_s <= cfg.duration_s:
@@ -204,9 +194,7 @@ class SimContext:
     # -- instrumentation ----------------------------------------------------
 
     def _note_ece(self, now: int) -> None:
-        idx = now // BIN_NS
-        if idx < self._n_bins:
-            self.bins100[idx] += 1
+        self.bins100[now // BIN_NS] += 1
         if now < self._ms_limit_ns:
             self.bins1ms[now // RETRAIN_BIN_NS] += 1
 
@@ -341,7 +329,6 @@ def write_summary_csv(result: RunResult, path) -> None:
 
 def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> RunResult:
     """Single run; writes epochs.csv and summary.csv under outdir."""
-    os.makedirs(outdir, exist_ok=True)
     result = simulate(cfg, seed)
     write_epochs_csv(result, os.path.join(outdir, "epochs.csv"))
     write_summary_csv(result, os.path.join(outdir, "summary.csv"))
@@ -423,7 +410,6 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
                               interval_ns=INTERVAL_FACTOR * target_ns)
             tasks += [((disc, t_ms), run_cfg, seed) for seed in seeds]
     _validate_all(tasks, jobs)
-    os.makedirs(outdir, exist_ok=True)
     _, groups = _run_labelled(tasks, jobs)
     out_rows = [{
         "disc": disc,
@@ -459,10 +445,9 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
              for seed in seeds]
     # A bad arm fails here, not after a pretrain of minutes.
     _validate_all(tasks, jobs)
-    os.makedirs(outdir, exist_ok=True)
     if not cfg.checkpoint and not os.path.exists(checkpoint):
         pretrain_predictor(checkpoint)
-    load_loop_checkpoint(checkpoint)  # a bad checkpoint fails before any run
+    load_checkpoint(checkpoint)  # a bad checkpoint fails before any run
     summaries, groups = _run_labelled(tasks, jobs)
     rows = [label + (seed,) + named(COMPARE_COLUMNS[3:], s)
             for (label, _, seed), s in zip(tasks, summaries)]
@@ -492,8 +477,7 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
                        length: int = 6000, epochs: int = 100,
                        layers: int = 3, hidden: int = 0,
                        report_path=None, model_seed: int = 7):
-    """Train a forecaster on a trace (CSV path or synthetic) and checkpoint it;
-    the checkpoint's directory is made only once the trace has passed its checks."""
+    """Train a forecaster on a trace (CSV path or synthetic) and checkpoint it."""
     if trace_path is not None:
         series = ingest_trace(trace_path)
         least = min_series_length(STEPS)
@@ -503,7 +487,6 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
                              f"training split holds a {STEPS}-step window")
     else:
         series = synth_trace(synth_seed, length)
-    os.makedirs(os.path.dirname(checkpoint_path) or os.curdir, exist_ok=True)
     if hidden <= 0:
         hidden = neurons_per_layer(STEPS, len(series.counts), layers)
     model = LstmForecaster(steps=STEPS, layers=layers, hidden=hidden,
@@ -516,11 +499,15 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
 
 
 def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1):
-    """Transfer workflow: run the (random) scenario, collect 1 ms ECE bins
-    for RETRAIN_DEMO_COLLECT_S seconds, one-epoch retrain the pre-trained model."""
-    os.makedirs(outdir, exist_ok=True)
+    """Transfer workflow: run a random scenario, collect 1 ms ECE bins for
+    RETRAIN_DEMO_COLLECT_S seconds, one-epoch retrain the pre-trained model.
+    A fixed topology in cfg becomes a random one with a 10 Mbps bottleneck,
+    run for at most 10 s."""
     model = load_checkpoint(checkpoint_path)  # a bad checkpoint fails before the run
     run_cfg = replace(cfg, intelligent=False)
+    if not run_cfg.random_topology:
+        run_cfg = replace(run_cfg, random_topology=True, bottleneck_bw_bps=10 * 10**6,
+                          duration_s=min(run_cfg.duration_s, 10))
     if run_cfg.duration_s < RETRAIN_DEMO_COLLECT_S:
         run_cfg = replace(run_cfg, duration_s=RETRAIN_DEMO_COLLECT_S)
     result = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)

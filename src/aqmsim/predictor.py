@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,7 +527,8 @@ def ingest_trace(path) -> EceSeries:
 
 
 def save_checkpoint(model: LstmForecaster, path) -> None:
-    """Self-describing JSON container; floats round-trip exactly."""
+    """Self-describing JSON container; floats round-trip exactly. Makes the
+    file's directory."""
     blob = {
         "kind": "lstm-forecaster",
         "version": 1,
@@ -543,6 +545,7 @@ def save_checkpoint(model: LstmForecaster, path) -> None:
         "w_out": model.w_out.tolist(),
         "b_out": model.b_out,
     }
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(blob, fh)
         fh.write("\n")
@@ -586,8 +589,8 @@ def _array_field(path, key: str, value, shape) -> np.ndarray:
 
 def load_checkpoint(path) -> LstmForecaster:
     """Read a checkpoint written by save_checkpoint. A missing, mistyped,
-    non-finite or mis-shaped field raises ValueError naming the path and the
-    field."""
+    non-finite or mis-shaped field, or a step count other than STEPS, raises
+    ValueError naming the path and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
@@ -597,6 +600,9 @@ def load_checkpoint(path) -> LstmForecaster:
             raise ValueError(f"{path}: checkpoint lacks the {key!r} field")
     steps, layers, hidden, seed = (_number_field(path, blob, key, integer=True)
                                    for key in ("steps", "layers", "hidden", "seed"))
+    if steps != STEPS:
+        raise ValueError(f"{path}: checkpoint field 'steps' is {steps}, but the "
+                         f"forecaster takes {STEPS}-step windows")
     dropout, norm_min, norm_max, b_out = (
         _number_field(path, blob, key)
         for key in ("dropout", "norm_min", "norm_max", "b_out"))

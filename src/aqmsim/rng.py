@@ -1,8 +1,11 @@
 """Named, reproducible random substreams derived from one master seed.
 
-Each consumer (topology randomization, epsilon-greedy draws, dropout masks,
-weight init, trace synthesis) gets its own stream keyed by a string name, so
-adding draws in one place never perturbs another.
+Each consumer of a run gets its own stream keyed by a string name, so
+adding draws in one place never perturbs another: `topology` (random
+access-link rates and delays), `fq-hash` (FQ-CoDel's flow hash),
+`flow-starts` (random bulk start times) and `tuner` (epsilon-greedy draws).
+The forecaster's weight init and dropout masks, and synthetic traces, seed
+their own generators from the model or trace seed instead.
 """
 from __future__ import annotations
 

@@ -116,9 +116,14 @@ def test_pretrain_and_retrain_demo(tmp_path, capsys):
 
 
 def test_missing_checkpoint_error(tmp_path, capsys):
-    rc = main(["retrain-demo", "--checkpoint", str(tmp_path / "nope.json"),
-               "--out", str(tmp_path), "--set", "pairs=2", "--duration-s", "7"])
+    ckpt = tmp_path / "nope.json"
+    out = tmp_path / "demo"
+    rc = main(["retrain-demo", "--checkpoint", str(ckpt),
+               "--out", str(out), "--set", "pairs=2", "--duration-s", "7"])
+    err = capsys.readouterr().err
     assert rc == 2
+    assert err.count("\n") == 1 and str(ckpt) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting,named", [
@@ -331,7 +336,8 @@ def test_pretrain_length_minimum_is_the_split_rule(tmp_path):
 
 
 # The commands that load a checkpoint; each must refuse a bad one before
-# the simulator runs. compare is given its checkpoint, so it pretrains none.
+# the simulator runs and before --out is made. compare is given its
+# checkpoint, so it pretrains none.
 CHECKPOINT_COMMANDS = [
     ["retrain-demo", "--checkpoint", "{ckpt}", "--duration-s", "7"],
     ["run", "--set", "intelligent=true", "--set", "checkpoint={ckpt}", "--duration-s", "1"],
@@ -352,6 +358,7 @@ def test_checkpoint_missing_field_exits_2_with_one_line(tmp_path, capsys, runs, 
     assert str(ckpt) in err and "'steps'" in err
     assert "Traceback" not in err
     assert runs == []
+    assert not (tmp_path / "out").exists()
 
 
 def _short_rows(matrices):
@@ -382,7 +389,7 @@ def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, runs, comm
     assert str(ckpt) in err and repr(field) in err
     assert "Traceback" not in err
     assert runs == []
-    assert not os.path.exists(tmp_path / "out" / "epochs.csv")
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_missing_checkpoint_exits_2_without_pretraining(tmp_path, capsys, runs,
@@ -401,15 +408,17 @@ def test_compare_missing_checkpoint_exits_2_without_pretraining(tmp_path, capsys
     assert str(ckpt) in err
     assert runs == [] and pretrains == []
     assert not ckpt.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_steps_unlike_the_loop_exits_2_before_the_run(tmp_path, capsys, runs):
-    # The loop forecasts from the 10 bins of 100 ms in each 1 s epoch; a
-    # 12-step model would otherwise fail at the first forecast, a simulated
-    # second into the run. retrain-demo retrains a model of any step count.
+    # The loop forecasts from the 10 bins of 100 ms in each 1 s epoch, and
+    # retrain-demo's model goes back into that loop; a 12-step model would
+    # fail at the first forecast, a simulated second into a run. So every
+    # checkpoint reader refuses it, retrain-demo included.
     ckpt = tmp_path / "steps12.json"
     save_checkpoint(LstmForecaster(steps=12, layers=1, hidden=3, seed=1), ckpt)
-    for command in CHECKPOINT_COMMANDS[1:]:
+    for command in CHECKPOINT_COMMANDS:
         argv = [arg.format(ckpt=ckpt) for arg in command]
         rc = main(argv + ["--set", "pairs=1", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -417,7 +426,19 @@ def test_checkpoint_steps_unlike_the_loop_exits_2_before_the_run(tmp_path, capsy
         assert err.count("\n") == 1 and err.startswith("error:")
         assert str(ckpt) in err and "'steps'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists(), command[0]
     assert runs == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare", "retrain-demo"])
+def test_bad_config_value_exits_2_and_leaves_no_out(tmp_path, capsys, runs, command):
+    out = tmp_path / "out"
+    rc = main([command, *COMMAND_REST[command], "--set", "pairs=0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "pairs" in err
+    assert runs == []
+    assert not out.exists()
 
 
 def test_pretrain_negative_epochs_exits_2_with_one_line(tmp_path, capsys):
