@@ -1,11 +1,11 @@
 """Egress queue disciplines: tail-drop, CoDel, and FQ-CoDel.
 
-The CoDel control law follows the published algorithm: it watches packet
-sojourn time at dequeue, enters a dropping phase once the sojourn has stayed
-above `target` for a full `interval`, and then spaces successive actions by
-interval/sqrt(count). With ECN enabled, a control-law action on an ECT packet
-sets CE and forwards it instead of dropping. The hard queue limit always
-drops and never marks.
+The CoDel control law follows RFC 8289, but for the one deviation that
+`Codel` names: it watches packet sojourn time at dequeue, enters a dropping
+phase once the sojourn has stayed above `target` for a full `interval`, and
+then spaces successive actions by interval/sqrt(count). With ECN enabled, a
+control-law action on an ECT packet sets CE and forwards it instead of
+dropping. The hard queue limit always drops and never marks.
 
 FQ-CoDel hashes flows into 1024 sub-queues, runs the control law per
 sub-queue, and schedules them with deficit round robin over a new-flows /
@@ -67,7 +67,8 @@ class QueueStats:
     counter update moves with it, so one stats object can be shared by all
     sub-queues of FQ-CoDel and still report the total. It always equals
     `enqueued - forwarded - dropped_law - dropped_overflow`, which undercounts
-    by one packet per overflow drop (ROADMAP item 1, defect A).
+    by one packet per overflow drop (ROADMAP item 1, defect A). `max_queued`
+    is its peak over the run.
     """
 
     __slots__ = ("enqueued", "forwarded", "marked", "dropped_law", "dropped_overflow",
@@ -120,24 +121,6 @@ class QueueStats:
         self.area_pkt_ns = 0
         return area
 
-    def drain_peak(self) -> int:
-        """Peak queue length since the previous drain."""
-        peak = self.max_queued
-        self.max_queued = self.queued
-        return peak
-
-
-class CodelState:
-    """Per-queue control-law state."""
-
-    __slots__ = ("first_above_time", "drop_next", "count", "dropping")
-
-    def __init__(self):
-        self.first_above_time = 0
-        self.drop_next = 0
-        self.count = 0
-        self.dropping = False
-
 
 def control_interval(interval: int, count: int) -> int:
     """Spacing between control-law actions: interval / sqrt(count), in ns."""
@@ -178,16 +161,24 @@ class TailDrop:
 
 
 class Codel:
-    """Single FIFO managed by the CoDel control law."""
+    """Single FIFO managed by the CoDel control law, whose state is kept on
+    the queue as in RFC 8289's pseudocode. One deviation from RFC 8289 §5:
+    re-entering the dropping phase within REENTRY_WINDOW_INTERVALS intervals
+    of the last action restarts from `count - 2` (at least 1), where the RFC
+    restarts from `count - lastcount`."""
 
-    __slots__ = ("params", "state", "stats", "_q", "backlog_bytes")
+    __slots__ = ("params", "stats", "_q", "backlog_bytes",
+                 "first_above_time", "drop_next", "count", "dropping")
 
     def __init__(self, params: AqmParams, stats: QueueStats | None = None):
         self.params = params
-        self.state = CodelState()
         self.stats = stats if stats is not None else QueueStats()
         self._q = deque()
         self.backlog_bytes = 0
+        self.first_above_time = 0
+        self.drop_next = 0
+        self.count = 0
+        self.dropping = False
 
     def __len__(self) -> int:
         return len(self._q)
@@ -205,19 +196,18 @@ class Codel:
     def _pop(self, now: int):
         """Head packet with sojourn verdict, or (None, False) on empty."""
         if not self._q:
-            self.state.first_above_time = 0
+            self.first_above_time = 0
             return None, False
         pkt = self._q.popleft()
         self.backlog_bytes -= pkt.size_bytes
-        st = self.state
         p = self.params
         if now - pkt.enq_ns < p.target or self.backlog_bytes <= MAX_PACKET_BYTES:
-            st.first_above_time = 0
+            self.first_above_time = 0
             return pkt, False
-        if st.first_above_time == 0:
-            st.first_above_time = now + p.interval
+        if self.first_above_time == 0:
+            self.first_above_time = now + p.interval
             return pkt, False
-        return pkt, now >= st.first_above_time
+        return pkt, now >= self.first_above_time
 
     def _action(self, pkt, now: int) -> bool:
         """Apply one control-law action. True if the packet was marked (and
@@ -233,34 +223,33 @@ class Codel:
         pkt, ok_to_drop = self._pop(now)
         if pkt is None:
             return None
-        st = self.state
         p = self.params
-        if st.dropping:
+        if self.dropping:
             if not ok_to_drop:
-                st.dropping = False
+                self.dropping = False
             else:
-                while st.dropping and now >= st.drop_next:
-                    st.count += 1
+                while self.dropping and now >= self.drop_next:
+                    self.count += 1
                     if self._action(pkt, now):
-                        st.drop_next += control_interval(p.interval, st.count)
+                        self.drop_next += control_interval(p.interval, self.count)
                         self.stats.on_forward(now)
                         return pkt
                     pkt, ok_to_drop = self._pop(now)
                     if pkt is None:
                         return None
                     if not ok_to_drop:
-                        st.dropping = False
+                        self.dropping = False
                     else:
-                        st.drop_next += control_interval(p.interval, st.count)
+                        self.drop_next += control_interval(p.interval, self.count)
         elif ok_to_drop:
             # Enter the dropping phase with one immediate action.
-            st.dropping = True
-            if now - st.drop_next < REENTRY_WINDOW_INTERVALS * p.interval:
-                st.count = st.count - 2 if st.count > 2 else 1
+            self.dropping = True
+            if now - self.drop_next < REENTRY_WINDOW_INTERVALS * p.interval:
+                self.count = self.count - 2 if self.count > 2 else 1
             else:
-                st.count = 1
+                self.count = 1
             marked = self._action(pkt, now)
-            st.drop_next = now + control_interval(p.interval, st.count)
+            self.drop_next = now + control_interval(p.interval, self.count)
             if not marked:
                 pkt, _ = self._pop(now)
                 if pkt is None:
@@ -275,12 +264,12 @@ class Codel:
 class _SubQueue(Codel):
     """One FQ-CoDel bucket: a CoDel queue plus DRR bookkeeping."""
 
-    __slots__ = ("deficit", "active")
+    __slots__ = ("deficit", "listed")
 
     def __init__(self, params: AqmParams, stats: QueueStats):
         super().__init__(params, stats=stats)
         self.deficit = 0
-        self.active = 0  # 0 = parked, 1 = on new list, 2 = on old list
+        self.listed = False  # on the new or the old list
 
 
 def mix64(x: int) -> int:
@@ -292,7 +281,13 @@ def mix64(x: int) -> int:
 
 
 class FqCodel:
-    """Deficit round robin over hashed sub-queues, CoDel applied per queue."""
+    """Deficit round robin over hashed sub-queues, CoDel applied per queue.
+
+    The per-flow queues, the DRR scheduling and the new and old lists follow
+    RFC 8290. One deviation from RFC 8290 §4.1: at the hard limit the
+    arriving packet is dropped, where the RFC drops from the head of the
+    queue with the largest backlog.
+    """
 
     __slots__ = ("params", "stats", "hash_seed", "_subs", "_sub_of_flow", "_new", "_old")
 
@@ -326,9 +321,9 @@ class FqCodel:
         sub._q.append(pkt)
         sub.backlog_bytes += pkt.size_bytes
         stats.on_enqueue(now)
-        if sub.active == 0:
+        if not sub.listed:
             sub.deficit = DRR_QUANTUM
-            sub.active = 1
+            sub.listed = True
             self._new.append(sub)
         return True
 
@@ -347,7 +342,6 @@ class FqCodel:
                 sub.deficit += DRR_QUANTUM
                 lst.popleft()
                 self._old.append(sub)
-                sub.active = 2
                 continue
             pkt = sub.dequeue(now)
             if pkt is None:
@@ -355,9 +349,8 @@ class FqCodel:
                 if from_new and self._old:
                     # Empty new queue parks at the old-list tail for one cycle.
                     self._old.append(sub)
-                    sub.active = 2
                 else:
-                    sub.active = 0
+                    sub.listed = False
                 continue
             sub.deficit -= pkt.size_bytes
             return pkt

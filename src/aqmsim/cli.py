@@ -13,6 +13,14 @@ from .predictor import STEPS, min_series_length
 from .scenario import ScenarioConfig, _scaled_int, apply_overrides, load_config
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a flag by raising ValueError, which `main` reports in one line
+    with exit code 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(p: argparse.ArgumentParser, seed: bool, duration: bool) -> None:
     """The flags the simulating commands share; --seed and --duration-s only
     on the commands that read them, so that argparse refuses them elsewhere."""
@@ -73,7 +81,7 @@ def _parse_list(flag: str, text: str, conv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aqmsim",
         description="Deterministic AQM simulator with an ECN-driven "
                     "forecast-and-tune control loop.")
@@ -110,7 +118,7 @@ def main(argv=None) -> int:
     p_pre.add_argument("--length", type=_int_at_least(least), default=6000,
                        help=f"synthetic trace samples (default 6000; at least {least}, "
                             f"so that the training split holds a {STEPS}-step window)")
-    p_pre.add_argument("--epochs", type=int, default=100)
+    p_pre.add_argument("--epochs", type=_int_at_least(0), default=100)
     p_pre.add_argument("--out", default="out")
 
     p_rt = command("retrain-demo",
@@ -120,9 +128,8 @@ def main(argv=None) -> int:
     p_rt.add_argument("--checkpoint", required=True,
                       help="pre-trained forecaster checkpoint")
 
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -166,8 +173,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "pretrain":
-        if args.epochs < 0:
-            raise ValueError(f"--epochs must be >= 0, got {args.epochs}")
         ckpt = os.path.join(args.out, "pretrained.json")
         _, report = harness.pretrain_predictor(
             ckpt, trace_path=args.trace, synth_seed=args.synth_seed,

@@ -18,11 +18,11 @@ from .engine import MS, SECOND, US, Simulator
 from .predictor import (STEPS, LstmForecaster, ingest_trace, load_checkpoint,
                         min_series_length, neurons_per_layer, save_checkpoint,
                         synth_trace)
-from .rng import RngHub
+from .rng import stream
 from .scenario import ScenarioConfig, _scaled_int
 from .transport import Connection
 from .network import PingProbe, Topology
-from .tuner import INTERVAL_FACTOR, QLearningTuner, power_reward
+from .tuner import INTERVAL_FACTOR, QLearningTuner, action_to_params, power_reward
 
 EPOCH_BINS = STEPS  # ECE bins per 1 s decision epoch: one forecast window
 BIN_NS = SECOND // EPOCH_BINS
@@ -115,8 +115,7 @@ class SimContext:
         self.cfg = cfg
         self.seed = seed
         self.sim = Simulator()
-        self.rng_hub = RngHub(seed)
-        self.topo = Topology(self.sim, cfg, self.rng_hub)
+        self.topo = Topology(self.sim, cfg, seed)
         self.duration_ns = cfg.duration_s * SECOND
 
         self.bins100 = [0] * (cfg.duration_s * EPOCH_BINS + 1)
@@ -134,10 +133,10 @@ class SimContext:
         # The monitor comes up first; load starts at bulk_start_ms, or on a
         # random topology at a draw in [0, RAND_START_MAX_S) s per flow.
         self.conns = []
-        stream = self.rng_hub.stream("flow-starts") if cfg.random_topology else None
+        starts = stream(seed, "flow-starts") if cfg.random_topology else None
         for i in range(cfg.pairs):
             if cfg.random_topology:
-                start = int(stream.integers(0, RAND_START_MAX_S * SECOND))
+                start = int(starts.integers(0, RAND_START_MAX_S * SECOND))
             else:
                 start = cfg.bulk_start_ms * MS
             conn = Connection(self.sim, i, self.topo.hosts_b[i], self.topo.hosts_a[i],
@@ -172,7 +171,7 @@ class SimContext:
                 raise ValueError("intelligent runs need a predictor checkpoint")
             self.model = load_checkpoint(cfg.checkpoint)
             self.tuner = QLearningTuner(cfg.alpha, cfg.gamma, cfg.epsilon, self.model,
-                                        self.rng_hub.stream("tuner"))
+                                        stream(seed, "tuner"))
             if cfg.retrain_at_s > 0 and cfg.retrain_at_s <= cfg.duration_s:
                 self.sim.schedule(cfg.retrain_at_s * SECOND, self._retrain)
 
@@ -180,14 +179,12 @@ class SimContext:
         self.rows = []
         self.cumulative_power = 0.0
         self._prev_mon_delivered = 0
-        self._prev_agg_delivered = 0
+        self._agg_delivered = 0  # bulk bytes delivered by the last epoch
         self._prev_marks = 0
         self._prev_drops = 0
         self._mrtt_ns = float(self.topo.base_rtt_ns())
         self._conn_rtt_ns = float(self.topo.base_rtt_ns())
         self._thr_bps = TRANSFER_PROBE_BYTES * 8.0 * SECOND / self.topo.base_rtt_ns()
-        self._occ_max_pct = 0.0
-        self._agg_sum_bps = 0.0
         for k in range(1, cfg.duration_s + 1):
             self.sim.schedule(k * SECOND, self._on_epoch, k)
 
@@ -211,11 +208,7 @@ class SimContext:
         mon_delivered = self.monitor.delivered_bytes
         conn_goodput_bps = (mon_delivered - self._prev_mon_delivered) * 8.0
         self._prev_mon_delivered = mon_delivered
-
-        agg = sum(c.delivered_bytes for c in self.conns)
-        agg_bps = (agg - self._prev_agg_delivered) * 8.0
-        self._prev_agg_delivered = agg
-        self._agg_sum_bps += agg_bps
+        self._agg_delivered = sum(c.delivered_bytes for c in self.conns)
 
         carried = 0 if self.pinger.samples else 1
         self._mrtt_ns = _epoch_mean(self.pinger.samples, self._mrtt_ns)
@@ -226,9 +219,6 @@ class SimContext:
 
         area = stats.drain_area(now)
         occupancy_pct = 100.0 * area / (SECOND * cfg.hard_limit)
-        peak_pct = 100.0 * stats.drain_peak() / cfg.hard_limit
-        if peak_pct > self._occ_max_pct:
-            self._occ_max_pct = peak_pct
 
         marks = stats.marked
         drops_total = stats.dropped_law + stats.dropped_overflow
@@ -245,7 +235,7 @@ class SimContext:
             predicted = self.tuner.learn(
                 reward, self.bins100[(k - 1) * EPOCH_BINS:k * EPOCH_BINS])
             if self.tuner.pending is not None:
-                state, action = self.tuner.pending.state, self.tuner.pending.action
+                state, action = self.tuner.pending
         params = self.topo.aqm_params
         observed_prev = self.bins100[(k - 1) * EPOCH_BINS - 1] if k > 1 else 0
 
@@ -270,8 +260,8 @@ class SimContext:
         ))
 
         if self.tuner is not None and k < cfg.duration_s:
-            decision = self.tuner.decide(self.bins100[k * EPOCH_BINS - 1])
-            params.set(decision.target_ns, decision.interval_ns)
+            a = self.tuner.decide(self.bins100[k * EPOCH_BINS - 1])
+            params.set(*action_to_params(a))
 
     # -- results ---------------------------------------------------------------
 
@@ -299,10 +289,10 @@ class SimContext:
             "mean_throughput_bps": sum(column["throughput_bps"]) / n,
             "mean_conn_goodput_bps": sum(column["conn_goodput_bps"]) / n,
             "mean_conn_rtt_us": sum(column["conn_rtt_us"]) / n,
-            "mean_agg_goodput_bps": self._agg_sum_bps / n,
+            "mean_agg_goodput_bps": self._agg_delivered * 8.0 / n,
             "final_cumulative_power": self.cumulative_power,
             "occupancy_mean_pct": sum(column["occupancy_pct"]) / n,
-            "occupancy_max_pct": self._occ_max_pct,
+            "occupancy_max_pct": 100.0 * stats.max_queued / cfg.hard_limit,
             "marks": stats.marked,
             "law_drops": stats.dropped_law,
             "overflow_drops": stats.dropped_overflow,

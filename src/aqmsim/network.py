@@ -20,6 +20,7 @@ from collections import deque
 from .aqm import AqmParams, make_discipline
 from .engine import MS, transmit_delay
 from .packets import ECT0, F_ACK, F_ECE, F_SYN, Packet
+from .rng import stream
 
 
 class SerializationTimes(dict):
@@ -285,7 +286,7 @@ class Topology:
     """Dumbbell: sender hosts behind edge router R1, one bottleneck link to
     R2, receiver hosts behind R2, and one monitor pair."""
 
-    def __init__(self, sim, cfg, rng_hub):
+    def __init__(self, sim, cfg, seed: int):
         self.sim = sim
         self.cfg = cfg
         n = cfg.pairs
@@ -299,14 +300,14 @@ class Topology:
 
         configured = (cfg.access_bw_bps, cfg.access_prop_ns)
         if cfg.random_topology:
-            rng = rng_hub.stream("topology")
+            rng = stream(seed, "topology")
             (bw_lo, bw_hi), (prop_lo, prop_hi) = RAND_ACCESS_BW_MBPS, RAND_PROP_MS
             access = [(int(rng.integers(bw_lo, bw_hi + 1)) * 10**6,
                        int(rng.integers(prop_lo, prop_hi + 1)) * MS) for _ in range(n)]
         else:
             access = [configured] * n
 
-        hash_seed = int(rng_hub.stream("fq-hash").integers(0, 2**63))
+        hash_seed = int(stream(seed, "fq-hash").integers(0, 2**63))
         self.aqm_params = AqmParams(cfg.target_ns, cfg.interval_ns,
                                     cfg.hard_limit, cfg.ecn)
         self.bottleneck = make_discipline(cfg.disc, self.aqm_params, hash_seed)

@@ -1,9 +1,10 @@
 """Named, reproducible random substreams derived from one master seed.
 
 Each consumer of a run gets its own stream keyed by a string name, so
-adding draws in one place never perturbs another: `topology` (random
-access-link rates and delays), `fq-hash` (FQ-CoDel's flow hash),
-`flow-starts` (random bulk start times) and `tuner` (epsilon-greedy draws).
+adding draws in one place never perturbs another. `stream(seed, name)` serves
+`topology` (random access-link rates and delays), `fq-hash` (FQ-CoDel's flow
+hash), `flow-starts` (random bulk start times) and `tuner` (epsilon-greedy
+draws).
 The forecaster's weight init and dropout masks, and synthetic traces, seed
 their own generators from the model or trace seed instead.
 """
@@ -19,12 +20,6 @@ def substream_seed(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
 
 
-class RngHub:
-    """Factory for independent numpy Generators tied to a master seed."""
-
-    def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed)
-
-    def stream(self, name: str) -> np.random.Generator:
-        seq = np.random.SeedSequence([self.master_seed, substream_seed(name)])
-        return np.random.default_rng(seq)
+def stream(seed: int, name: str) -> np.random.Generator:
+    """The independent numpy Generator named `name` under master seed `seed`."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), substream_seed(name)]))

@@ -9,7 +9,6 @@ reward is the connection's power: throughput divided by measured RTT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +68,6 @@ def power_reward(throughput_bps: float, rtt_s: float, normalizer: float) -> floa
     return throughput_bps / rtt_s / normalizer
 
 
-@dataclass
-class EpochDecision:
-    state: int
-    action: int
-    target_ns: int
-    interval_ns: int
-
-
 class QLearningTuner:
     """Drives one decision per epoch: observe, select, apply, later learn.
 
@@ -93,17 +84,16 @@ class QLearningTuner:
         self.q = np.zeros((N_LEVELS, N_ACTIONS))
         self.max_obs_ref = 1.0
         self.max_pred_ref = 1.0
-        self.pending: EpochDecision | None = None
+        self.pending = None  # (state, action) of the decision awaiting its reward
         self.updates = 0
 
-    def decide(self, observed_count: float) -> EpochDecision:
-        """Pick and record the action for the next epoch."""
+    def decide(self, observed_count: float) -> int:
+        """Pick, record and return the action index for the next epoch."""
         self.max_obs_ref = max(self.max_obs_ref, float(observed_count))
         s = discretize(observed_count, self.max_obs_ref)
         a = select_action(self.q, s, self.epsilon, self.rng)
-        target, interval = action_to_params(a)
-        self.pending = EpochDecision(s, a, target, interval)
-        return self.pending
+        self.pending = (s, a)
+        return a
 
     def learn(self, reward: float, recent_counts) -> float:
         """Close out the pending decision with its reward and return the
@@ -113,7 +103,6 @@ class QLearningTuner:
             return predicted
         self.max_pred_ref = max(self.max_pred_ref, float(predicted))
         s_next = discretize(predicted, self.max_pred_ref)
-        q_update(self.q, self.pending.state, self.pending.action, reward,
-                 s_next, self.alpha, self.gamma)
+        q_update(self.q, *self.pending, reward, s_next, self.alpha, self.gamma)
         self.updates += 1
         return predicted

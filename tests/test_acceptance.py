@@ -139,7 +139,7 @@ def test_c06_codel_control_law_hand_trace():
             out = q.dequeue(now)
             assert out.enq_ns == now - 8 * MS  # constant 8 ms sojourn
             if out.ecn == CE:
-                marks.append((now, q.state.count, q.state.drop_next))
+                marks.append((now, q.count, q.drop_next))
                 break
     t_first_above = 2 * tick
     assert marks, "control law never engaged"
@@ -151,12 +151,12 @@ def test_c06_codel_control_law_hand_trace():
     # Exact inverse-sqrt spacing when dequeues land on the schedule.
     spacings = []
     for expected_count in (2, 3, 4, 5):
-        t = q.state.drop_next
+        t = q.drop_next
         for _ in range(3):
             q.enqueue(Packet(1, 0, 1500, ECT0, F_ACK, t - 8 * MS, 0), t - 8 * MS)
         out = q.dequeue(t)
-        assert out.ecn == CE and q.state.count == expected_count
-        spacings.append(q.state.drop_next - t)
+        assert out.ecn == CE and q.count == expected_count
+        spacings.append(q.drop_next - t)
     # spacings follow interval/sqrt(count) for count = 2, 3, 4, 5
     for spacing, count in zip(spacings, (2, 3, 4, 5)):
         assert spacing == control_interval(100 * MS, count)

@@ -58,11 +58,11 @@ class TestSetParams:
 
     def test_retune_preserves_law_state(self):
         q, _ = _driven_into_dropping()
-        count_before = q.state.count
-        assert q.state.dropping
+        count_before = q.count
+        assert q.dropping
         q.params.set(2 * MS, 40 * MS)
-        assert q.state.dropping
-        assert q.state.count == count_before
+        assert q.dropping
+        assert q.count == count_before
 
 
 def _driven_into_dropping(target=5 * MS, interval=100 * MS, ecn=True):
@@ -70,7 +70,7 @@ def _driven_into_dropping(target=5 * MS, interval=100 * MS, ecn=True):
     left loaded and the state in the dropping phase."""
     q = Codel(AqmParams(target=target, interval=interval, ecn_enabled=ecn))
     now = 0
-    while not q.state.dropping:
+    while not q.dropping:
         q.enqueue(mk_pkt(), now)
         q.enqueue(mk_pkt(), now)  # keep backlog above one MTU
         now += 8 * MS
@@ -96,7 +96,7 @@ class TestControlLaw:
             if k >= 2:
                 out = q.dequeue(now)
                 assert out.enq_ns == now - 8 * MS
-                events.append((now, out.ecn, q.state.count, q.state.drop_next))
+                events.append((now, out.ecn, q.count, q.drop_next))
         t_first_above = 2 * tick  # first dequeue that sees sojourn > target
         marks = [e for e in events if e[1] == CE]
         assert len(marks) >= 2, "control law never engaged"
@@ -115,17 +115,17 @@ class TestControlLaw:
         """Drive dequeues exactly at drop_next instants; spacing = interval/sqrt(count)."""
         q, _ = _driven_into_dropping()
         interval = 100 * MS
-        assert q.state.count == 1
-        action_times = [q.state.drop_next - control_interval(interval, 1)]
+        assert q.count == 1
+        action_times = [q.drop_next - control_interval(interval, 1)]
         for expected_count in (2, 3, 4, 5):
-            t = q.state.drop_next
+            t = q.drop_next
             # keep sojourn at 8 ms and the queue loaded
             q.enqueue(mk_pkt(), t - 8 * MS)
             q.enqueue(mk_pkt(), t - 8 * MS)
             q.enqueue(mk_pkt(), t - 8 * MS)
             out = q.dequeue(t)
             assert out.ecn == CE
-            assert q.state.count == expected_count
+            assert q.count == expected_count
             action_times.append(t)
         gaps = [b - a for a, b in zip(action_times, action_times[1:])]
         assert gaps[0] == control_interval(interval, 1)   # 100 ms
@@ -136,7 +136,7 @@ class TestControlLaw:
 
     def test_below_target_exits_dropping(self):
         q, now = _driven_into_dropping()
-        assert q.state.dropping
+        assert q.dropping
         # Pile fresh packets behind the stale ones, then pop the stale ones
         # (no action falls due before drop_next). The next head has a 2 ms
         # sojourn with plenty of backlog left: the dropping state exits.
@@ -146,10 +146,10 @@ class TestControlLaw:
         for _ in range(n_old):
             out = q.dequeue(now)
             assert out.enq_ns < now
-        assert q.state.dropping
+        assert q.dropping
         out = q.dequeue(now + 2 * MS)  # sojourn 2 ms < target 5 ms
         assert out is not None and out.ecn == ECT0
-        assert not q.state.dropping
+        assert not q.dropping
 
     def test_ect_marked_not_dropped(self):
         q, _ = _driven_into_dropping(ecn=True)
@@ -266,7 +266,7 @@ class TestFqCodel:
             # Every bulk flow is backlogged on the old list; the short flow
             # has drained and left both lists.
             assert not q._new and len(q._old) == len(bulk)
-            assert q._subs[q.bucket_of(short)].active == 0
+            assert not q._subs[q.bucket_of(short)].listed
             fill(q, 1, now, flow=short)  # re-enters the new list ...
             q.enqueue(mk_pkt(flow=fresh, size=64), now)  # ... ahead of the fresh flow
             order = [q.dequeue(now).flow_id for _ in range(len(bulk) + 2)]

@@ -268,11 +268,11 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, runs, command, f
     # Registered only where read, and matched whole: sweep's and compare's
     # --seeds must not take --seed by prefix.
     out = tmp_path / "exp"
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, flag, "9", *COMMAND_REST[command], "--set", "pairs=1",
-              "--out", str(out)])
-    assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    rc = main([command, flag, "9", *COMMAND_REST[command], "--set", "pairs=1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: unrecognized arguments: {flag}")
     assert runs == []
     assert not out.exists()
 
@@ -284,11 +284,11 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, runs, command, f
 ])
 def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, runs, command, flag):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, flag, "-3", *COMMAND_REST[command], "--out", str(out)])
-    assert exit_info.value.code == 2
+    rc = main([command, flag, "-3", *COMMAND_REST[command], "--out", str(out)])
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: " in err and "'-3'" in err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: argument {flag}: ")
+    assert "'-3'" in err
     assert runs == []
     assert not out.exists()
 
@@ -311,11 +311,11 @@ def test_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, runs, monke
     monkeypatch.setattr(harness, "pretrain_predictor",
                         lambda path, **kwargs: pretrains.append(path))
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, *COMMAND_REST[command], flag, value, "--out", str(out)])
-    assert exit_info.value.code == 2
+    rc = main([command, *COMMAND_REST[command], flag, value, "--out", str(out)])
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: " in err and repr(value) in err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: argument {flag}: ")
+    assert repr(value) in err
     assert runs == [] and pretrains == []
     assert not out.exists()
 
@@ -439,6 +439,13 @@ def test_bad_config_value_exits_2_and_leaves_no_out(tmp_path, capsys, runs, comm
     assert err.count("\n") == 1 and "pairs" in err
     assert runs == []
     assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: aqmsim run")
 
 
 def test_pretrain_negative_epochs_exits_2_with_one_line(tmp_path, capsys):

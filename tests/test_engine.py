@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aqmsim.engine import MS, US, Simulator, transmit_delay
-from aqmsim.rng import RngHub
+from aqmsim.rng import stream
 
 
 def test_pop_order_ties_break_by_insertion():
@@ -77,14 +77,14 @@ def test_transmit_delay_rounds_half_up():
 
 
 def test_rng_streams_repeatable_and_independent():
-    a = RngHub(42).stream("tuner").random(100)
-    b = RngHub(42).stream("tuner").random(100)
-    c = RngHub(42).stream("predictor").random(100)
+    a = stream(42, "tuner").random(100)
+    b = stream(42, "tuner").random(100)
+    c = stream(42, "predictor").random(100)
     assert (a == b).all()
     assert not (a == c).all()
 
 
 def test_rng_uniform_range_property():
-    draws = RngHub(7).stream("topology").uniform(1 * MS, 20 * MS, size=10_000)
+    draws = stream(7, "topology").uniform(1 * MS, 20 * MS, size=10_000)
     assert draws.min() >= 1 * MS
     assert draws.max() <= 20 * MS

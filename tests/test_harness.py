@@ -202,6 +202,27 @@ class TestConservation:
             resident = sum(1 for _ in topo.bottleneck.queued_packets())
             assert s.enqueued == s.forwarded + s.dropped_law + resident
 
+    @pytest.mark.parametrize("disc", ["codel", "fq_codel"])
+    def test_occupancy_max_is_the_peak_of_resident_packets(self, monkeypatch, disc):
+        # A shadow peak, counted from the queues themselves after each enqueue.
+        ctx = SimContext(small_cfg(disc=disc, duration_s=3), seed=9)
+        q = ctx.topo.bottleneck
+        enqueue = type(q).enqueue
+        peak = 0
+
+        def shadowed(self, pkt, now):
+            nonlocal peak
+            admitted = enqueue(self, pkt, now)
+            peak = max(peak, sum(1 for _ in q.queued_packets()))
+            return admitted
+
+        monkeypatch.setattr(type(q), "enqueue", shadowed)
+        s = ctx.run().summary
+        # Defect A (ROADMAP item 1) skews the count once a packet overflows.
+        assert s["overflow_drops"] == 0
+        assert peak > 0
+        assert s["occupancy_max_pct"] == 100.0 * peak / ctx.cfg.hard_limit
+
 
 class TestProbeRtt:
     def test_idle_network_mrtt_matches_propagation(self):

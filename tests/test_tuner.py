@@ -203,9 +203,9 @@ class TestDecisionFlow:
 
     def test_first_epoch_exploit_applies_action_zero(self):
         tuner = _tuner()
-        dec = tuner.decide(observed_count=0.0)
-        assert dec.action == 0
-        assert (dec.target_ns, dec.interval_ns) == (50 * US, 1 * MS)
+        action = tuner.decide(observed_count=0.0)
+        assert action == 0 and tuner.pending == (0, 0)
+        assert action_to_params(action) == (50 * US, 1 * MS)
         assert tuner.q.shape == (100, 100) and not tuner.q.any()
         tuner.learn(5.0, recent_counts=[0] * 10)
         assert np.count_nonzero(tuner.q) == 1
@@ -217,7 +217,7 @@ class TestDecisionFlow:
         assert predicted == 0.0
         assert tuner.updates == 1
         # alpha 0.5 times reward 2 at the pending (state, action)
-        assert tuner.q[tuner.pending.state, tuner.pending.action] == 1.0
+        assert tuner.q[tuner.pending] == 1.0
 
     def test_learn_without_pending_decision_is_logged_only(self):
         tuner = _tuner()
