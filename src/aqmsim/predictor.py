@@ -5,6 +5,12 @@ into ten-step supervised windows, and predicts the next interval's count.
 Everything is implemented directly on numpy arrays: stacked LSTM layers with
 sigmoid gates and tanh squashing, inverted dropout between layers during
 training, full backpropagation through time, and adaptive-moment updates.
+
+Training is mixed precision: each step's forward and backward pass runs in
+TRAIN_DTYPE (float32) on a copy of the weights, and its gradient updates the
+float64 weights through float64 adaptive moments. The forward and backward
+passes compute in the dtype of their input, so scoring, forecasting and
+checkpoints, which hand them float64, stay float64 throughout.
 """
 from __future__ import annotations
 
@@ -23,6 +29,9 @@ ADAM_B2 = 0.999
 ADAM_EPS = 1e-8
 BATCH_SIZE = 64
 TRAIN_SPLIT = 0.80
+# The dtype of a training step's arithmetic; the weights and Adam's moments
+# stay float64.
+TRAIN_DTYPE = np.float32
 
 
 def neurons_per_layer(n_in: int, n_samples: int, n_layers: int) -> int:
@@ -73,8 +82,11 @@ class FitReport:
 def build_windows(values, steps: int = STEPS):
     """Slide a length-`steps` window over the series. Row r of X is
     values[r .. r+steps-1] and y[r] is values[r+steps]; both are views of
-    the float64 series, X a read-only view, so nothing is copied."""
-    v = np.asarray(values, dtype=np.float64)
+    a float32 or float64 series, X a read-only view, so nothing is copied.
+    A series of another type is converted to float64 first."""
+    v = np.asarray(values)
+    if v.dtype not in (np.float32, np.float64):
+        v = v.astype(np.float64)
     n = len(v)
     if n < steps + 1:
         raise ValueError(f"series of length {n} has no complete {steps}-step window")
@@ -113,18 +125,20 @@ def mae(actual, predicted) -> float:
     return float(np.mean(np.abs(a - p)))
 
 
-def _buffer(store: dict, key, shape) -> np.ndarray:
-    """A `shape` float array from the one kept in `store` under `key`.
+def _buffer(store: dict, key, shape, dtype: np.dtype) -> np.ndarray:
+    """A `shape` array of `dtype` from the one kept in `store` under `key`
+    and `dtype`.
 
     The kept array is made when `shape` does not fit in it, and a smaller
     shape gets its leading slice, so an epoch's ragged last mini-batch reuses
     the full batches' arrays. Callers vary only the batch axis, so each
     step's (B, ·) slab of a slice stays C-contiguous.
     """
+    key = (key, dtype)
     arr = store.get(key)
     if arr is None or (arr.shape != shape
                        and any(n > m for n, m in zip(shape, arr.shape))):
-        arr = store[key] = np.empty(shape)
+        arr = store[key] = np.empty(shape, dtype)
     return arr if arr.shape == shape else arr[tuple(map(slice, shape))]
 
 
@@ -174,9 +188,10 @@ class LstmForecaster:
         self.norm_max = 0.0
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4C53544D]))
         # Arrays a forward pass and a training step write, kept between
-        # passes by name at the largest batch seen: first-touch page faults
-        # on fresh multi-megabyte arrays cost about as much as a step's
-        # arithmetic. Emptied when training, scoring or a forecast ends.
+        # passes by name and dtype at the largest batch seen: first-touch
+        # page faults on fresh multi-megabyte arrays cost about as much as a
+        # step's arithmetic. A low-precision pass keeps its copy of the
+        # weights here too. Emptied when training, scoring or a forecast ends.
         self._scratch = {}
         h = hidden
         self._shapes = _param_shapes(layers, hidden)
@@ -221,10 +236,21 @@ class LstmForecaster:
     def get_flat(self) -> np.ndarray:
         return self._flat.copy()
 
+    def _weights(self, dtype: np.dtype) -> list:
+        """_unflatten() views of the parameters in `dtype`: of the weights
+        themselves in theirs (float64), else of a copy kept with the scratch
+        arrays and refreshed from the weights by this call."""
+        if dtype == self._flat.dtype:
+            return self._unflatten(self._flat)
+        copy = _buffer(self._scratch, "weights", self._flat.shape, dtype)
+        np.copyto(copy, self._flat)
+        return self._unflatten(copy)
+
     # -- forward / backward ---------------------------------------------------
 
-    def _forward(self, X: np.ndarray, masks=None):
-        """Run the recurrence over a (B, steps) batch.
+    def _forward(self, X: np.ndarray, masks=None, weights=None):
+        """Run the recurrence over a (B, steps) batch, with `weights`, the
+        _weights() of X's dtype when not given.
 
         Returns the predictions, the BPTT cache and the top layer's last
         hidden state. Per layer the cache holds the layer's step-major
@@ -233,20 +259,26 @@ class LstmForecaster:
         the g block takes in backward), g = tanh(z_g) and tanh(c) G and TC
         (T, B, H), and cell and hidden states C and Hs (T + 1, B, H; slot 0
         is the zero initial state). The cache lives in the model's scratch
-        arrays, so it is valid until the next call.
+        arrays, so it is valid until the next call. Those arrays take the
+        common type of X, the masks and the weights, so an input wider than
+        X widens the whole pass instead of being rounded to X's type.
         """
         B, T = X.shape
         H = self.hidden
+        if weights is None:
+            weights = self._weights(X.dtype)
+        dtype = np.result_type(X, *weights, *(masks or ()))
         store = self._scratch
-        z, zh = (_buffer(store, name, (B, 4 * H)) for name in ("z", "zh"))
-        ig = _buffer(store, "ig", (B, H))
+        z, zh = (_buffer(store, name, (B, 4 * H), dtype) for name in ("z", "zh"))
+        ig = _buffer(store, "ig", (B, H), dtype)
         cache = []
         layer_in = X.T[:, :, None]  # (T, B, 1): layer 0's input width is 1
         for l in range(self.layers):
-            Wx, Wh, b = self.Wx[l], self.Wh[l], self.b[l]
-            S = _buffer(store, ("S", l), (T, B, 4 * H))
-            G, TC = (_buffer(store, (name, l), (T, B, H)) for name in ("G", "TC"))
-            C, Hs = (_buffer(store, (name, l), (T + 1, B, H)) for name in ("C", "Hs"))
+            Wx, Wh, b = weights[3 * l:3 * l + 3]
+            S = _buffer(store, ("S", l), (T, B, 4 * H), dtype)
+            G, TC = (_buffer(store, (name, l), (T, B, H), dtype) for name in ("G", "TC"))
+            C, Hs = (_buffer(store, (name, l), (T + 1, B, H), dtype)
+                     for name in ("C", "Hs"))
             C[0] = 0.0
             Hs[0] = 0.0
             for t in range(T):
@@ -272,9 +304,9 @@ class LstmForecaster:
             layer_in = Hs[1:]
             if l < self.layers - 1 and masks is not None:
                 layer_in = np.multiply(layer_in, masks[l],
-                                       out=_buffer(store, ("drop", l), (T, B, H)))
+                                       out=_buffer(store, ("drop", l), (T, B, H), dtype))
         top_last = layer_in[-1]
-        yhat = top_last @ self.w_out + self.b_out
+        yhat = top_last @ weights[-2] + weights[-1]
         return yhat, cache, top_last
 
     def predict_window(self, window) -> float:
@@ -295,7 +327,8 @@ class LstmForecaster:
         return max(raw, 0.0)
 
     def loss_and_gradients(self, X: np.ndarray, y: np.ndarray, masks=None, out=None):
-        """Mean-squared-error loss plus gradients for every parameter.
+        """Mean-squared-error loss plus gradients for every parameter,
+        computed in the dtype of the forward pass (see _forward).
 
         Gradient order matches param_list() with b_out appended; the arrays
         are views of one flat vector laid out as get_flat(), which is `out`
@@ -303,13 +336,16 @@ class LstmForecaster:
         """
         B, T = X.shape
         H = self.hidden
-        yhat, cache, top_last = self._forward(X, masks)
+        weights = self._weights(X.dtype)
+        Wx, Wh, w_out = weights[0:-2:3], weights[1:-2:3], weights[-2]
+        yhat, cache, top_last = self._forward(X, masks, weights)
+        dtype = yhat.dtype
         err = yhat - y
         loss = float(np.mean(err ** 2))
         dy = 2.0 * err / B
 
         if out is None:
-            out = np.zeros_like(self._flat)
+            out = np.zeros(self._flat.shape, dtype)
         else:
             out.fill(0.0)
         grads = self._unflatten(out)
@@ -320,12 +356,13 @@ class LstmForecaster:
         # Per step dz = G * S * D, one (B, 4H) product: for the i/f/g/o
         # blocks G = (dc g, dc c_prev, dc, dh tanh(c)), S = (i, f, i, o) and
         # D = (1 - i, 1 - f, 1 - g^2, 1 - o).
-        dz, deriv = (_buffer(self._scratch, name, (B, 4 * H)) for name in ("dz", "deriv"))
-        dc, dh_time, dc_time, tmp = (_buffer(self._scratch, name, (B, H))
+        store = self._scratch
+        dz, deriv = (_buffer(store, name, (B, 4 * H), dtype) for name in ("dz", "deriv"))
+        dc, dh_time, dc_time, tmp = (_buffer(store, name, (B, H), dtype)
                                      for name in ("dc", "dh_time", "dc_time", "tmp"))
         # Gradient reaching each step's output from the layer above: read at
         # step t, then overwritten with what this layer passes below.
-        dx = _buffer(self._scratch, "dx", (T, B, H))
+        dx = _buffer(store, "dx", (T, B, H), dtype)
         g_blk = slice(2 * H, 3 * H)
         # Layers run top-down, each over all steps in reverse: a layer needs
         # from the one above only its per-step dx, and every gradient still
@@ -341,7 +378,7 @@ class LstmForecaster:
                 if not top:
                     dh = dh_time + dx[t]
                 elif t == T - 1:
-                    dh = dh_time + dy[:, None] * self.w_out[None, :]
+                    dh = dh_time + dy[:, None] * w_out[None, :]
                 else:
                     dh = dh_time
                 s, g, tc = S[t], G[t], TC[t]
@@ -363,9 +400,9 @@ class LstmForecaster:
                 gWh[l] += dz.T @ Hs[t]
                 gb[l] += dz.sum(axis=0)
                 if l > 0:
-                    np.matmul(dz, self.Wx[l], out=dx[t])
+                    np.matmul(dz, Wx[l], out=dx[t])
                 if t > 0:
-                    np.matmul(dz, self.Wh[l], out=dh_time)
+                    np.matmul(dz, Wh[l], out=dh_time)
                     np.multiply(dc, s[:, H:2 * H], out=dc_time)
         return loss, grads
 
@@ -415,14 +452,18 @@ class LstmForecaster:
         self.norm_max = float(train.max())
 
     def _run_epochs(self, counts: np.ndarray, epochs: int) -> None:
-        """Set the bounds from `counts`, then train on its training split."""
+        """Set the bounds from `counts`, then train on its training split.
+
+        The windows and masks are in TRAIN_DTYPE, so each step computes its
+        gradient in it; the update is float64."""
         n_train = self._split_rows(len(counts))
         self._set_bounds(counts)
-        norm = normalize(counts, self.norm_min, self.norm_max)
+        norm = normalize(counts, self.norm_min, self.norm_max).astype(TRAIN_DTYPE)
         X, y = build_windows(norm, self.steps)
         Xtr, ytr = X[:n_train], y[:n_train]
         # Adam runs on the flat parameter vector, in place.
         theta = self._flat
+        g_step = np.empty(theta.shape, TRAIN_DTYPE)
         g = np.empty_like(theta)
         m, v = np.zeros_like(theta), np.zeros_like(theta)
         num, den = np.empty_like(theta), np.empty_like(theta)
@@ -432,10 +473,11 @@ class LstmForecaster:
                 xb = Xtr[lo:lo + BATCH_SIZE]
                 yb = ytr[lo:lo + BATCH_SIZE]
                 masks = self._draw_masks(len(xb))
-                loss, _ = self.loss_and_gradients(xb, yb, masks, out=g)
+                loss, _ = self.loss_and_gradients(xb, yb, masks, out=g_step)
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"training diverged: non-finite loss at update {step}")
+                np.copyto(g, g_step)
                 step += 1
                 b1c = 1.0 - ADAM_B1 ** step
                 b2c = 1.0 - ADAM_B2 ** step
@@ -455,10 +497,13 @@ class LstmForecaster:
         self._scratch.clear()
 
     def _draw_masks(self, batch: int):
+        """Inverted-dropout masks in TRAIN_DTYPE, one per layer below the
+        top, each entry 0 or 1 / keep (1.25 at the default dropout, exact in
+        float32)."""
         if self.dropout <= 0.0 or self.layers < 2:
             return None
         keep = 1.0 - self.dropout
-        return [(self._rng.random((batch, self.hidden)) < keep) / keep
+        return [((self._rng.random((batch, self.hidden)) < keep) / keep).astype(TRAIN_DTYPE)
                 for _ in range(self.layers - 1)]
 
     def _report(self, X, y, n_train: int, epochs: int) -> FitReport:
@@ -574,6 +619,18 @@ def _number_field(path, blob: dict, key: str, integer: bool = False):
     return number
 
 
+# A weight training's copy could not hold would become inf there, and the run
+# would stop at its retrain with "training diverged".
+_TRAIN_MAX = float(np.finfo(TRAIN_DTYPE).max)
+
+
+def _check_train_range(path, key: str, values) -> None:
+    if (np.abs(values) > _TRAIN_MAX).any():
+        raise ValueError(f"{path}: checkpoint field {key} holds a value beyond the "
+                         f"{np.dtype(TRAIN_DTYPE).name} range training computes in "
+                         f"(|value| > {_TRAIN_MAX:g})")
+
+
 def _array_field(path, key: str, value, shape) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
@@ -584,13 +641,15 @@ def _array_field(path, key: str, value, shape) -> np.ndarray:
                          f"expected {shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: checkpoint field {key} holds a non-finite value")
+    _check_train_range(path, key, arr)
     return arr
 
 
 def load_checkpoint(path) -> LstmForecaster:
     """Read a checkpoint written by save_checkpoint. A missing, mistyped,
-    non-finite or mis-shaped field, or a step count other than STEPS, raises
-    ValueError naming the path and the field."""
+    non-finite or mis-shaped field, a weight or bias beyond TRAIN_DTYPE's
+    range, or a step count other than STEPS, raises ValueError naming the
+    path and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
@@ -606,6 +665,7 @@ def load_checkpoint(path) -> LstmForecaster:
     dropout, norm_min, norm_max, b_out = (
         _number_field(path, blob, key)
         for key in ("dropout", "norm_min", "norm_max", "b_out"))
+    _check_train_range(path, "'b_out'", b_out)
     for key in ("Wx", "Wh", "b"):
         if not isinstance(blob[key], list) or len(blob[key]) != layers:
             raise ValueError(f"{path}: checkpoint field {key!r} must list {layers} "

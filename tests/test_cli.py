@@ -372,8 +372,11 @@ def _short_rows(matrices):
     ("Wh", lambda blob: _short_rows(blob["Wh"])),
     ("norm_max", lambda blob: float("nan")),
     ("w_out", lambda blob: [float("inf")] + blob["w_out"][1:]),
+    # Finite, but beyond float32, which training computes in.
+    ("b", lambda blob: [[1e39] + blob["b"][0][1:]] + blob["b"][1:]),
+    ("b_out", lambda blob: -1e39),
 ], ids=["mistyped-steps", "short-Wx-list", "short-Wh-rows", "nan-norm_max",
-        "inf-w_out"])
+        "inf-w_out", "float32-overflow-b", "float32-overflow-b_out"])
 def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, runs, command,
                                                      field, corrupt):
     ckpt = tmp_path / "bad.json"

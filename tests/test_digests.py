@@ -58,14 +58,14 @@ def blas_note() -> str:
 # sha256 of `get_flat().tobytes()` after `fit` plus `retrain_one_epoch`, by
 # (layers, hidden). Widths from 1 up are pinned, so that a one-column hidden
 # state is covered as well as the usual sizes. Like the compare.csv pin,
-# these rest on numpy's matmul, so they are taken with numpy 2.4's bundled
-# OpenBLAS, on the core above.
+# these rest on numpy's matmul, here in float32 (training's TRAIN_DTYPE), so
+# they are taken with numpy 2.4's bundled OpenBLAS, on the core above.
 TRAINED_WEIGHTS = {
-    (1, 5): "0fd1afdab8c67bb3a7fe5eb14e418950c0037772f3268d4895909f7e294eec9e",
-    (2, 5): "a7e966702dcc79cf3ea180cb470daf5fc2d59e0f5ebbd63a0b9ed2a603d0f4dc",
-    (3, 5): "2a86564fab6cf0709345f8ad993048019427c96dc71bf74a95c004f42653561a",
-    (2, 1): "79513cfcd5b5b6f8559f8632185d1550afb5fe931fc3b76ec850a567570d42e1",
-    (3, 3): "4fb3f65dbf2e21c71775a206d640eb73cf9b33c3f79f12579c465c09414a3fab",
+    (1, 5): "94a592e9a9ec005f2a35ce8affa843129cefd8d08d7b9262e1a638cd30501871",
+    (2, 5): "20bb7e399b8eed5f9efee7dc32cf908e8ccf6e66a0997b90f5521e717024b963",
+    (3, 5): "f9edd0becd892bcee235a6614c5420bfe145fd3a8848fd78de15dc1b152c7fa1",
+    (2, 1): "344f15ed223f1163877eec6716efd003f651ac09056fd9efd8a8165c3df6f546",
+    (3, 3): "549ee58b184a9422e3ecb5e1eec7b9907f1df6a01954ca6808bfe5900858be6c",
 }
 
 # sha256 of the loss, every gradient and the predictions of one BPTT pass
@@ -133,7 +133,7 @@ BENCHMARK_WORKLOADS = {
         "b2676ecc2c6e3986b5b44d51561b5bd8b41beedb1f609172baf9f12e2a59d0a0",
         "93b905e2a8a44de98e9e3d7f63b134ee01d95b7b34d704a41af68b531714ab61"),
     "codel_intelligent": (
-        "a88b7d68e781233d18a8e9cb8438234cb57ae0c1131370f6c4a5695485bd219e",
+        "d002322eb785003d0f23b5a4185ba65467cc9a45eb2939e7f1f0dbc360e8d93e",
         "caee7240d6c1e3b4bdcf2450411f8d0d86f0f2e636b7481b073dce82c1b9919b"),
 }
 
@@ -192,7 +192,7 @@ def test_retrain_demo_digests_unchanged(tmp_path):
     assert file_digest(tmp_path / "demo" / "fit_report.csv") == (
         "ff4b6019f1dafb5a1bcaa98d42bc42ad0dcd7b7fb4eb8a4488afc3a042cd13e4"), blas_note()
     assert file_digest(tmp_path / "demo" / "retrained.json") == (
-        "8b18a7169f5b85c60a257cb046cf47e356c992a47240f6d737c1064a26a02500"), blas_note()
+        "d9dd5f238c6e9b769efb7ec82ebb86bf26af5879b89779fef1e140bf9ec7f3d9"), blas_note()
 
 
 def _trained_weights_digest(layers: int, hidden: int) -> str:

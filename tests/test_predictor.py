@@ -222,6 +222,49 @@ class TestGradients:
         assert checked >= 20
 
 
+class TestPrecision:
+    """Training steps run in float32 against float64 weights (TRAIN_DTYPE)."""
+
+    def test_float32_step_agrees_with_float64(self):
+        # One step of the default 3 x 30 model with dropout, in float32 and
+        # in float64 on the same batch and masks: a full batch, then a
+        # ragged one after the weights move, so that a float32 copy of the
+        # weights that is not refreshed shows. Measured: 1.3e-7 at most.
+        series = synth_trace(1, 400).counts
+        m = LstmForecaster(seed=7)
+        X, y = build_windows(normalize(series, series.min(), series.max()))
+        rng = np.random.default_rng(9)
+        for batch in (BATCH_SIZE, 38):
+            xb, yb = X[:batch], y[:batch]
+            masks = m._draw_masks(batch)
+            g64 = np.empty(m.get_flat().size)
+            g32 = np.empty(g64.size, np.float32)
+            loss64, _ = m.loss_and_gradients(xb, yb, masks, out=g64)
+            loss32, _ = m.loss_and_gradients(xb.astype(np.float32),
+                                             yb.astype(np.float32), masks, out=g32)
+            assert abs(loss32 - loss64) <= 1e-5 * loss64
+            gap = np.linalg.norm(g32 - g64) / np.linalg.norm(g64)
+            assert gap <= 1e-5, f"batch {batch}: float32 gradient off by {gap:.2e}"
+            set_flat(m, m.get_flat() + 0.05 * rng.standard_normal(g64.size))
+
+    def test_training_step_keeps_only_float32_scratch(self, monkeypatch):
+        # An input left in float64 (the masks or a bias, say) would widen
+        # the step's arrays to float64: still correct, but no faster.
+        m = LstmForecaster(seed=7)
+        step = m.loss_and_gradients
+        seen = []
+
+        def recording(*args, **kwargs):
+            result = step(*args, **kwargs)
+            seen.append({arr.dtype for arr in m._scratch.values()})
+            return result
+
+        monkeypatch.setattr(m, "loss_and_gradients", recording)
+        # 230 training windows: three batches of 64 and a ragged 38.
+        m.retrain_one_epoch(synth_trace(1, 300).counts)
+        assert seen == [{np.dtype(np.float32)}] * 4
+
+
 class TestTraining:
     def test_training_beats_untrained(self):
         series = synth_trace(31, 400).counts
