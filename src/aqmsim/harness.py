@@ -371,11 +371,18 @@ def _mean(runs, key) -> float:
 SWEEP_TARGETS_MS = (0.05, 0.5, 1.0, 2.0, 4.0, 6.0)
 
 
-def _require_runs(**lists) -> None:
-    """Reject an experiment whose lists leave it with no run to average."""
-    for name, values in lists.items():
-        if len(values) == 0:
-            raise ValueError(f"no {name} given: the experiment needs at least one")
+def _require_runs(name: str, values, key=None) -> None:
+    """Reject an experiment list that leaves no run to average, or that names
+    one run twice (entries with equal `key`), which would average that run
+    as two samples."""
+    if len(values) == 0:
+        raise ValueError(f"no {name} given: the experiment needs at least one")
+    seen = {}
+    for i, v in enumerate(values):
+        first = seen.setdefault(v if key is None else key(v), i)
+        if first != i:
+            raise ValueError(f"{name} name one run twice ({values[first]!r} and "
+                             f"{v!r}): each entry must be distinct")
 
 
 def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
@@ -389,8 +396,10 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
     the distinct summaries (seed column aside) among the `seeds` averaged:
     seeds that reach no random draw of the run repeat one trajectory.
     """
-    _require_runs(seeds=seeds, targets=targets_ms, disciplines=disciplines)
     ms_to_ns = _scaled_int(MS)
+    _require_runs("seeds", seeds)
+    _require_runs("targets", targets_ms, key=ms_to_ns)
+    _require_runs("disciplines", disciplines)
     tasks = []
     for disc in disciplines:
         for t_ms in targets_ms:
@@ -426,7 +435,8 @@ def compare_iaqm(cfg: ScenarioConfig, outdir, seeds=(1, 2, 3, 4, 5),
     arms start from the same defaults and retune every second, forecasting
     with cfg.checkpoint, or else with outdir/pretrained.json, trained if absent.
     """
-    _require_runs(seeds=seeds, disciplines=disciplines)
+    _require_runs("seeds", seeds)
+    _require_runs("disciplines", disciplines)
     checkpoint = cfg.checkpoint or os.path.join(outdir, "pretrained.json")
     tasks = [((disc, arm), replace(cfg, disc=disc, intelligent=smart,
                                    checkpoint=checkpoint if smart else ""), seed)

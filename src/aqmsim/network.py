@@ -1,17 +1,16 @@
 """Hosts, routers, duplex links, and the dumbbell topology.
 
-An EgressPort owns one direction of a link: a queue discipline plus a
-transmitter. A Link is the same transmitter in front of a plain FIFO with a
-hard packet limit; every hop except the bottleneck is a Link. Both track
-serialization arithmetically (busy_until) so that a packet costs one delivery
-event per hop, plus one wakeup event only while the queue is backlogged on
-links with propagation delay. They schedule the same events at the same
-times in the same order, so a hop's outputs do not depend on which of the
-two models it. A Link's `send` puts a packet that finds the wire idle and
-the FIFO empty, the common case, on the wire itself. The two stay separate
-classes: one transmitter for both would branch on every packet on whether
-it carries a discipline. Each looks up a packet's serialization time in its
-own `SerializationTimes` and hands deliveries to a callback bound once.
+An EgressPort owns one direction of a link: a transmitter in front of a
+queue. The transmitter tracks serialization arithmetically (busy_until), so
+a packet costs one delivery event per hop, plus one wakeup event only while
+the queue is backlogged on links with propagation delay. The queue is the
+bottleneck's discipline, or, for a Link, a plain drop-tail FIFO with a hard
+packet limit; every hop except the bottleneck is a Link. A Link overrides
+only the methods that touch its queue (`send`, `_pump`, `_deliver_chain`)
+and inherits the wire step and the wakeup, so a hop schedules the same
+events at the same times in the same order whichever queue it has. Each
+port looks up a packet's serialization time in its own `SerializationTimes`
+and hands deliveries to a callback bound once.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ class SerializationTimes(dict):
 
 
 class EgressPort:
-    """Unidirectional transmitter with an attached queue discipline."""
+    """Unidirectional transmitter in front of a queue discipline."""
 
     __slots__ = ("sim", "prop_ns", "q", "dst", "busy_until",
                  "_kick_pending", "_chained", "_tx_ns", "_deliver")
@@ -66,10 +65,15 @@ class EgressPort:
             self.sim.schedule(self.busy_until, self._kick)
 
     def _pump(self) -> None:
+        pkt = self.q.dequeue(self.sim.now)
+        if pkt is not None:
+            self._transmit(pkt)
+
+    def _transmit(self, pkt) -> None:
+        """Put `pkt` on the idle wire and schedule its delivery; a port with
+        propagation delay that still holds packets arms its wakeup for the
+        instant the wire frees."""
         sim = self.sim
-        pkt = self.q.dequeue(sim.now)
-        if pkt is None:
-            return
         done = sim.now + self._tx_ns[pkt.size_bytes]
         self.busy_until = done
         if self._chained:
@@ -94,8 +98,8 @@ class EgressPort:
             self._pump()
 
 
-class Link:
-    """Unidirectional transmitter in front of a tail-drop FIFO.
+class Link(EgressPort):
+    """Unidirectional transmitter in front of a tail-drop FIFO, the deque `q`.
 
     Counters: `arrivals` (every packet handed to `send`), `forwarded`
     (packets that started transmission), `overflow_drops` (arrivals refused
@@ -104,23 +108,13 @@ class Link:
     FIFO empty goes straight onto the wire without touching the FIFO.
     """
 
-    __slots__ = ("sim", "prop_ns", "hard_limit", "queue", "dst",
-                 "busy_until", "_kick_pending", "_chained", "_tx_ns", "_deliver",
-                 "arrivals", "forwarded", "overflow_drops", "peak")
+    __slots__ = ("hard_limit", "arrivals", "forwarded", "overflow_drops", "peak")
 
     def __init__(self, sim, bandwidth_bps: int, prop_ns: int, hard_limit: int, dst):
         if hard_limit < 1:
             raise ValueError("hard_limit must be >= 1")
-        self.sim = sim
-        self.prop_ns = prop_ns
+        super().__init__(sim, bandwidth_bps, prop_ns, deque(), dst)
         self.hard_limit = hard_limit
-        self.queue = deque()
-        self.dst = dst
-        self.busy_until = 0
-        self._kick_pending = False
-        self._chained = prop_ns == 0
-        self._tx_ns = SerializationTimes(bandwidth_bps)
-        self._deliver = self._deliver_chain if self._chained else dst.receive
         self.arrivals = 0
         self.forwarded = 0
         self.overflow_drops = 0
@@ -128,10 +122,9 @@ class Link:
 
     def send(self, pkt) -> None:
         self.arrivals += 1
-        queue = self.queue
         sim = self.sim
         if self.busy_until <= sim.now:
-            if not queue:
+            if not self.q:
                 # The common case, `_transmit` inline: with the FIFO empty
                 # there is no wakeup to arm.
                 self.forwarded += 1
@@ -145,7 +138,7 @@ class Link:
             # The wire fell idle at this very instant and its wakeup has not
             # run yet: join the FIFO and send its head.
             self._admit(pkt)
-            self._transmit(queue.popleft())
+            self._pump()
         else:
             self._admit(pkt)
             if not self._chained and not self._kick_pending:
@@ -153,40 +146,23 @@ class Link:
                 sim.schedule(self.busy_until, self._kick)
 
     def _admit(self, pkt) -> None:
-        queue = self.queue
-        if len(queue) >= self.hard_limit:
+        q = self.q
+        if len(q) >= self.hard_limit:
             self.overflow_drops += 1
             return
-        queue.append(pkt)
-        if len(queue) > self.peak:
-            self.peak = len(queue)
+        q.append(pkt)
+        if len(q) > self.peak:
+            self.peak = len(q)
 
-    def _transmit(self, pkt) -> None:
-        sim = self.sim
-        self.forwarded += 1
-        done = sim.now + self._tx_ns[pkt.size_bytes]
-        self.busy_until = done
-        if self._chained:
-            sim.schedule(done, self._deliver, pkt)
-        else:
-            sim.schedule(done + self.prop_ns, self._deliver, pkt)
-            if self.queue and not self._kick_pending:
-                self._kick_pending = True
-                sim.schedule(done, self._kick)
-
-    def _kick(self) -> None:
-        self._kick_pending = False
-        if self.sim.now >= self.busy_until:
-            if self.queue:
-                self._transmit(self.queue.popleft())
-        elif self.queue:
-            self._kick_pending = True
-            self.sim.schedule(self.busy_until, self._kick)
+    def _pump(self) -> None:
+        if self.q:
+            self.forwarded += 1
+            self._transmit(self.q.popleft())
 
     def _deliver_chain(self, pkt) -> None:
         self.dst.receive(pkt)
-        if self.queue and self.sim.now >= self.busy_until:
-            self._transmit(self.queue.popleft())
+        if self.q and self.sim.now >= self.busy_until:
+            self._pump()
 
 
 class Host:

@@ -72,6 +72,13 @@ def test_compare_subcommand_with_checkpoint(tmp_path, capsys):
     (["sweep", "--targets-ms", ","], "targets"),
     (["compare", "--seeds", ","], "seeds"),
     (["compare", "--disciplines", ","], "disciplines"),
+    # A repeated entry would average one run as several samples.
+    (["sweep", "--seeds", "1,1"], "seeds"),
+    (["sweep", "--targets-ms", "1,2,1"], "targets"),
+    # Targets are compared in the nanoseconds a run is configured in.
+    (["sweep", "--targets-ms", "1,1.0000000001"], "targets"),
+    (["compare", "--seeds", "2,3,2"], "seeds"),
+    (["compare", "--disciplines", "codel,codel"], "disciplines"),
 ])
 def test_empty_experiment_list_exits_2_before_any_run(tmp_path, capsys, command, named):
     # Checked before any run and before compare pretrains a checkpoint, so

@@ -194,8 +194,8 @@ class TestConservation:
             for link in links:
                 # The resident count comes from the FIFO itself, not the counters.
                 assert link.arrivals == (link.forwarded + link.overflow_drops
-                                         + len(link.queue))
-                assert len(link.queue) <= link.peak <= hard_limit
+                                         + len(link.q))
+                assert len(link.q) <= link.peak <= hard_limit
             if hard_limit == 5:
                 assert sum(link.overflow_drops for link in links) > 0
             s = topo.bottleneck.stats

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from aqmsim.aqm import AqmParams, TailDrop
@@ -17,11 +19,13 @@ class Sink:
         self.arrivals.append((self.sim.now, pkt.size_bytes))
 
 
-def make_hop(kind, sim, bandwidth_bps, prop_ns):
-    sink = Sink(sim)
+def make_hop(kind, sim, bandwidth_bps, prop_ns, hard_limit=10, sink_type=Sink):
+    """A tail-drop EgressPort or a Link, delivering to a new sink."""
+    sink = sink_type(sim)
     if kind == "port":
-        return EgressPort(sim, bandwidth_bps, prop_ns, TailDrop(AqmParams()), sink)
-    return Link(sim, bandwidth_bps, prop_ns, 10, sink)
+        return EgressPort(sim, bandwidth_bps, prop_ns,
+                          TailDrop(AqmParams(hard_limit=hard_limit)), sink)
+    return Link(sim, bandwidth_bps, prop_ns, hard_limit, sink)
 
 
 def packet(size, now):
@@ -70,3 +74,91 @@ def test_serialization_rounds_half_up(kind, prop):
 def test_zero_rate_is_refused_at_construction(kind):
     with pytest.raises(ValueError, match="bandwidth_bps"):
         make_hop(kind, Simulator(), 0, 0)
+
+
+class RecordingSimulator(Simulator):
+    """Logs every scheduled event as (time, callback name)."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def schedule(self, t, fn, *arg):
+        self.log.append((t, fn.__name__))
+        super().schedule(t, fn, *arg)
+
+
+class SeqSink(Sink):
+    """Records (arrival time, seq) of every packet it receives."""
+
+    def receive(self, pkt) -> None:
+        self.arrivals.append((self.sim.now, pkt.seq))
+
+
+# At 8 Gb/s a packet's serialization takes as many ns as it has bytes. Every
+# size and every gap between arrivals is a multiple of 64 ns, so arrivals
+# often land on the very instant the wire frees.
+WIRE_BPS = 8 * 10**9
+SIZES = (64, 576, 1472)
+TICK_NS = 64
+
+
+def arrival_schedule(seed, n=400):
+    """Seeded (time, size) arrivals: a third in bursts at one instant, the
+    rest after gaps of up to about two of the largest packets."""
+    rng = random.Random(seed)
+    t = 0
+    arrivals = []
+    for _ in range(n):
+        if rng.random() >= 1 / 3:
+            t += TICK_NS * rng.randint(1, 50)
+        arrivals.append((t, rng.choice(SIZES)))
+    return arrivals
+
+
+def replay(kind, arrivals, prop_ns):
+    """Run `arrivals` through one hop with a hard limit of 3. Each arrival is
+    scheduled by the one before it, so arrivals and the hop's own events at
+    one instant run in either order."""
+    sim = RecordingSimulator()
+    hop = make_hop(kind, sim, WIRE_BPS, prop_ns, hard_limit=3, sink_type=SeqSink)
+
+    def arrive(i):
+        t, size = arrivals[i]
+        hop.send(Packet(0, i, size, ECT0, F_ACK, t, 0))
+        if i + 1 < len(arrivals):
+            sim.schedule(arrivals[i + 1][0], arrive, i + 1)
+
+    sim.schedule(arrivals[0][0], arrive, 0)
+    sim.run(arrivals[-1][0] + SECOND)
+    assert len(sim) == 0
+    return hop, sim.log, hop.dst.arrivals
+
+
+@pytest.mark.parametrize("prop_ns", [0, 3_000])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_link_and_taildrop_port_are_one_transmitter(seed, prop_ns):
+    arrivals = arrival_schedule(seed)
+    port, port_events, port_out = replay("port", arrivals, prop_ns)
+    link, link_events, link_out = replay("link", arrivals, prop_ns)
+    # The same events at the same times in the same order, so the same
+    # deliveries and the same number of events dispatched.
+    assert link_events == port_events
+    assert link_out == port_out
+    drops = port.q.stats.dropped_overflow
+    assert link.overflow_drops == drops > 0
+    assert link.arrivals == len(arrivals)
+    assert link.forwarded == len(link_out) == len(arrivals) - drops
+    assert link.peak == 3
+    # An independent oracle: the wire is a work-conserving FIFO, so each
+    # delivered packet starts when it arrives or when the one before it
+    # leaves, whichever is later.
+    free = 0
+    frees = set()
+    for delivered_at, i in link_out:
+        t, size = arrivals[i]
+        free = max(t, free) + size
+        frees.add(free)
+        assert delivered_at == free + prop_ns
+    # The schedule reaches the case this test is for.
+    assert any(t in frees for t, _ in arrivals)
