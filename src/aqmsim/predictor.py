@@ -262,6 +262,12 @@ class LstmForecaster:
         arrays, so it is valid until the next call. Those arrays take the
         common type of X, the masks and the weights, so an input wider than
         X widens the whole pass instead of being rounded to X's type.
+
+        A layer's input projection does not depend on the recurrence, so it
+        is one stacked product over all T steps, written into S; the step
+        loop adds h Wh^T and then b, the order of (x Wx^T + h Wh^T) + b. A
+        stacked matmul makes the same BLAS call on each (B, ·) step slab as
+        a per-step one, so the bytes are those of a per-step loop.
         """
         B, T = X.shape
         H = self.hidden
@@ -269,7 +275,7 @@ class LstmForecaster:
             weights = self._weights(X.dtype)
         dtype = np.result_type(X, *weights, *(masks or ()))
         store = self._scratch
-        z, zh = (_buffer(store, name, (B, 4 * H), dtype) for name in ("z", "zh"))
+        zh = _buffer(store, "zh", (B, 4 * H), dtype)
         ig = _buffer(store, "ig", (B, H), dtype)
         cache = []
         layer_in = X.T[:, :, None]  # (T, B, 1): layer 0's input width is 1
@@ -281,25 +287,25 @@ class LstmForecaster:
                      for name in ("C", "Hs"))
             C[0] = 0.0
             Hs[0] = 0.0
+            if l == 0:
+                # One input per step: the projection is a broadcast product.
+                np.multiply(layer_in, Wx[:, 0], out=S)
+            else:
+                np.matmul(layer_in, Wx.T, out=S)
             for t in range(T):
-                if l == 0:
-                    # One input per step: the projection is a broadcast product.
-                    np.multiply(layer_in[t], Wx[:, 0], out=z)
-                else:
-                    np.matmul(layer_in[t], Wx.T, out=z)
-                np.matmul(Hs[t], Wh.T, out=zh)
-                z += zh
-                z += b
                 s, g, tc, c = S[t], G[t], TC[t], C[t + 1]
+                np.matmul(Hs[t], Wh.T, out=zh)
+                s += zh
+                s += b
+                np.tanh(s[:, 2 * H:3 * H], out=g)
                 # One sigmoid over all 4H columns; the g block's is unused.
-                _sigmoid(z, s)
-                np.tanh(z[:, 2 * H:3 * H], out=g)
+                _sigmoid(s, s)
                 np.multiply(s[:, H:2 * H], C[t], out=c)
                 np.multiply(s[:, :H], g, out=ig)
                 c += ig
                 np.tanh(c, out=tc)
                 np.multiply(s[:, 3 * H:], tc, out=Hs[t + 1])
-                s[:, 2 * H:3 * H] = s[:, :H]
+            S[:, :, 2 * H:3 * H] = S[:, :, :H]
             cache.append((layer_in, S, G, TC, C, Hs))
             layer_in = Hs[1:]
             if l < self.layers - 1 and masks is not None:
@@ -344,66 +350,74 @@ class LstmForecaster:
         loss = float(np.mean(err ** 2))
         dy = 2.0 * err / B
 
-        if out is None:
-            out = np.zeros(self._flat.shape, dtype)
-        else:
-            out.fill(0.0)
-        grads = self._unflatten(out)
+        # Every gradient is written below, none accumulated into.
+        grads = self._unflatten(np.empty(self._flat.shape, dtype) if out is None else out)
         gWx, gWh, gb = grads[0:-2:3], grads[1:-2:3], grads[2:-2:3]
         grads[-2][...] = top_last.T @ dy
         grads[-1][0] = dy.sum()
 
-        # Per step dz = G * S * D, one (B, 4H) product: for the i/f/g/o
+        # Per step dz = D * (G * S), one (B, 4H) product: for the i/f/g/o
         # blocks G = (dc g, dc c_prev, dc, dh tanh(c)), S = (i, f, i, o) and
-        # D = (1 - i, 1 - f, 1 - g^2, 1 - o).
+        # D = (1 - i, 1 - f, 1 - g^2, 1 - o). D and 1 - tanh(c)^2 (TD) do not
+        # depend on the recurrence, so each is one pass per layer, D into the
+        # DZ slab that the reverse sweep then turns into dz step by step.
         store = self._scratch
-        dz, deriv = (_buffer(store, name, (B, 4 * H), dtype) for name in ("dz", "deriv"))
-        dc, dh_time, dc_time, tmp = (_buffer(store, name, (B, H), dtype)
-                                     for name in ("dc", "dh_time", "dc_time", "tmp"))
+        DZ = _buffer(store, "DZ", (T, B, 4 * H), dtype)
+        TD = _buffer(store, "TD", (T, B, H), dtype)
+        gs = _buffer(store, "gs", (B, 4 * H), dtype)
+        dc, dh_time, dc_time = (_buffer(store, name, (B, H), dtype)
+                                for name in ("dc", "dh_time", "dc_time"))
         # Gradient reaching each step's output from the layer above: read at
         # step t, then overwritten with what this layer passes below.
         dx = _buffer(store, "dx", (T, B, H), dtype)
         g_blk = slice(2 * H, 3 * H)
         # Layers run top-down, each over all steps in reverse: a layer needs
-        # from the one above only its per-step dx, and every gradient still
-        # accumulates over the steps in the same order.
+        # from the one above only its per-step dx.
         for l in range(self.layers - 1, -1, -1):
             layer_in, S, G, TC, C, Hs = cache[l]
             top = l == self.layers - 1
             if not top and masks is not None:
                 dx *= masks[l]
-            dh_time.fill(0.0)
+            np.multiply(TC, TC, out=TD)
+            np.subtract(1.0, TD, out=TD)
+            np.subtract(1.0, S, out=DZ)
+            np.multiply(G, G, out=DZ[:, :, g_blk])
+            np.subtract(1.0, DZ[:, :, g_blk], out=DZ[:, :, g_blk])
+            # dh is dh_time plus what reaches h from outside the recurrence;
+            # both carries are overwritten only after this step's last use.
+            dh = dh_time
+            dh.fill(0.0)
             dc_time.fill(0.0)
             for t in range(T - 1, -1, -1):
                 if not top:
-                    dh = dh_time + dx[t]
+                    dh += dx[t]
                 elif t == T - 1:
-                    dh = dh_time + dy[:, None] * w_out[None, :]
-                else:
-                    dh = dh_time
+                    dh += dy[:, None] * w_out[None, :]
                 s, g, tc = S[t], G[t], TC[t]
-                np.multiply(tc, tc, out=dc)
-                np.subtract(1.0, dc, out=dc)
-                np.multiply(dh, s[:, 3 * H:], out=tmp)
-                tmp *= dc
-                np.add(dc_time, tmp, out=dc)
-                np.multiply(dc, g, out=dz[:, :H])
-                np.multiply(dc, C[t], out=dz[:, H:2 * H])
-                dz[:, g_blk] = dc
-                np.multiply(dh, tc, out=dz[:, 3 * H:])
-                dz *= s
-                np.subtract(1.0, s, out=deriv)
-                np.multiply(g, g, out=deriv[:, g_blk])
-                np.subtract(1.0, deriv[:, g_blk], out=deriv[:, g_blk])
-                dz *= deriv
-                gWx[l] += dz.T @ layer_in[t]
-                gWh[l] += dz.T @ Hs[t]
-                gb[l] += dz.sum(axis=0)
-                if l > 0:
-                    np.matmul(dz, Wx[l], out=dx[t])
+                np.multiply(dh, s[:, 3 * H:], out=dc)
+                dc *= TD[t]
+                dc += dc_time
+                np.multiply(dc, g, out=gs[:, :H])
+                np.multiply(dc, C[t], out=gs[:, H:2 * H])
+                gs[:, g_blk] = dc
+                np.multiply(dh, tc, out=gs[:, 3 * H:])
+                gs *= s
+                DZ[t] *= gs
                 if t > 0:
-                    np.matmul(dz, Wh[l], out=dh_time)
+                    np.matmul(DZ[t], Wh[l], out=dh_time)
                     np.multiply(dc, s[:, H:2 * H], out=dc_time)
+            # The weight gradients are per-step products, stacked, then summed
+            # over the steps in the sweep's order from +0.0; the bias's
+            # per-step terms are sums over the batch.
+            DZt = DZ.transpose(0, 2, 1)
+            for gW, inp in ((gWx[l], layer_in), (gWh[l], Hs[:-1])):
+                P = _buffer(store, ("P", inp.shape[2]), (T, 4 * H, inp.shape[2]), dtype)
+                np.matmul(DZt, inp, out=P)
+                np.add.reduce(P[::-1], axis=0, out=gW, initial=0.0)
+            P = np.add.reduce(DZ, axis=1, out=_buffer(store, "Pb", (T, 4 * H), dtype))
+            np.add.reduce(P[::-1], axis=0, out=gb[l], initial=0.0)
+            if l > 0:
+                np.matmul(DZ, Wx[l], out=dx)
         return loss, grads
 
     # -- training -------------------------------------------------------------

@@ -265,6 +265,44 @@ class TestPrecision:
         assert seen == [{np.dtype(np.float32)}] * 4
 
 
+class TestScratch:
+    """The arrays a pass writes are kept in `_scratch` at the largest batch
+    seen, and a smaller batch works on their leading slices."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_smaller_batch_after_larger_matches_fresh_model(self, dtype):
+        # After a batch of 64, a batch of 38 runs on slices of the 64-row
+        # slabs, whose (T, B, ·) stacks are not contiguous: a stacked
+        # product written through a reshaped copy of one would be lost.
+        series = synth_trace(1, 400).counts
+        X, y = build_windows(normalize(series, series.min(), series.max()).astype(dtype))
+        used, fresh = LstmForecaster(seed=7), LstmForecaster(seed=7)
+        used.loss_and_gradients(X[:BATCH_SIZE], y[:BATCH_SIZE],
+                                used._draw_masks(BATCH_SIZE))
+        xb, yb = X[BATCH_SIZE:BATCH_SIZE + 38], y[BATCH_SIZE:BATCH_SIZE + 38]
+        masks = fresh._draw_masks(38)
+        results = []
+        for m in (used, fresh):
+            loss, grads = m.loss_and_gradients(xb, yb, masks)
+            results.append((loss, [g.tobytes() for g in grads],
+                            m._forward(xb)[0].tobytes()))
+        assert results[0] == results[1]
+
+    def test_training_scratch_bounded(self):
+        # One batch-64 training step of the default 3 x 30 model keeps
+        # 2,823,484 bytes: each layer's forward cache and one set of BPTT
+        # slabs that the layers share. A per-layer copy of the dz slab
+        # (307,200 bytes) or of the weight-gradient products (144,000)
+        # would show in the benchmark's peak RSS, and fails here.
+        series = synth_trace(1, 400).counts
+        X, y = build_windows(normalize(series, series.min(), series.max())
+                             .astype(np.float32))
+        m = LstmForecaster()
+        m.loss_and_gradients(X[:BATCH_SIZE], y[:BATCH_SIZE], m._draw_masks(BATCH_SIZE),
+                             out=np.empty(m.get_flat().size, np.float32))
+        assert sum(arr.nbytes for arr in m._scratch.values()) <= 2_823_484
+
+
 class TestTraining:
     def test_training_beats_untrained(self):
         series = synth_trace(31, 400).counts
