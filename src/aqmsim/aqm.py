@@ -7,9 +7,9 @@ then spaces successive actions by interval/sqrt(count). With ECN enabled, a
 control-law action on an ECT packet sets CE and forwards it instead of
 dropping. The hard queue limit always drops and never marks.
 
-FQ-CoDel hashes flows into 1024 sub-queues, runs the control law per
-sub-queue, and schedules them with deficit round robin over a new-flows /
-old-flows list pair.
+FQ-CoDel makes a bucket (a sub-queue) when a flow first hashes to it, runs
+the control law per bucket, and schedules the buckets with deficit round
+robin over a new-flows / old-flows list pair.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .packets import CE, ECT0, ECT1
 # A backlog of at most one MTU is exempt from the control law.
 MAX_PACKET_BYTES = 1514
 DRR_QUANTUM = 1514
-NUM_SUBQUEUES = 1024
+NUM_SUBQUEUES = 1024  # the flow hash's modulus; a bucket exists once a flow uses it
 # Re-entering the dropping phase within this many intervals of the last
 # scheduled action reuses the previous count (minus two) instead of restarting.
 REENTRY_WINDOW_INTERVALS = 16
@@ -282,6 +282,7 @@ def mix64(x: int) -> int:
 
 class FqCodel:
     """Deficit round robin over hashed sub-queues, CoDel applied per queue.
+    A bucket's sub-queue is made when a flow first hashes to it.
 
     The per-flow queues, the DRR scheduling and the new and old lists follow
     RFC 8290. One deviation from RFC 8290 §4.1: at the hard limit the
@@ -295,7 +296,7 @@ class FqCodel:
         self.params = params
         self.stats = QueueStats()
         self.hash_seed = hash_seed
-        self._subs = [_SubQueue(params, self.stats) for _ in range(NUM_SUBQUEUES)]
+        self._subs = {}  # bucket index -> _SubQueue, for the buckets in use
         self._sub_of_flow = {}  # memo of bucket_of, by flow id
         # The DRR lists hold the sub-queues themselves.
         self._new = deque()
@@ -314,7 +315,10 @@ class FqCodel:
             return False
         sub = self._sub_of_flow.get(pkt.flow_id)
         if sub is None:
-            sub = self._sub_of_flow[pkt.flow_id] = self._subs[self.bucket_of(pkt.flow_id)]
+            bucket = self.bucket_of(pkt.flow_id)
+            if bucket not in self._subs:
+                self._subs[bucket] = _SubQueue(self.params, stats)
+            sub = self._sub_of_flow[pkt.flow_id] = self._subs[bucket]
         # The limit covers all buckets and was checked above, so the packet
         # joins its bucket directly.
         pkt.enq_ns = now
@@ -356,7 +360,7 @@ class FqCodel:
             return pkt
 
     def queued_packets(self):
-        for sub in self._subs:
+        for sub in self._subs.values():
             yield from sub.queued_packets()
 
 

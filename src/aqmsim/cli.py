@@ -80,6 +80,20 @@ def _parse_list(flag: str, text: str, conv) -> list:
         raise ValueError(f"bad value for {flag}: {exc}") from None
 
 
+def _check_demo_duration(duration_s, random_topology: bool) -> None:
+    """Refuse a retrain-demo --duration-s that the demo would override: one
+    shorter than its collection or, on a fixed topology, longer than the
+    random run it becomes. A config file's duration_s keeps that rule."""
+    if duration_s is None:
+        return
+    least = harness.RETRAIN_DEMO_COLLECT_S
+    most = None if random_topology else harness.RETRAIN_DEMO_FIXED_MAX_S
+    if duration_s < least or (most is not None and duration_s > most):
+        span = f">= {least}" if most is None else f"in [{least}, {most}] on a fixed topology"
+        raise ValueError(f"argument --duration-s: expected an integer {span}, "
+                         f"got '{duration_s}'")
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="aqmsim",
@@ -184,8 +198,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "retrain-demo":
-        _, report = harness.retrain_demo(_build_config(args), args.checkpoint,
-                                         args.out, seed=args.seed)
+        cfg = _build_config(args)
+        _check_demo_duration(args.duration_s, cfg.random_topology)
+        _, report = harness.retrain_demo(cfg, args.checkpoint, args.out, seed=args.seed)
         print(f"one-epoch retrain: train RMSE {report.rmse_train:.4f} "
               f"MAE {report.mae_train:.4f} | test RMSE {report.rmse_test:.4f} "
               f"MAE {report.mae_test:.4f}")

@@ -28,6 +28,7 @@ EPOCH_BINS = STEPS  # ECE bins per 1 s decision epoch: one forecast window
 BIN_NS = SECOND // EPOCH_BINS
 RETRAIN_BIN_NS = 1 * MS
 RETRAIN_DEMO_COLLECT_S = 6  # seconds of 1 ms bins that retrain-demo trains on
+RETRAIN_DEMO_FIXED_MAX_S = 10  # longest retrain-demo run on a config's fixed topology
 RAND_START_MAX_S = 10
 TRANSFER_PROBE_BYTES = 1500  # single-segment probe transfers time the path
 
@@ -502,12 +503,13 @@ def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1):
     """Transfer workflow: run a random scenario, collect 1 ms ECE bins for
     RETRAIN_DEMO_COLLECT_S seconds, one-epoch retrain the pre-trained model.
     A fixed topology in cfg becomes a random one with a 10 Mbps bottleneck,
-    run for at most 10 s."""
+    run for at most RETRAIN_DEMO_FIXED_MAX_S; every run lasts at least
+    RETRAIN_DEMO_COLLECT_S."""
     model = load_checkpoint(checkpoint_path)  # a bad checkpoint fails before the run
     run_cfg = replace(cfg, intelligent=False)
     if not run_cfg.random_topology:
         run_cfg = replace(run_cfg, random_topology=True, bottleneck_bw_bps=10 * 10**6,
-                          duration_s=min(run_cfg.duration_s, 10))
+                          duration_s=min(run_cfg.duration_s, RETRAIN_DEMO_FIXED_MAX_S))
     if run_cfg.duration_s < RETRAIN_DEMO_COLLECT_S:
         run_cfg = replace(run_cfg, duration_s=RETRAIN_DEMO_COLLECT_S)
     result = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)

@@ -1,9 +1,16 @@
-import pytest
+from dataclasses import replace
+from itertools import combinations
 
-from aqmsim.aqm import (DRR_QUANTUM, AqmParams, Codel, FqCodel, TailDrop,
-                        control_interval, make_discipline, mix64)
-from aqmsim.engine import MS, US
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from aqmsim.aqm import (DRR_QUANTUM, MAX_PACKET_BYTES, AqmParams, Codel, FqCodel,
+                        TailDrop, control_interval, make_discipline, mix64)
+from aqmsim.engine import MS, SECOND, US
+from aqmsim.harness import SimContext
 from aqmsim.packets import CE, ECT0, NOT_ECT, F_ACK, Packet
+from aqmsim.scenario import ScenarioConfig
 
 
 def mk_pkt(flow=1, size=1500, ecn=ECT0):
@@ -290,6 +297,35 @@ class TestFqCodel:
         spread = max(sent.values()) - min(sent.values())
         assert spread <= DRR_QUANTUM + 1500
 
+    def test_buckets_are_made_on_first_use(self):
+        q = FqCodel(AqmParams(), hash_seed=5)
+        assert q._subs == {}
+        # The first flow id after 1 that shares flow 1's bucket.
+        twin = next(f for f in range(2, 10**4) if q.bucket_of(f) == q.bucket_of(1))
+        flows = [1, 2, 3, twin]
+        for f in flows:
+            fill(q, 2, 0, flow=f)
+        assert set(q._subs) == {q.bucket_of(f) for f in flows}
+        assert len(q._subs) == len(flows) - 1
+        assert q._sub_of_flow[1] is q._sub_of_flow[twin] is q._subs[q.bucket_of(1)]
+        assert len(q._subs[q.bucket_of(1)]) == 4
+        assert sum(1 for _ in q.queued_packets()) == 2 * len(flows)
+
+    @pytest.mark.parametrize("seed,shared", [
+        (1, []), (101, []), (3, [(2, 4)]), (6, [(1, 15)]),
+    ])
+    def test_default_run_makes_a_bucket_per_hashed_flow(self, seed, shared):
+        # The 20 bulk flows, the monitor connection and the two probes make
+        # 23 flows; a seed whose hash puts two of them in one bucket makes 22.
+        ctx = SimContext(replace(ScenarioConfig(), duration_s=2), seed)
+        ctx.run()
+        q = ctx.topo.bottleneck
+        assert len(q._sub_of_flow) == 23
+        assert len(q._subs) == 23 - len(shared)
+        pairs = [(a, b) for a, b in combinations(sorted(q._sub_of_flow), 2)
+                 if q._sub_of_flow[a] is q._sub_of_flow[b]]
+        assert pairs == shared
+
     def test_taildrop_never_marks(self):
         q = TailDrop(AqmParams(hard_limit=10))
         fill(q, 10, 0)
@@ -309,3 +345,69 @@ def test_make_discipline_kinds():
 def test_mix64_is_stable():
     assert mix64(0) == mix64(0)
     assert mix64(1) != mix64(2)
+
+
+def _bucket(flow_id: int) -> int:
+    return FqCodel(AqmParams()).bucket_of(flow_id)
+
+
+_sizes = st.integers(64, MAX_PACKET_BYTES)
+
+
+@given(
+    flows=st.lists(st.integers(0, 2**16), min_size=2, max_size=4, unique_by=_bucket),
+    bursts=st.lists(st.lists(_sizes, min_size=1, max_size=25), min_size=4, max_size=4),
+    # None is a dequeue; (k, size) an arrival for the k-th flow, kept only
+    # while that flow is backlogged.
+    ops=st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 3), _sizes)), max_size=150),
+)
+def test_drr_fairness_bound(flows, bursts, ops):
+    """While two flows stay backlogged, their dequeued bytes differ by at
+    most DRR_QUANTUM + MAX_PACKET_BYTES (Shreedhar & Varghese, SIGCOMM 1995).
+
+    With the control law held off, every packet that arrives leaves by DRR.
+    Every flow arrives before the first dequeue, so all start on the new
+    list with deficit Q (the quantum); later arrivals only join a backlogged
+    flow, which is listed already, so no flow enters the new list again.
+    Flow i's dequeued bytes are then S_i = Q * (1 + r_i) - d_i, where r_i
+    counts its refills and d_i is its deficit. A visit serves while the
+    deficit is positive, and a packet is at most M = MAX_PACKET_BYTES, so a
+    visit leaves d_i in (-M, 0] and a refill puts it in (Q - M, Q]; always
+    d_i is in (-M, Q]. The two flows keep their cyclic order, so r_i and r_j
+    differ by at most one. If equal, |S_i - S_j| = |d_i - d_j| < Q + M. If
+    r_i = r_j + 1, flow i was refilled and has not been served since, so
+    d_i is in (Q - M, Q] and S_i - S_j = Q - d_i + d_j lies in (-M, Q + M).
+    """
+    q = FqCodel(AqmParams(target=10 * SECOND, interval=20 * SECOND, hard_limit=10**6))
+    backlog = {f: 0 for f in flows}
+    sent = {f: 0 for f in flows}
+    now = 0
+
+    def arrive(f, size):
+        assert q.enqueue(mk_pkt(flow=f, size=size), now)
+        backlog[f] += 1
+
+    def depart():
+        busy = [f for f in flows if backlog[f]]
+        pkt = q.dequeue(now)
+        assert pkt is not None
+        backlog[pkt.flow_id] -= 1
+        sent[pkt.flow_id] += pkt.size_bytes
+        for a, b in combinations(busy, 2):
+            assert abs(sent[a] - sent[b]) <= DRR_QUANTUM + MAX_PACKET_BYTES
+
+    for f, burst in zip(flows, bursts):
+        for size in burst:
+            arrive(f, size)
+    for op in ops:
+        now += US
+        if op is None:
+            if len(q):
+                depart()
+        elif op[0] < len(flows) and backlog[flows[op[0]]]:
+            arrive(flows[op[0]], op[1])
+    while len(q):
+        now += US
+        depart()
+    assert q.dequeue(now) is None
+    assert q.stats.marked == q.stats.dropped_law == 0

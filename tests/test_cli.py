@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -311,6 +312,11 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, runs, command, 
     ("run", "--duration-s", "0"),
     ("compare", "--duration-s", "0"),
     ("retrain-demo", "--duration-s", "0"),
+    # retrain-demo collects 6 s, and turns the default fixed topology into a
+    # random one of at most 10 s: a length it would override is refused
+    # before the checkpoint is read.
+    ("retrain-demo", "--duration-s", "2"),
+    ("retrain-demo", "--duration-s", "40"),
 ])
 def test_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, runs, monkeypatch,
                                                    command, flag, value):
@@ -325,6 +331,35 @@ def test_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, runs, monke
     assert repr(value) in err
     assert runs == [] and pretrains == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,duration_s", [
+    (["--duration-s", "6"], 6),
+    (["--duration-s", "10"], 10),
+    (["--duration-s", "40", "--set", "random_topology=true"], 40),
+    (["--duration-s", "5", "--set", "random_topology=true"], None),
+    # A config's own duration_s is not a flag: the demo keeps its rule and
+    # lengthens or shortens the run.
+    (["--set", "duration_s=2"], 2),
+    ([], 300),
+])
+def test_retrain_demo_duration_is_run_or_refused(tmp_path, capsys, monkeypatch, args,
+                                                 duration_s):
+    demos = []
+
+    def demo(cfg, checkpoint, out, seed):
+        demos.append(cfg.duration_s)
+        return None, SimpleNamespace(rmse_train=0, mae_train=0, rmse_test=0, mae_test=0)
+
+    monkeypatch.setattr(harness, "retrain_demo", demo)
+    rc = main(["retrain-demo", "--checkpoint", "absent.json", *args,
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if duration_s is None:
+        assert rc == 2 and demos == []
+        assert err.count("\n") == 1 and err.startswith("error: argument --duration-s: ")
+    else:
+        assert rc == 0 and demos == [duration_s]
 
 
 def test_pretrain_length_minimum_is_the_split_rule(tmp_path):
