@@ -190,8 +190,10 @@ class LstmForecaster:
         # Arrays a forward pass and a training step write, kept between
         # passes by name and dtype at the largest batch seen: first-touch
         # page faults on fresh multi-megabyte arrays cost about as much as a
-        # step's arithmetic. A low-precision pass keeps its copy of the
-        # weights here too. Emptied when training, scoring or a forecast ends.
+        # step's arithmetic. Only a training step's forward pass keeps a
+        # set of slabs per layer (see _forward). A low-precision pass keeps
+        # its copy of the weights here too. Emptied when training, scoring
+        # or a forecast ends.
         self._scratch = {}
         h = hidden
         self._shapes = _param_shapes(layers, hidden)
@@ -248,20 +250,29 @@ class LstmForecaster:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _forward(self, X: np.ndarray, masks=None, weights=None):
+    def _forward(self, X: np.ndarray, masks=None, weights=None, keep_cache=False):
         """Run the recurrence over a (B, steps) batch, with `weights`, the
         _weights() of X's dtype when not given.
 
         Returns the predictions, the BPTT cache and the top layer's last
-        hidden state. Per layer the cache holds the layer's step-major
-        (T, B, D) input and step-major slabs: gate sigmoids S (T, B, 4H),
-        whose g block is then overwritten with the input gate i (the factor
-        the g block takes in backward), g = tanh(z_g) and tanh(c) G and TC
-        (T, B, H), and cell and hidden states C and Hs (T + 1, B, H; slot 0
-        is the zero initial state). The cache lives in the model's scratch
-        arrays, so it is valid until the next call. Those arrays take the
-        common type of X, the masks and the weights, so an input wider than
-        X widens the whole pass instead of being rounded to X's type.
+        hidden state. The cache is kept only when `keep_cache` is set, for
+        loss_and_gradients, which reads it; it is None otherwise. Per layer
+        it holds the layer's step-major (T, B, D) input and step-major slabs:
+        gate sigmoids S (T, B, 4H), whose g block is then overwritten with
+        the input gate i (the factor the g block takes in backward),
+        g = tanh(z_g) and tanh(c) G and TC (T, B, H), and cell and hidden
+        states C and Hs (T + 1, B, H; slot 0 is the zero initial state).
+        Without the cache the same steps run on one set of slabs that the
+        layers share: a layer reads its input, the hidden states of the one
+        below, only in the stacked input projection, before its own step
+        loop overwrites them. Either way the dropout-masked layer inputs
+        share one slab, which ends holding the top layer's; loss_and_gradients
+        writes each layer's back before it reads it.
+
+        The slabs live in the model's scratch arrays, so the cache is valid
+        until the next call. Those arrays take the common type of X, the
+        masks and the weights, so an input wider than X widens the whole
+        pass instead of being rounded to X's type.
 
         A layer's input projection does not depend on the recurrence, so it
         is one stacked product over all T steps, written into S; the step
@@ -277,13 +288,14 @@ class LstmForecaster:
         store = self._scratch
         zh = _buffer(store, "zh", (B, 4 * H), dtype)
         ig = _buffer(store, "ig", (B, H), dtype)
-        cache = []
+        cache = [] if keep_cache else None
         layer_in = X.T[:, :, None]  # (T, B, 1): layer 0's input width is 1
         for l in range(self.layers):
             Wx, Wh, b = weights[3 * l:3 * l + 3]
-            S = _buffer(store, ("S", l), (T, B, 4 * H), dtype)
-            G, TC = (_buffer(store, (name, l), (T, B, H), dtype) for name in ("G", "TC"))
-            C, Hs = (_buffer(store, (name, l), (T + 1, B, H), dtype)
+            key = l if keep_cache else 0
+            S = _buffer(store, ("S", key), (T, B, 4 * H), dtype)
+            G, TC = (_buffer(store, (name, key), (T, B, H), dtype) for name in ("G", "TC"))
+            C, Hs = (_buffer(store, (name, key), (T + 1, B, H), dtype)
                      for name in ("C", "Hs"))
             C[0] = 0.0
             Hs[0] = 0.0
@@ -305,12 +317,13 @@ class LstmForecaster:
                 c += ig
                 np.tanh(c, out=tc)
                 np.multiply(s[:, 3 * H:], tc, out=Hs[t + 1])
-            S[:, :, 2 * H:3 * H] = S[:, :, :H]
-            cache.append((layer_in, S, G, TC, C, Hs))
+            if keep_cache:
+                S[:, :, 2 * H:3 * H] = S[:, :, :H]
+                cache.append((layer_in, S, G, TC, C, Hs))
             layer_in = Hs[1:]
             if l < self.layers - 1 and masks is not None:
                 layer_in = np.multiply(layer_in, masks[l],
-                                       out=_buffer(store, ("drop", l), (T, B, H), dtype))
+                                       out=_buffer(store, "drop", (T, B, H), dtype))
         top_last = layer_in[-1]
         yhat = top_last @ weights[-2] + weights[-1]
         return yhat, cache, top_last
@@ -344,7 +357,7 @@ class LstmForecaster:
         H = self.hidden
         weights = self._weights(X.dtype)
         Wx, Wh, w_out = weights[0:-2:3], weights[1:-2:3], weights[-2]
-        yhat, cache, top_last = self._forward(X, masks, weights)
+        yhat, cache, top_last = self._forward(X, masks, weights, keep_cache=True)
         dtype = yhat.dtype
         err = yhat - y
         loss = float(np.mean(err ** 2))
@@ -406,6 +419,10 @@ class LstmForecaster:
                 if t > 0:
                     np.matmul(DZ[t], Wh[l], out=dh_time)
                     np.multiply(dc, s[:, H:2 * H], out=dc_time)
+            if l > 0 and masks is not None:
+                # The masked layer inputs share one slab: this layer's input
+                # is the product _forward wrote there, made again.
+                np.multiply(cache[l - 1][-1][1:], masks[l - 1], out=layer_in)
             # The weight gradients are per-step products, stacked, then summed
             # over the steps in the sweep's order from +0.0; the bias's
             # per-step terms are sums over the batch.
@@ -475,10 +492,12 @@ class LstmForecaster:
         norm = normalize(counts, self.norm_min, self.norm_max).astype(TRAIN_DTYPE)
         X, y = build_windows(norm, self.steps)
         Xtr, ytr = X[:n_train], y[:n_train]
-        # Adam runs on the flat parameter vector, in place.
+        # Adam runs on the flat parameter vector, in place. It reads the
+        # TRAIN_DTYPE gradient as it is: dtype=np.float64 makes each product
+        # that takes it widen it (exactly) and compute in float64, where
+        # numpy would compute in TRAIN_DTYPE and round.
         theta = self._flat
-        g_step = np.empty(theta.shape, TRAIN_DTYPE)
-        g = np.empty_like(theta)
+        g = np.empty(theta.shape, TRAIN_DTYPE)
         m, v = np.zeros_like(theta), np.zeros_like(theta)
         num, den = np.empty_like(theta), np.empty_like(theta)
         step = 0
@@ -487,18 +506,17 @@ class LstmForecaster:
                 xb = Xtr[lo:lo + BATCH_SIZE]
                 yb = ytr[lo:lo + BATCH_SIZE]
                 masks = self._draw_masks(len(xb))
-                loss, _ = self.loss_and_gradients(xb, yb, masks, out=g_step)
+                loss, _ = self.loss_and_gradients(xb, yb, masks, out=g)
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"training diverged: non-finite loss at update {step}")
-                np.copyto(g, g_step)
                 step += 1
                 b1c = 1.0 - ADAM_B1 ** step
                 b2c = 1.0 - ADAM_B2 ** step
                 m *= ADAM_B1
-                m += np.multiply(g, 1 - ADAM_B1, out=num)
+                m += np.multiply(g, 1 - ADAM_B1, out=num, dtype=np.float64)
                 v *= ADAM_B2
-                np.square(g, out=num)
+                np.square(g, out=num, dtype=np.float64)
                 num *= 1 - ADAM_B2
                 v += num
                 np.divide(m, b1c, out=num)
@@ -521,8 +539,8 @@ class LstmForecaster:
                 for _ in range(self.layers - 1)]
 
     def _report(self, X, y, n_train: int, epochs: int) -> FitReport:
-        # Scored in BATCH_SIZE-row slices, so working memory, one slice's BPTT
-        # cache, is bounded by the batch, not the series.
+        # Scored in BATCH_SIZE-row slices, so working memory, one slice's
+        # layer-shared slabs, is bounded by the batch, not the series.
         pred = np.concatenate([self._forward(X[lo:lo + BATCH_SIZE])[0]
                                for lo in range(0, len(X), BATCH_SIZE)])
         self._scratch.clear()

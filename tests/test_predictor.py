@@ -288,11 +288,27 @@ class TestScratch:
                             m._forward(xb)[0].tobytes()))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_slabs_predict_as_the_cache_does(self, dtype, layers):
+        # A pass that keeps the BPTT cache and one that only predicts run
+        # the same cell step, on per-layer slabs and on slabs the layers
+        # share. A full batch, then a ragged one on slices of its slabs.
+        series = synth_trace(1, 400).counts
+        X, _ = build_windows(normalize(series, series.min(), series.max()).astype(dtype))
+        m = LstmForecaster(layers=layers, seed=7)
+        for xb in (X[:BATCH_SIZE], X[BATCH_SIZE:BATCH_SIZE + 38]):
+            cached = m._forward(xb, keep_cache=True)[0]
+            shared = m._forward(xb)[0]
+            assert shared.dtype == dtype
+            assert shared.tobytes() == cached.tobytes()
+
     def test_training_scratch_bounded(self):
         # One batch-64 training step of the default 3 x 30 model keeps
-        # 2,823,484 bytes: each layer's forward cache and one set of BPTT
-        # slabs that the layers share. A per-layer copy of the dz slab
-        # (307,200 bytes) or of the weight-gradient products (144,000)
+        # 2,746,684 bytes: each layer's forward cache, one slab of the
+        # dropout-masked layer inputs and one set of BPTT slabs that the
+        # layers share. A per-layer copy of the masked inputs (76,800 bytes),
+        # the dz slab (307,200) or the weight-gradient products (144,000)
         # would show in the benchmark's peak RSS, and fails here.
         series = synth_trace(1, 400).counts
         X, y = build_windows(normalize(series, series.min(), series.max())
@@ -300,7 +316,7 @@ class TestScratch:
         m = LstmForecaster()
         m.loss_and_gradients(X[:BATCH_SIZE], y[:BATCH_SIZE], m._draw_masks(BATCH_SIZE),
                              out=np.empty(m.get_flat().size, np.float32))
-        assert sum(arr.nbytes for arr in m._scratch.values()) <= 2_823_484
+        assert sum(arr.nbytes for arr in m._scratch.values()) <= 2_746_684
 
 
 class TestTraining:
@@ -349,17 +365,27 @@ class TestTraining:
 
     def test_report_pass_bounded_by_the_batch(self):
         # The end-of-fit report of the default model on 5,990 windows (the
-        # 6,000-sample default trace) runs in batch-sized slices, each
-        # keeping one slice's BPTT cache (4.2 MB peak). Scored in one pass
-        # with the cache it peaks at 368 MB. The cache is emptied when the
-        # report returns.
+        # 6,000-sample default trace) runs in batch-sized slices on slabs
+        # that the layers share, so it peaks below the one-epoch retrain on
+        # the same series (1.6 MB against 3.6 MB) and never sets fit's peak.
+        # With a per-layer BPTT cache it peaked above it (4.2 MB against
+        # 3.8 MB), and scored in one pass with that cache at 368 MB. A
+        # forecast peaks below what the per-layer cache of its one window
+        # alone takes (44 kB against 59 kB; with the cache, 69 kB). The
+        # scratch arrays are emptied when each returns.
         series = synth_trace(1, 6000).counts
         m = LstmForecaster(steps=10, layers=3, hidden=30, seed=7)
         report, peak = traced_peak(m.fit, series, epochs=0)
         assert report.n_train_windows + report.n_test_windows == 5990
         assert peak < 8e6, f"report pass peaked at {peak / 1e6:.1f} MB"
         assert m._scratch == {}
-        m.predict_next_count(series[-10:])
+        _, retrain_peak = traced_peak(m.retrain_one_epoch, series)
+        assert peak < retrain_peak, (f"report pass peaked at {peak / 1e6:.2f} MB, "
+                                     f"the retrain at {retrain_peak / 1e6:.2f} MB")
+        _, forecast_peak = traced_peak(m.predict_next_count, series[-10:])
+        T, H = m.steps, m.hidden
+        cache_bytes = m.layers * 8 * (T * 4 * H + 2 * T * H + 2 * (T + 1) * H)
+        assert forecast_peak < cache_bytes, f"a forecast peaked at {forecast_peak} bytes"
         assert m._scratch == {}
 
     def test_retrain_allocates_no_report(self):
