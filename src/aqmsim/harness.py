@@ -1,16 +1,19 @@
 """Scenario orchestration: build, run, measure, and write CSV outputs.
 
-One SimContext owns one simulation instance. Every decision epoch (1 s of
-simulated time) it closes out the monitor connection's goodput and measured
-RTT, computes the power reward, and, when the intelligent loop is on, feeds
-the Q-learning tuner and applies its chosen (target, interval) pair to the
-edge router's discipline. Multi-run experiments (sweep, compare) fan out
-across processes; each run is fully determined by (config, seed).
+One SimContext owns one simulation instance and, in the intelligent loop,
+the forecaster. Every decision epoch (1 s of simulated time) it closes out
+the monitor connection's goodput and measured RTT, computes the power
+reward, and, when the intelligent loop is on, forecasts the next epoch's ECE
+count, feeds reward and forecast to the Q-learning tuner and applies its
+chosen (target, interval) pair to the edge router's discipline. A run
+returns its context, which the CSV writers read. Multi-run experiments
+(sweep, compare) fan out across processes; each run is fully determined by
+(config, seed).
 """
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -90,14 +93,6 @@ def write_csv(path, columns, rows) -> None:
                               for v, (_, spec) in zip(row, columns)) + "\n")
 
 
-@dataclass
-class RunResult:
-    rows: list
-    summary: dict
-    bins100: list
-    bins1ms: list
-
-
 def _epoch_mean(samples, last, term=None):
     """The mean of an epoch's samples (of term(sample), if given), which it
     clears; `last` carried over when the epoch has none."""
@@ -109,7 +104,8 @@ def _epoch_mean(samples, last, term=None):
 
 
 class SimContext:
-    """One fully wired simulation run."""
+    """One fully wired simulation run; `run` executes it and stores its
+    `summary`."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int, collect_1ms_s: int = 0):
         cfg.validate()
@@ -171,7 +167,7 @@ class SimContext:
             if not cfg.checkpoint:
                 raise ValueError("intelligent runs need a predictor checkpoint")
             self.model = load_checkpoint(cfg.checkpoint)
-            self.tuner = QLearningTuner(cfg.alpha, cfg.gamma, cfg.epsilon, self.model,
+            self.tuner = QLearningTuner(cfg.alpha, cfg.gamma, cfg.epsilon,
                                         stream(seed, "tuner"))
             if cfg.retrain_at_s > 0 and cfg.retrain_at_s <= cfg.duration_s:
                 self.sim.schedule(cfg.retrain_at_s * SECOND, self._retrain)
@@ -233,8 +229,9 @@ class SimContext:
         self.cumulative_power += reward
         predicted = state = action = ""
         if self.tuner is not None:
-            predicted = self.tuner.learn(
-                reward, self.bins100[(k - 1) * EPOCH_BINS:k * EPOCH_BINS])
+            predicted = self.model.predict_next_count(
+                self.bins100[(k - 1) * EPOCH_BINS:k * EPOCH_BINS])
+            self.tuner.learn(reward, predicted)
             if self.tuner.pending is not None:
                 state, action = self.tuner.pending
         params = self.topo.aqm_params
@@ -266,7 +263,7 @@ class SimContext:
 
     # -- results ---------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> SimContext:
         self.sim.run(self.duration_ns)
         cfg = self.cfg
         stats = self.topo.bottleneck.stats
@@ -276,10 +273,9 @@ class SimContext:
         balance = stats.enqueued - (stats.forwarded + stats.dropped_law + resident)
         if balance != 0:
             raise RuntimeError(f"queue accounting out of balance by {balance} packets")
-        rows = self.rows
-        n = len(rows)
-        column = dict(zip((name for name, _ in EPOCH_COLUMNS), zip(*rows)))
-        summary = {
+        n = len(self.rows)
+        column = dict(zip((name for name, _ in EPOCH_COLUMNS), zip(*self.rows)))
+        self.summary = {
             "seed": self.seed,
             "disc": cfg.disc,
             "ecn": int(cfg.ecn),
@@ -299,31 +295,30 @@ class SimContext:
             "overflow_drops": stats.dropped_overflow,
             "reward_normalizer": self.reward_normalizer,
         }
-        return RunResult(rows=rows, summary=summary, bins100=self.bins100,
-                         bins1ms=self.bins1ms)
+        return self
 
 
-def simulate(cfg: ScenarioConfig, seed: int, collect_1ms_s: int = 0) -> RunResult:
+def simulate(cfg: ScenarioConfig, seed: int, collect_1ms_s: int = 0) -> SimContext:
     return SimContext(cfg, seed, collect_1ms_s).run()
 
 
 # -- CSV writers -------------------------------------------------------------
 
 
-def write_epochs_csv(result: RunResult, path) -> None:
-    write_csv(path, EPOCH_COLUMNS, result.rows)
+def write_epochs_csv(run: SimContext, path) -> None:
+    write_csv(path, EPOCH_COLUMNS, run.rows)
 
 
-def write_summary_csv(result: RunResult, path) -> None:
-    write_csv(path, SUMMARY_COLUMNS, [named(SUMMARY_COLUMNS, result.summary)])
+def write_summary_csv(run: SimContext, path) -> None:
+    write_csv(path, SUMMARY_COLUMNS, [named(SUMMARY_COLUMNS, run.summary)])
 
 
-def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> SimContext:
     """Single run; writes epochs.csv and summary.csv under outdir."""
-    result = simulate(cfg, seed)
-    write_epochs_csv(result, os.path.join(outdir, "epochs.csv"))
-    write_summary_csv(result, os.path.join(outdir, "summary.csv"))
-    return result
+    run = simulate(cfg, seed)
+    write_epochs_csv(run, os.path.join(outdir, "epochs.csv"))
+    write_summary_csv(run, os.path.join(outdir, "summary.csv"))
+    return run
 
 
 # -- multi-run experiments ------------------------------------------------------
@@ -512,10 +507,10 @@ def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1):
                           duration_s=min(run_cfg.duration_s, RETRAIN_DEMO_FIXED_MAX_S))
     if run_cfg.duration_s < RETRAIN_DEMO_COLLECT_S:
         run_cfg = replace(run_cfg, duration_s=RETRAIN_DEMO_COLLECT_S)
-    result = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)
-    report = model.fit(np.array(result.bins1ms, dtype=np.int64), 1)
+    run = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)
+    report = model.fit(np.array(run.bins1ms, dtype=np.int64), 1)
     out_ckpt = os.path.join(outdir, "retrained.json")
     save_checkpoint(model, out_ckpt)
     write_fit_report_csv(report, os.path.join(outdir, "fit_report.csv"))
-    write_epochs_csv(result, os.path.join(outdir, "epochs.csv"))
+    write_epochs_csv(run, os.path.join(outdir, "epochs.csv"))
     return model, report

@@ -2,8 +2,10 @@
 
 An EgressPort owns one direction of a link: a transmitter in front of a
 queue. The transmitter tracks serialization arithmetically (busy_until), so
-a packet costs one delivery event per hop, plus one wakeup event only while
-the queue is backlogged on links with propagation delay. The queue is the
+a packet costs one delivery event per hop, at the end of its serialization
+plus the propagation delay. On a chained port (no propagation delay) that
+delivery puts the next packet on the wire; on any other, a wakeup event
+does, armed only while the queue is backlogged. The queue is the
 bottleneck's discipline, or, for a Link, a plain drop-tail FIFO with a hard
 packet limit; every hop except the bottleneck is a Link. A Link overrides
 only the methods that touch its queue (`send`, `_pump`, `_deliver_chain`)
@@ -70,19 +72,16 @@ class EgressPort:
             self._transmit(pkt)
 
     def _transmit(self, pkt) -> None:
-        """Put `pkt` on the idle wire and schedule its delivery; a port with
-        propagation delay that still holds packets arms its wakeup for the
-        instant the wire frees."""
+        """Put `pkt` on the idle wire and schedule its delivery; an unchained
+        port that still holds packets arms its wakeup for the instant the
+        wire frees."""
         sim = self.sim
         done = sim.now + self._tx_ns[pkt.size_bytes]
         self.busy_until = done
-        if self._chained:
-            sim.schedule(done, self._deliver, pkt)
-        else:
-            sim.schedule(done + self.prop_ns, self._deliver, pkt)
-            if len(self.q) and not self._kick_pending:
-                self._kick_pending = True
-                sim.schedule(done, self._kick)
+        sim.schedule(done + self.prop_ns, self._deliver, pkt)
+        if not self._chained and len(self.q) and not self._kick_pending:
+            self._kick_pending = True
+            sim.schedule(done, self._kick)
 
     def _kick(self) -> None:
         self._kick_pending = False
@@ -130,10 +129,7 @@ class Link(EgressPort):
                 self.forwarded += 1
                 done = sim.now + self._tx_ns[pkt.size_bytes]
                 self.busy_until = done
-                if self._chained:
-                    sim.schedule(done, self._deliver, pkt)
-                else:
-                    sim.schedule(done + self.prop_ns, self._deliver, pkt)
+                sim.schedule(done + self.prop_ns, self._deliver, pkt)
                 return
             # The wire fell idle at this very instant and its wakeup has not
             # run yet: join the FIFO and send its head.

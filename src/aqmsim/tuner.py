@@ -1,8 +1,9 @@
 """Tabular Q-learning agent that retunes the AQM target/interval pair.
 
 States are discretized congestion levels: the observed per-interval count of
-ECE-marked packets (current state) and the forecaster's next-interval
-estimate (next state), both scaled against their running maxima. Actions map
+ECE-marked packets (current state) and a forecast of the next interval's
+count (next state), both scaled against their running maxima. The forecast
+arrives as a number from the caller, which owns the forecaster. Actions map
 to a fixed grid of 100 target values with interval locked at 20x target. The
 reward is the connection's power: throughput divided by measured RTT.
 """
@@ -69,17 +70,17 @@ def power_reward(throughput_bps: float, rtt_s: float, normalizer: float) -> floa
 
 
 class QLearningTuner:
-    """Drives one decision per epoch: observe, select, apply, later learn.
+    """Drives one decision per epoch: observe, select, apply, later learn
+    from the reward and a forecast count that the caller supplies.
 
     `q` is the 100x100 action-value table; `max_obs_ref` and `max_pred_ref`
     are the running maxima that observed and predicted counts are
     discretized against, never below 1."""
 
-    def __init__(self, alpha: float, gamma: float, epsilon: float, predictor, rng):
+    def __init__(self, alpha: float, gamma: float, epsilon: float, rng):
         self.alpha = alpha
         self.gamma = gamma
         self.epsilon = epsilon
-        self.predictor = predictor
         self.rng = rng
         self.q = np.zeros((N_LEVELS, N_ACTIONS))
         self.max_obs_ref = 1.0
@@ -95,14 +96,12 @@ class QLearningTuner:
         self.pending = (s, a)
         return a
 
-    def learn(self, reward: float, recent_counts) -> float:
-        """Close out the pending decision with its reward and return the
-        forecast next count; with no decision outstanding, only forecast."""
-        predicted = self.predictor.predict_next_count(recent_counts)
+    def learn(self, reward: float, predicted: float) -> None:
+        """Close out the pending decision with its reward, its next state
+        the forecast next count; with no decision outstanding, do nothing."""
         if self.pending is None:
-            return predicted
+            return
         self.max_pred_ref = max(self.max_pred_ref, float(predicted))
         s_next = discretize(predicted, self.max_pred_ref)
         q_update(self.q, *self.pending, reward, s_next, self.alpha, self.gamma)
         self.updates += 1
-        return predicted

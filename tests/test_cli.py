@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from types import SimpleNamespace
@@ -501,3 +502,42 @@ def test_pretrain_negative_epochs_exits_2_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error:")
     assert "--epochs" in err
     assert not out.exists()
+
+
+class _Called(Exception):
+    """Raised by a stand-in harness entry to end the command it was called by."""
+
+
+# For each command, the harness entry it calls and the keyword arguments
+# whose CLI defaults restate that entry's own defaults.
+RESTATED_DEFAULTS = {
+    "sweep": ("target_sweep", ("targets_ms", "seeds", "duration_s", "jobs")),
+    "compare": ("compare_iaqm", ("seeds", "disciplines", "jobs")),
+    "pretrain": ("pretrain_predictor", ("synth_seed", "length", "epochs")),
+    "retrain-demo": ("retrain_demo", ("seed",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESTATED_DEFAULTS))
+def test_cli_defaults_equal_the_harness_defaults(tmp_path, monkeypatch, command):
+    # The CLI spells out the defaults of the harness entry it calls, so one
+    # side could change alone. Run with no such flag, each command must pass
+    # each of them as the entry's own default.
+    entry, names = RESTATED_DEFAULTS[command]
+    params = inspect.signature(getattr(harness, entry)).parameters
+    passed = {}
+
+    def called(*args, **kwargs):
+        passed.update(kwargs)
+        raise _Called
+
+    monkeypatch.setattr(harness, entry, called)
+    monkeypatch.chdir(tmp_path)
+    rest = ["--checkpoint", "absent.json"] if command == "retrain-demo" else []
+    with pytest.raises(_Called):
+        main([command, *rest])
+    for name in names:
+        value = passed[name]
+        assert (tuple(value) if isinstance(value, list) else value) == params[name].default, name
+    if command == "sweep":
+        assert params["targets_ms"].default == harness.SWEEP_TARGETS_MS

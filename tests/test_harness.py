@@ -126,6 +126,20 @@ class TestIntelligentRun:
         preds = [r[9] for r in res.rows]
         assert all(p != "" for p in preds)
 
+    def test_the_tuner_learns_the_logged_forecast(self, tiny_checkpoint):
+        # The context owns the forecaster: each epoch it logs the forecast
+        # and hands that same number to the tuner; a run returns the context.
+        cfg = small_cfg(intelligent=True, checkpoint=tiny_checkpoint,
+                        duration_s=4, retrain_at_s=0)
+        ctx = SimContext(cfg, seed=6)
+        fed = []
+        learn = ctx.tuner.learn
+        ctx.tuner.learn = lambda reward, predicted: fed.append(predicted) or learn(
+            reward, predicted)
+        assert ctx.run() is ctx
+        assert fed == [r[9] for r in ctx.rows] and len(fed) == cfg.duration_s
+        assert ctx.summary["intelligent"] == 1
+
     def test_online_retrain_runs(self, tiny_checkpoint):
         cfg = small_cfg(intelligent=True, checkpoint=tiny_checkpoint,
                         duration_s=8, retrain_at_s=6)

@@ -165,17 +165,8 @@ class TestPowerReward:
                 power_reward(1.0, 1.0, bad)
 
 
-class _StubPredictor:
-    def __init__(self, value):
-        self.value = value
-
-    def predict_next_count(self, recent_counts):
-        return self.value
-
-
-def _tuner(epsilon=0.0, predicted=0.0):
-    return QLearningTuner(0.5, 0.8, epsilon, _StubPredictor(predicted),
-                          np.random.default_rng(1))
+def _tuner(epsilon=0.0):
+    return QLearningTuner(0.5, 0.8, epsilon, np.random.default_rng(1))
 
 
 class TestReferenceMaxima:
@@ -184,10 +175,8 @@ class TestReferenceMaxima:
         tuner.decide(observed_count=5.0)
         tuner.decide(observed_count=2.0)
         assert tuner.max_obs_ref == 5.0
-        tuner.predictor.value = 3.0
-        tuner.learn(1.0, [0] * 10)
-        tuner.predictor.value = 1.0
-        tuner.learn(1.0, [0] * 10)
+        tuner.learn(1.0, predicted=3.0)
+        tuner.learn(1.0, predicted=1.0)
         assert tuner.max_pred_ref == 3.0
 
     def test_start_at_one(self):
@@ -195,7 +184,7 @@ class TestReferenceMaxima:
         assert tuner.max_obs_ref == 1.0
         assert tuner.max_pred_ref == 1.0
         tuner.decide(observed_count=0.5)
-        tuner.learn(1.0, [0] * 10)
+        tuner.learn(1.0, predicted=0.0)
         assert (tuner.max_obs_ref, tuner.max_pred_ref) == (1.0, 1.0)
 
 
@@ -207,29 +196,29 @@ class TestDecisionFlow:
         assert action == 0 and tuner.pending == (0, 0)
         assert action_to_params(action) == (50 * US, 1 * MS)
         assert tuner.q.shape == (100, 100) and not tuner.q.any()
-        tuner.learn(5.0, recent_counts=[0] * 10)
+        tuner.learn(5.0, predicted=0.0)
         assert np.count_nonzero(tuner.q) == 1
 
     def test_zero_prediction_updates_against_level_zero(self):
-        tuner = _tuner(predicted=0.0)
+        tuner = _tuner()
         tuner.decide(observed_count=3.0)
-        predicted = tuner.learn(2.0, [0] * 10)
-        assert predicted == 0.0
+        tuner.learn(2.0, predicted=0.0)
         assert tuner.updates == 1
         # alpha 0.5 times reward 2 at the pending (state, action)
         assert tuner.q[tuner.pending] == 1.0
 
     def test_learn_without_pending_decision_is_logged_only(self):
         tuner = _tuner()
-        assert tuner.learn(1.0, [0] * 10) == 0.0
+        tuner.learn(1.0, predicted=7.0)
         assert tuner.updates == 0
+        assert tuner.max_pred_ref == 1.0
         assert not tuner.q.any()
 
     def test_reference_maxima_grow_with_observations(self):
-        tuner = _tuner(predicted=40.0)
+        tuner = _tuner()
         tuner.decide(observed_count=250.0)
         assert tuner.max_obs_ref == 250.0
-        tuner.learn(1.0, [0] * 10)
+        tuner.learn(1.0, predicted=40.0)
         assert tuner.max_pred_ref == 40.0
 
 
