@@ -80,20 +80,6 @@ def _parse_list(flag: str, text: str, conv) -> list:
         raise ValueError(f"bad value for {flag}: {exc}") from None
 
 
-def _check_demo_duration(duration_s, random_topology: bool) -> None:
-    """Refuse a retrain-demo --duration-s that the demo would override: one
-    shorter than its collection or, on a fixed topology, longer than the
-    random run it becomes. A config file's duration_s keeps that rule."""
-    if duration_s is None:
-        return
-    least = harness.RETRAIN_DEMO_COLLECT_S
-    most = None if random_topology else harness.RETRAIN_DEMO_FIXED_MAX_S
-    if duration_s < least or (most is not None and duration_s > most):
-        span = f">= {least}" if most is None else f"in [{least}, {most}] on a fixed topology"
-        raise ValueError(f"argument --duration-s: expected an integer {span}, "
-                         f"got '{duration_s}'")
-
-
 def main(argv=None) -> int:
     parser = _Parser(
         prog="aqmsim",
@@ -138,7 +124,7 @@ def main(argv=None) -> int:
     p_rt = command("retrain-demo",
                    help=f"random-scenario transfer: collect "
                         f"{harness.RETRAIN_DEMO_COLLECT_S} s of 1 ms bins, one-epoch retrain")
-    _add_common(p_rt, seed=True, duration=True)
+    _add_common(p_rt, seed=True, duration=False)
     p_rt.add_argument("--checkpoint", required=True,
                       help="pre-trained forecaster checkpoint")
 
@@ -199,12 +185,11 @@ def _dispatch(args) -> int:
 
     if args.command == "retrain-demo":
         cfg = _build_config(args)
-        _check_demo_duration(args.duration_s, cfg.random_topology)
         _, report = harness.retrain_demo(cfg, args.checkpoint, args.out, seed=args.seed)
         print(f"one-epoch retrain: train RMSE {report.rmse_train:.4f} "
               f"MAE {report.mae_train:.4f} | test RMSE {report.rmse_test:.4f} "
               f"MAE {report.mae_test:.4f}")
-        print(f"wrote {args.out}/retrained.json and fit_report.csv")
+        print(f"wrote {args.out}/retrained.json, fit_report.csv and epochs.csv")
         return 0
 
     raise ValueError(f"unhandled command {args.command!r}")

@@ -30,8 +30,7 @@ from .tuner import INTERVAL_FACTOR, QLearningTuner, action_to_params, power_rewa
 EPOCH_BINS = STEPS  # ECE bins per 1 s decision epoch: one forecast window
 BIN_NS = SECOND // EPOCH_BINS
 RETRAIN_BIN_NS = 1 * MS
-RETRAIN_DEMO_COLLECT_S = 6  # seconds of 1 ms bins that retrain-demo trains on
-RETRAIN_DEMO_FIXED_MAX_S = 10  # longest retrain-demo run on a config's fixed topology
+RETRAIN_DEMO_COLLECT_S = 6  # seconds retrain-demo runs, and trains on in 1 ms bins
 RAND_START_MAX_S = 10
 TRANSFER_PROBE_BYTES = 1500  # single-segment probe transfers time the path
 
@@ -116,10 +115,13 @@ class SimContext:
         self.duration_ns = cfg.duration_s * SECOND
 
         self.bins100 = [0] * (cfg.duration_s * EPOCH_BINS + 1)
-        collect_1ms_s = max(collect_1ms_s,
-                            cfg.retrain_at_s if cfg.intelligent and cfg.retrain_at_s > 0 else 0)
-        self._ms_limit_ns = min(collect_1ms_s, cfg.duration_s) * SECOND
-        self.bins1ms = [0] * (self._ms_limit_ns // RETRAIN_BIN_NS) if self._ms_limit_ns else []
+        # The in-loop retrain runs once, at retrain_at_s, on 1 ms bins from
+        # the start: only a run that reaches it keeps them.
+        retrains = cfg.intelligent and 0 < cfg.retrain_at_s <= cfg.duration_s
+        if retrains:
+            collect_1ms_s = max(collect_1ms_s, cfg.retrain_at_s)
+        self._ms_limit_ns = collect_1ms_s * SECOND
+        self.bins1ms = [0] * (self._ms_limit_ns // RETRAIN_BIN_NS)
 
         r1 = self.topo.r1
         b_side = {h.node_id for h in self.topo.hosts_b} | {self.topo.mon_b.node_id}
@@ -169,7 +171,7 @@ class SimContext:
             self.model = load_checkpoint(cfg.checkpoint)
             self.tuner = QLearningTuner(cfg.alpha, cfg.gamma, cfg.epsilon,
                                         stream(seed, "tuner"))
-            if cfg.retrain_at_s > 0 and cfg.retrain_at_s <= cfg.duration_s:
+            if retrains:
                 self.sim.schedule(cfg.retrain_at_s * SECOND, self._retrain)
 
         # Per-epoch state.
@@ -298,10 +300,6 @@ class SimContext:
         return self
 
 
-def simulate(cfg: ScenarioConfig, seed: int, collect_1ms_s: int = 0) -> SimContext:
-    return SimContext(cfg, seed, collect_1ms_s).run()
-
-
 # -- CSV writers -------------------------------------------------------------
 
 
@@ -315,7 +313,7 @@ def write_summary_csv(run: SimContext, path) -> None:
 
 def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> SimContext:
     """Single run; writes epochs.csv and summary.csv under outdir."""
-    run = simulate(cfg, seed)
+    run = SimContext(cfg, seed).run()
     write_epochs_csv(run, os.path.join(outdir, "epochs.csv"))
     write_summary_csv(run, os.path.join(outdir, "summary.csv"))
     return run
@@ -326,7 +324,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int, outdir) -> SimContext:
 
 def _simulate_summary(task):
     _, cfg, seed = task
-    return simulate(cfg, seed).summary
+    return SimContext(cfg, seed).run().summary
 
 
 def _validate_all(tasks, jobs: int) -> None:
@@ -406,10 +404,11 @@ def target_sweep(cfg: ScenarioConfig, outdir, targets_ms=SWEEP_TARGETS_MS,
             tasks += [((disc, t_ms), run_cfg, seed) for seed in seeds]
     _validate_all(tasks, jobs)
     _, groups = _run_labelled(tasks, jobs)
+    point_cfg = {label: run_cfg for label, run_cfg, _ in tasks}
     out_rows = [{
         "disc": disc,
-        "target_us": int(round(t_ms * 1000)),
-        "interval_us": int(round(t_ms * 1000)) * INTERVAL_FACTOR,
+        "target_us": point_cfg[disc, t_ms].target_ns // US,
+        "interval_us": point_cfg[disc, t_ms].interval_ns // US,
         "mrtt_us_mean": _mean(runs, "mean_mrtt_us"),
         "throughput_bps_mean": _mean(runs, "mean_throughput_bps"),
         "conn_rtt_us_mean": _mean(runs, "mean_conn_rtt_us"),
@@ -495,19 +494,15 @@ def pretrain_predictor(checkpoint_path, trace_path=None, synth_seed: int = 1234,
 
 
 def retrain_demo(cfg: ScenarioConfig, checkpoint_path, outdir, seed: int = 1):
-    """Transfer workflow: run a random scenario, collect 1 ms ECE bins for
-    RETRAIN_DEMO_COLLECT_S seconds, one-epoch retrain the pre-trained model.
-    A fixed topology in cfg becomes a random one with a 10 Mbps bottleneck,
-    run for at most RETRAIN_DEMO_FIXED_MAX_S; every run lasts at least
-    RETRAIN_DEMO_COLLECT_S."""
+    """Transfer workflow: run a static random scenario for
+    RETRAIN_DEMO_COLLECT_S seconds, whatever cfg.duration_s, and retrain the
+    pre-trained model for one epoch on the run's 1 ms ECE bins. A fixed
+    topology in cfg becomes a random one with a 10 Mbps bottleneck."""
     model = load_checkpoint(checkpoint_path)  # a bad checkpoint fails before the run
-    run_cfg = replace(cfg, intelligent=False)
+    run_cfg = replace(cfg, intelligent=False, duration_s=RETRAIN_DEMO_COLLECT_S)
     if not run_cfg.random_topology:
-        run_cfg = replace(run_cfg, random_topology=True, bottleneck_bw_bps=10 * 10**6,
-                          duration_s=min(run_cfg.duration_s, RETRAIN_DEMO_FIXED_MAX_S))
-    if run_cfg.duration_s < RETRAIN_DEMO_COLLECT_S:
-        run_cfg = replace(run_cfg, duration_s=RETRAIN_DEMO_COLLECT_S)
-    run = simulate(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S)
+        run_cfg = replace(run_cfg, random_topology=True, bottleneck_bw_bps=10 * 10**6)
+    run = SimContext(run_cfg, seed, collect_1ms_s=RETRAIN_DEMO_COLLECT_S).run()
     report = model.fit(np.array(run.bins1ms, dtype=np.int64), 1)
     out_ckpt = os.path.join(outdir, "retrained.json")
     save_checkpoint(model, out_ckpt)

@@ -596,6 +596,8 @@ def ingest_trace(path) -> EceSeries:
                 raise ValueError(f"{path}:{ln + 1}: interval index {idx} out of order")
             if cnt < 0:
                 raise ValueError(f"{path}:{ln + 1}: negative count")
+            if cnt > np.iinfo(np.int64).max:
+                raise ValueError(f"{path}:{ln + 1}: count out of range")
             counts.append(cnt)
     return EceSeries(counts=np.array(counts, dtype=np.int64))
 

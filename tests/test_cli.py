@@ -1,7 +1,6 @@
 import inspect
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
@@ -118,9 +117,10 @@ def test_pretrain_and_retrain_demo(tmp_path, capsys):
 
     demo_out = tmp_path / "demo"
     rc = main(["retrain-demo", "--checkpoint", str(ckpt), "--out", str(demo_out),
-               "--seed", "2", "--duration-s", "7", "--set", "pairs=2"])
+               "--seed", "2", "--set", "pairs=2"])
     assert rc == 0
     assert os.path.exists(demo_out / "retrained.json")
+    assert len((demo_out / "epochs.csv").read_text().splitlines()) == 7
     assert "one-epoch retrain" in capsys.readouterr().out
 
 
@@ -128,7 +128,7 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     ckpt = tmp_path / "nope.json"
     out = tmp_path / "demo"
     rc = main(["retrain-demo", "--checkpoint", str(ckpt),
-               "--out", str(out), "--set", "pairs=2", "--duration-s", "7"])
+               "--out", str(out), "--set", "pairs=2"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and str(ckpt) in err
@@ -179,10 +179,12 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key):
 
 
 # A trace that pretrain cannot train on is refused, naming the file, before
-# --out is made: too short for a training window, rows out of order, absent.
+# --out is made: too short for a training window, rows out of order, a count
+# beyond int64, absent.
 @pytest.mark.parametrize("case,named", [
     ("short", "3 samples"),
     ("out_of_order", "out of order"),
+    ("huge_count", "trace.csv:21: count out of range"),
     ("missing", "No such file"),
 ])
 def test_pretrain_bad_trace_exits_2_before_out(tmp_path, capsys, case, named):
@@ -191,6 +193,8 @@ def test_pretrain_bad_trace_exits_2_before_out(tmp_path, capsys, case, named):
         trace.write_text("0,1\n1,0\n2,4\n")
     elif case == "out_of_order":
         trace.write_text("".join(f"{i},1\n" for i in (*range(20), 25)))
+    elif case == "huge_count":
+        trace.write_text("".join(f"{i},1\n" for i in range(20)) + f"20,{10**30}\n")
     out = tmp_path / "pre"
     rc = main(["pretrain", "--trace", str(trace), "--epochs", "1", "--out", str(out)])
     err = capsys.readouterr().err
@@ -272,6 +276,8 @@ COMMAND_REST = {
     ("sweep", "--duration-s"),
     ("run", "--jobs"),
     ("retrain-demo", "--jobs"),
+    # The demo always simulates the seconds it trains on.
+    ("retrain-demo", "--duration-s"),
 ])
 def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, runs, command, flag):
     # Registered only where read, and matched whole: sweep's and compare's
@@ -312,12 +318,6 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, runs, command, 
     ("sweep", "--sweep-duration-s", "0"),
     ("run", "--duration-s", "0"),
     ("compare", "--duration-s", "0"),
-    ("retrain-demo", "--duration-s", "0"),
-    # retrain-demo collects 6 s, and turns the default fixed topology into a
-    # random one of at most 10 s: a length it would override is refused
-    # before the checkpoint is read.
-    ("retrain-demo", "--duration-s", "2"),
-    ("retrain-demo", "--duration-s", "40"),
 ])
 def test_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, runs, monkeypatch,
                                                    command, flag, value):
@@ -332,35 +332,6 @@ def test_flag_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, runs, monke
     assert repr(value) in err
     assert runs == [] and pretrains == []
     assert not out.exists()
-
-
-@pytest.mark.parametrize("args,duration_s", [
-    (["--duration-s", "6"], 6),
-    (["--duration-s", "10"], 10),
-    (["--duration-s", "40", "--set", "random_topology=true"], 40),
-    (["--duration-s", "5", "--set", "random_topology=true"], None),
-    # A config's own duration_s is not a flag: the demo keeps its rule and
-    # lengthens or shortens the run.
-    (["--set", "duration_s=2"], 2),
-    ([], 300),
-])
-def test_retrain_demo_duration_is_run_or_refused(tmp_path, capsys, monkeypatch, args,
-                                                 duration_s):
-    demos = []
-
-    def demo(cfg, checkpoint, out, seed):
-        demos.append(cfg.duration_s)
-        return None, SimpleNamespace(rmse_train=0, mae_train=0, rmse_test=0, mae_test=0)
-
-    monkeypatch.setattr(harness, "retrain_demo", demo)
-    rc = main(["retrain-demo", "--checkpoint", "absent.json", *args,
-               "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    if duration_s is None:
-        assert rc == 2 and demos == []
-        assert err.count("\n") == 1 and err.startswith("error: argument --duration-s: ")
-    else:
-        assert rc == 0 and demos == [duration_s]
 
 
 def test_pretrain_length_minimum_is_the_split_rule(tmp_path):
@@ -382,7 +353,7 @@ def test_pretrain_length_minimum_is_the_split_rule(tmp_path):
 # the simulator runs and before --out is made. compare is given its
 # checkpoint, so it pretrains none.
 CHECKPOINT_COMMANDS = [
-    ["retrain-demo", "--checkpoint", "{ckpt}", "--duration-s", "7"],
+    ["retrain-demo", "--checkpoint", "{ckpt}"],
     ["run", "--set", "intelligent=true", "--set", "checkpoint={ckpt}", "--duration-s", "1"],
     ["compare", "--set", "checkpoint={ckpt}", "--seeds", "1", "--disciplines", "codel",
      "--jobs", "1", "--duration-s", "1"],

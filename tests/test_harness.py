@@ -11,7 +11,7 @@ from aqmsim.engine import MS, Simulator
 from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
                             SUMMARY_COLUMNS, SWEEP_COLUMNS, SimContext,
                             compare_iaqm, pretrain_predictor, retrain_demo,
-                            run_scenario, simulate, target_sweep)
+                            run_scenario, target_sweep)
 from aqmsim.packets import CE, F_ECE
 from aqmsim.predictor import LstmForecaster
 from aqmsim.scenario import ScenarioConfig
@@ -38,7 +38,7 @@ def tiny_checkpoint(tmp_path_factory):
 
 class TestRunScenario:
     def test_row_count_equals_duration(self):
-        res = simulate(small_cfg(duration_s=5), seed=3)
+        res = SimContext(small_cfg(duration_s=5), seed=3).run()
         assert len(res.rows) == 5
         assert [r[0] for r in res.rows] == list(range(5))
 
@@ -79,25 +79,25 @@ class TestRunScenario:
         }
 
     def test_static_run_leaves_tuner_columns_empty(self):
-        res = simulate(small_cfg(), seed=2)
+        res = SimContext(small_cfg(), seed=2).run()
         for row in res.rows:
             assert row[2] == "" and row[3] == ""
             assert row[4] == 5000 and row[5] == 100000  # default params in force
 
     def test_taildrop_saturated_drops_but_never_marks(self):
         cfg = small_cfg(disc="taildrop", pairs=6, duration_s=6, hard_limit=50)
-        res = simulate(cfg, seed=1)
+        res = SimContext(cfg, seed=1).run()
         assert res.summary["overflow_drops"] > 0
         assert res.summary["marks"] == 0
 
     def test_cumulative_power_non_decreasing(self):
-        res = simulate(small_cfg(duration_s=6), seed=4)
+        res = SimContext(small_cfg(duration_s=6), seed=4).run()
         cums = [r[13] for r in res.rows]
         assert all(b >= a for a, b in zip(cums, cums[1:]))
 
     def test_intelligent_requires_checkpoint(self):
         with pytest.raises(ValueError, match="checkpoint"):
-            simulate(small_cfg(intelligent=True, checkpoint=""), seed=1)
+            SimContext(small_cfg(intelligent=True, checkpoint=""), seed=1).run()
 
 
 class TestIntelligentRun:
@@ -150,6 +150,15 @@ class TestIntelligentRun:
         assert not np.array_equal(ctx.model.get_flat(), before)
         assert len(res.rows) == 8
 
+    def test_run_short_of_its_retrain_keeps_no_1ms_bins(self, tiny_checkpoint):
+        # The retrain at 6 s never comes in a 2 s run, so nothing would read
+        # its 1 ms bins.
+        cfg = small_cfg(intelligent=True, checkpoint=tiny_checkpoint,
+                        duration_s=2, retrain_at_s=6)
+        ctx = SimContext(cfg, seed=7)
+        assert ctx.bins1ms == []
+        assert len(ctx.run().rows) == 2
+
     def test_online_retrain_does_not_score(self, tiny_checkpoint, monkeypatch):
         # The loop reads only the retrained weights; scoring them is a
         # forward pass over every window, which nothing would read.
@@ -194,7 +203,7 @@ class TestConservation:
     def test_bottleneck_accounting_balances(self):
         # run() raises unless enqueued == forwarded + law drops + resident
         for disc in ("taildrop", "codel", "fq_codel"):
-            simulate(small_cfg(disc=disc, duration_s=3), seed=9)
+            SimContext(small_cfg(disc=disc, duration_s=3), seed=9).run()
 
     def test_all_ports_balance(self):
         # The default limit, then one small enough that plain links overflow.
@@ -242,7 +251,7 @@ class TestProbeRtt:
     def test_idle_network_mrtt_matches_propagation(self):
         # monitor alone: bulk flows start far beyond the horizon
         cfg = small_cfg(pairs=1, duration_s=2, bulk_start_ms=10**7)
-        res = simulate(cfg, seed=1)
+        res = SimContext(cfg, seed=1).run()
         mrtt_us = res.rows[-1][7]
         base_us = 2 * (20 * MS) / 1000
         assert abs(mrtt_us - base_us) < 600  # within one data serialization
@@ -250,14 +259,14 @@ class TestProbeRtt:
     def test_loaded_bottleneck_adds_queue_delay(self):
         cfg = small_cfg(pairs=8, duration_s=8, disc="codel",
                         target_ns=5 * MS, interval_ns=100 * MS)
-        res = simulate(cfg, seed=2)
+        res = SimContext(cfg, seed=2).run()
         mrtt_late = res.rows[-1][7]
         assert mrtt_late > 2 * (20 * MS) / 1000 + 1000  # >= 1 ms of queueing
 
     def test_mrtt_carry_flag_over_idle_epochs(self):
         cfg = small_cfg(pairs=1, duration_s=2, bulk_start_ms=10**7,
                         monitor_start_ms=1500)
-        res = simulate(cfg, seed=3)
+        res = SimContext(cfg, seed=3).run()
         assert res.rows[0][14] == 1  # no probe completed in epoch 0
         assert res.rows[1][14] == 0
 
@@ -351,6 +360,16 @@ class TestSweepAndCompare:
                             "conn_goodput_bps_mean,seeds,distinct_runs")
         assert len(lines) == 3
 
+    def test_sweep_reports_the_target_and_interval_run(self, tmp_path):
+        # 0.0505 ms runs as 50,500 ns and a 1,010,000 ns interval: sweep.csv
+        # gives both in whole us, as epochs.csv does, not 20 x a rounded target.
+        rows = target_sweep(small_cfg(pairs=1), tmp_path, targets_ms=(0.0505, 1.0),
+                            seeds=(1,), disciplines=("codel",), duration_s=1, jobs=1)
+        assert [(r["target_us"], r["interval_us"]) for r in rows] == [
+            (50, 1010), (1000, 20000)]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1].startswith("codel,50,1010,")
+
     def test_sweep_counts_distinct_runs(self, tmp_path):
         # On the fixed topology the seed reaches only the FQ-CoDel flow hash,
         # so CoDel seeds repeat one run; random topologies differ per seed.
@@ -391,6 +410,16 @@ class TestSweepAndCompare:
                            disciplines=("codel",), jobs=-1)
         assert calls == []
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("duration_s,random_topology", [
+        (2, False), (40, True), (ScenarioConfig.duration_s, False)])
+    def test_retrain_demo_runs_the_seconds_it_trains_on(self, tmp_path, tiny_checkpoint,
+                                                        duration_s, random_topology):
+        cfg = replace(ScenarioConfig(), pairs=2, duration_s=duration_s,
+                      random_topology=random_topology)
+        retrain_demo(cfg, tiny_checkpoint, tmp_path, seed=2)
+        lines = (tmp_path / "epochs.csv").read_text().splitlines()
+        assert len(lines) == 1 + harness.RETRAIN_DEMO_COLLECT_S == 7
 
     def test_retrain_demo_outputs(self, tmp_path, tiny_checkpoint):
         cfg = replace(ScenarioConfig(), pairs=2, duration_s=7,
