@@ -66,9 +66,9 @@ class QueueStats:
     `queued` is the resident packet count, kept as an integer that every
     counter update moves with it, so one stats object can be shared by all
     sub-queues of FQ-CoDel and still report the total. It always equals
-    `enqueued - forwarded - dropped_law - dropped_overflow`, which undercounts
-    by one packet per overflow drop (ROADMAP item 1, defect A). `max_queued`
-    is its peak over the run.
+    `enqueued - forwarded - dropped_law`: an overflow drop was never
+    enqueued, so it only counts in `dropped_overflow`. `max_queued` is its
+    peak over the run.
     """
 
     __slots__ = ("enqueued", "forwarded", "marked", "dropped_law", "dropped_overflow",
@@ -106,14 +106,6 @@ class QueueStats:
         self.dropped_law += 1
         self.queued -= 1
 
-    def on_drop_overflow(self, now: int) -> None:
-        self.area_pkt_ns += self.queued * (now - self.last_ns)
-        self.last_ns = now
-        self.dropped_overflow += 1
-        # Defect A: an overflow drop was never enqueued, yet it leaves the
-        # count. The fix deletes this line.
-        self.queued -= 1
-
     def drain_area(self, now: int) -> int:
         """Occupancy integral (packet*ns) since the previous drain."""
         area = self.area_pkt_ns + self.queued * (now - self.last_ns)
@@ -142,7 +134,7 @@ class TailDrop:
 
     def enqueue(self, pkt, now: int) -> bool:
         if len(self._q) >= self.params.hard_limit:
-            self.stats.on_drop_overflow(now)
+            self.stats.dropped_overflow += 1
             return False
         pkt.enq_ns = now
         self._q.append(pkt)
@@ -185,7 +177,7 @@ class Codel:
 
     def enqueue(self, pkt, now: int) -> bool:
         if self.stats.queued >= self.params.hard_limit:
-            self.stats.on_drop_overflow(now)
+            self.stats.dropped_overflow += 1
             return False
         pkt.enq_ns = now
         self._q.append(pkt)
@@ -311,7 +303,7 @@ class FqCodel:
     def enqueue(self, pkt, now: int) -> bool:
         stats = self.stats
         if stats.queued >= self.params.hard_limit:
-            stats.on_drop_overflow(now)
+            stats.dropped_overflow += 1
             return False
         sub = self._sub_of_flow.get(pkt.flow_id)
         if sub is None:

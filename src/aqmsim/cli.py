@@ -8,7 +8,7 @@ from dataclasses import replace
 from functools import partial
 
 from . import harness
-from .engine import MS
+from .engine import MS, US
 from .predictor import STEPS, min_series_length
 from .scenario import ScenarioConfig, _scaled_int, apply_overrides, load_config
 
@@ -63,11 +63,13 @@ _seed = _int_at_least(0)
 
 
 def _target_ms(text: str) -> float:
-    """A sweep target in ms that is finite and at least 1 ns once rounded to
-    the nanoseconds a run is configured in."""
+    """A sweep target in ms that is finite and, once rounded to the
+    nanoseconds a run is configured in, a whole number of us, at least 1."""
     value = float(text)
-    if _scaled_int(MS)(value) < 1:
-        raise ValueError(f"a target must be at least 1 ns, got {text!r} ms")
+    ns = _scaled_int(MS)(value)
+    if ns < US or ns % US:
+        raise ValueError(f"a target must be a whole number of us, at least 1, "
+                         f"got {text!r} ms")
     return value
 
 

@@ -270,11 +270,13 @@ class SimContext:
         cfg = self.cfg
         stats = self.topo.bottleneck.stats
         # Admitted packets left by forwarding, a law drop, or are still
-        # queued; the resident count comes from the queues themselves.
+        # queued; the resident count comes from the queues themselves, and
+        # the counter `queued` must agree with it.
         resident = sum(1 for _ in self.topo.bottleneck.queued_packets())
         balance = stats.enqueued - (stats.forwarded + stats.dropped_law + resident)
-        if balance != 0:
-            raise RuntimeError(f"queue accounting out of balance by {balance} packets")
+        if balance != 0 or stats.queued != resident:
+            raise RuntimeError(f"queue accounting out of balance by {balance} packets, "
+                               f"{stats.queued} counted against {resident} held")
         n = len(self.rows)
         column = dict(zip((name for name, _ in EPOCH_COLUMNS), zip(*self.rows)))
         self.summary = {

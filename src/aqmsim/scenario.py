@@ -51,6 +51,10 @@ class ScenarioConfig:
             raise ValueError("duration_s must be >= 1")
         if self.target_ns <= 0 or self.interval_ns <= 0:
             raise ValueError("target and interval must be positive")
+        # Outputs report both in whole us, so a run takes no other value.
+        for key, ns in (("target_us", self.target_ns), ("interval_us", self.interval_ns)):
+            if ns % US:
+                raise ValueError(f"{key} must be a whole number of us, got {ns / US}")
         if self.target_ns >= self.interval_ns:
             raise ValueError("target must be below interval")
         if self.hard_limit < 1:

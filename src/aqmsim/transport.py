@@ -166,14 +166,15 @@ class Connection:
         now = self.sim.now
         pop = self.send_ns.pop
         acked = range(self.snd_una, ack, MSS)
-        # The RTT sample comes from the newest acked segment with a send
-        # time; `_retransmit` clears a segment's send time.
-        t0 = None
+        # The RTT sample comes from the newest acked segment. Karn's rule: an
+        # ACK that covers a retransmitted segment, whose send time
+        # `_retransmit` cleared, gives none (RFC 6298 §3).
+        sampled = True
         for seq in acked:
-            t = pop(seq, None)
-            if t is not None:
-                t0 = t
-        if t0 is not None:
+            t0 = pop(seq, None)
+            if t0 is None:
+                sampled = False
+        if sampled:
             sample = now - t0
             self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
             if self.rtt_cb is not None:

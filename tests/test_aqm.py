@@ -190,9 +190,15 @@ class TestControlLaw:
 
 class TestConservation:
     def test_counts_balance(self):
-        q, _ = _driven_into_dropping(ecn=False)
+        # After law drops, one arrival refused at the hard limit: it was
+        # never enqueued, so it leaves the resident count alone.
+        q, now = _driven_into_dropping(ecn=False)
+        q.params.hard_limit = len(q)
+        assert not q.enqueue(mk_pkt(), now)
         s = q.stats
-        assert s.enqueued == s.forwarded + s.dropped_law + s.dropped_overflow + len(q)
+        assert s.dropped_law > 0 and s.dropped_overflow == 1
+        assert s.enqueued == s.forwarded + s.dropped_law + len(q)
+        assert s.queued == len(q)
 
     @pytest.mark.parametrize("kind", ["taildrop", "codel", "fq_codel"])
     def test_queued_counter_against_held_packets(self, kind):
@@ -205,8 +211,7 @@ class TestConservation:
 
         def check():
             held = sum(1 for _ in q.queued_packets())
-            # ROADMAP item 1 (defect A) turns this into `s.queued == held`.
-            assert s.queued == held - s.dropped_overflow
+            assert s.queued == held
 
         for ms in range(600):
             now = ms * MS

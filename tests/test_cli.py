@@ -206,6 +206,31 @@ def test_pretrain_bad_trace_exits_2_before_out(tmp_path, capsys, case, named):
     assert not out.exists()
 
 
+# epochs.csv reports the target and interval in whole us, so a value that is
+# not one is refused, naming its key, wherever the config comes from.
+@pytest.mark.parametrize("settings,config,named", [
+    (["target_us=0.5", "interval_us=0.9"], "", "target_us must be a whole number of us"),
+    (["interval_us=100000.5"], "", "interval_us must be a whole number of us"),
+    ([], "target_us = 2500.25\n", "target_us must be a whole number of us, got 2500.25"),
+], ids=["set-both", "set-interval", "config-file"])
+def test_target_or_interval_not_whole_us_exits_2_before_out(tmp_path, capsys, settings,
+                                                            config, named):
+    argv = ["run", "--duration-s", "1", "--set", "pairs=1"]
+    for setting in settings:
+        argv += ["--set", setting]
+    if config:
+        path = tmp_path / "odd.conf"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    out = tmp_path / "run"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert named in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def runs(monkeypatch):
     """The `until` of every Simulator.run call, each made a no-op."""
@@ -219,6 +244,9 @@ def runs(monkeypatch):
     ("1,1e400", "inf"),
     ("1,nan", "nan"),
     ("1,1e-9", "target"),
+    # sweep.csv reports whole us: 1.1 and 1.2 us would both print as 1.
+    ("0.0011,0.0012", "whole number of us"),
+    ("1,0.0505", "whole number of us"),
     ("inf", "--targets-ms"),
     ("1,abc", "--targets-ms"),
 ])

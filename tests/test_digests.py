@@ -33,13 +33,13 @@ DURATION_S = 10
 
 GOLDEN = {
     ("taildrop", False):
-        "5b09ed1c27cedaa7ffc1a4c858275a8d183dc6985c878d5bbe81c36616c0fbca",
+        "4f568b0ea79e0c49d6264e85a89a0b29bfc6578b9da51e6c798b3ccecba91020",
     ("codel", False):
-        "c8fe039f755177ecad7a4a018a136870fcdfd516c05d7be4ecb297bb4b8b06c1",
+        "774ef9fed200faceb9161a85497af10e9e8b3846a8b52a00e4eacc3b81dc99fb",
     ("fq_codel", False):
         "347447c30dac68ae04c6fa1937a3150497b0e07efbb7a5d6f4422fd2bcb4888b",
     ("taildrop", True):
-        "e2b15dda8cfce433fa6bd437665d4ff5bd9e58d3226f88a7645f0ae45a408305",
+        "e1927ac41d5c323f6858e829f896338fab5dc73e0970e39cf33f20f9b3eec98e",
     ("codel", True):
         "352299b60f960e2dcc12c657369852719c3af43b0ccb3faaa53e25161827468a",
     ("fq_codel", True):
@@ -136,13 +136,13 @@ def test_output_digest_unchanged(tmp_path, disc, random_topology):
 
 # The bottleneck with propagation delay: an unchained `EgressPort`, whose
 # `_kick` wakeups no pin above reaches, at a small hard limit so that every
-# discipline overflows. These runs show the queue-length defect (ROADMAP
-# item 1, defect A): FQ-CoDel's port idles with packets held. Its fix will
-# re-pin all three.
+# discipline overflows. The port arms its wakeup from the count of packets
+# its queue holds, which an overflow drop must leave as it is: a count that
+# fell below the packets held would idle the port with packets waiting.
 UNCHAINED = {
-    "taildrop": "fd137aec58eca2f27c4b9f99c4725e1df96c686a09f183d52bcec1c0ed8fbef1",
-    "codel": "47e82e97da501b9a2dd5b935473b463304013b828ec442cad315bd76d0218f65",
-    "fq_codel": "704bcabcef451c893c98a2a6e7ce3bf3ed7fab358cf69d3ac12640c6a01b55d1",
+    "taildrop": "e258d81ff626858e4c08870809e59ef05fd7913d240c4c71b4b6fe658c010352",
+    "codel": "4c8768d9cac7c6de7cdf1f01f5b637ae3f9a2a6d0bf4d039a9c7a854878fd583",
+    "fq_codel": "fff04cf0ccba1ad0cea4f72c7ecbb05d7d6269be5f70cb66fb0d02a1f26e9440",
 }
 
 
@@ -170,11 +170,11 @@ BENCHMARK_WORKLOADS = {
         "93b905e2a8a44de98e9e3d7f63b134ee01d95b7b34d704a41af68b531714ab61"),
     "codel_intelligent": {
         "SkylakeX": (
-            "d002322eb785003d0f23b5a4185ba65467cc9a45eb2939e7f1f0dbc360e8d93e",
-            "caee7240d6c1e3b4bdcf2450411f8d0d86f0f2e636b7481b073dce82c1b9919b"),
+            "5366f4478aa98435fb1dd79ad8cfa10e718ef3830c76bb917a0cbe6bddee7fb3",
+            "950640edafe1a6732d28951e7ca5a3c4be81403b7f7e4e87248ecfb3e4f76264"),
         "Haswell": (
-            "bdd267b2d0806e8e7ff67e4fbb803094d78ae37c3010108fe225def70bc2cd8c",
-            "caee7240d6c1e3b4bdcf2450411f8d0d86f0f2e636b7481b073dce82c1b9919b")},
+            "d4cc46e5dce038b61f4e23542b87b6e7a1505ab6dba1e97b4b46d61a440dab2f",
+            "950640edafe1a6732d28951e7ca5a3c4be81403b7f7e4e87248ecfb3e4f76264")},
 }
 
 

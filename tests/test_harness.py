@@ -225,10 +225,11 @@ class TestConservation:
             resident = sum(1 for _ in topo.bottleneck.queued_packets())
             assert s.enqueued == s.forwarded + s.dropped_law + resident
 
-    @pytest.mark.parametrize("disc", ["codel", "fq_codel"])
+    @pytest.mark.parametrize("disc", ["taildrop", "codel", "fq_codel"])
     def test_occupancy_max_is_the_peak_of_resident_packets(self, monkeypatch, disc):
-        # A shadow peak, counted from the queues themselves after each enqueue.
-        ctx = SimContext(small_cfg(disc=disc, duration_s=3), seed=9)
+        # A shadow peak, counted from the queues themselves after each
+        # enqueue, at a limit small enough that arrivals overflow.
+        ctx = SimContext(small_cfg(disc=disc, duration_s=3, hard_limit=8), seed=9)
         q = ctx.topo.bottleneck
         enqueue = type(q).enqueue
         peak = 0
@@ -241,9 +242,8 @@ class TestConservation:
 
         monkeypatch.setattr(type(q), "enqueue", shadowed)
         s = ctx.run().summary
-        # Defect A (ROADMAP item 1) skews the count once a packet overflows.
-        assert s["overflow_drops"] == 0
-        assert peak > 0
+        assert s["overflow_drops"] > 0
+        assert peak == ctx.cfg.hard_limit
         assert s["occupancy_max_pct"] == 100.0 * peak / ctx.cfg.hard_limit
 
 
@@ -360,15 +360,23 @@ class TestSweepAndCompare:
                             "conn_goodput_bps_mean,seeds,distinct_runs")
         assert len(lines) == 3
 
-    def test_sweep_reports_the_target_and_interval_run(self, tmp_path):
-        # 0.0505 ms runs as 50,500 ns and a 1,010,000 ns interval: sweep.csv
-        # gives both in whole us, as epochs.csv does, not 20 x a rounded target.
-        rows = target_sweep(small_cfg(pairs=1), tmp_path, targets_ms=(0.0505, 1.0),
+    def test_sweep_reports_the_target_and_interval_run(self, tmp_path, monkeypatch):
+        rows = target_sweep(small_cfg(pairs=1), tmp_path, targets_ms=(0.05, 1.0),
                             seeds=(1,), disciplines=("codel",), duration_s=1, jobs=1)
         assert [(r["target_us"], r["interval_us"]) for r in rows] == [
-            (50, 1010), (1000, 20000)]
+            (50, 1000), (1000, 20000)]
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[1].startswith("codel,50,1010,")
+        assert lines[1].startswith("codel,50,1000,")
+        # sweep.csv, like epochs.csv, reports whole us: 0.0505 ms (50,500 ns)
+        # would run unreported, so it is refused before any point runs.
+        calls = []
+        monkeypatch.setattr(Simulator, "run", lambda sim, until: calls.append(until))
+        with pytest.raises(ValueError, match="target_us must be a whole number of us, "
+                                             "got 50.5"):
+            target_sweep(small_cfg(pairs=1), tmp_path / "odd", targets_ms=(1.0, 0.0505),
+                         seeds=(1,), disciplines=("codel",), duration_s=1, jobs=1)
+        assert calls == []
+        assert not (tmp_path / "odd").exists()
 
     def test_sweep_counts_distinct_runs(self, tmp_path):
         # On the fixed topology the seed reaches only the FQ-CoDel flow hash,

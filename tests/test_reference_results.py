@@ -1,11 +1,12 @@
 """The default dumbbell against results that queueing and congestion control
 say it must reproduce (ROADMAP item 15): FQ-CoDel's shares follow its flow
-hash, and the bottleneck stays busy once the bulk flows are backlogged."""
+hash, the bottleneck stays busy once the bulk flows are backlogged, and it
+never idles while it holds a packet."""
 from dataclasses import replace
 
 import pytest
 
-from aqmsim.engine import SECOND
+from aqmsim.engine import MS, SECOND
 from aqmsim.harness import SimContext
 from aqmsim.network import EgressPort
 from aqmsim.scenario import ScenarioConfig
@@ -69,7 +70,7 @@ def test_the_bottleneck_stays_busy(disc, monkeypatch):
     capacity. Taildrop's goodput efficiency (unique bytes delivered over
     bytes forwarded, probes included) is printed, not gated: drop-tail
     lock-out and synchronized losses (RFC 2309 §2) waste some of the busy
-    time, and ROADMAP item 1 moves this number."""
+    time."""
     lo_s, hi_s = 5, 30
     ctx = SimContext(replace(ScenarioConfig(), disc=disc, duration_s=hi_s), 1)
     port = ctx.topo.bottleneck_port
@@ -90,3 +91,24 @@ def test_the_bottleneck_stays_busy(disc, monkeypatch):
     assert goodput <= capacity
     print(f"{disc}: busy {busy:.4f}, bulk + monitor goodput {goodput / 1e6:.2f} Mbps, "
           f"goodput efficiency {goodput * window_s / sum(sent_bits):.4f}")
+
+
+def test_an_unchained_bottleneck_never_idles_with_packets_held():
+    """A work-conserving port: with propagation delay the bottleneck port is
+    unchained, so only its wakeup (`_kick`) puts a waiting packet on the
+    wire. Polled every ms, it must never be idle (wire free, no wakeup
+    armed) while its queue holds a packet. The limit of 30 packets makes
+    FQ-CoDel overflow from the first second on."""
+    cfg = replace(ScenarioConfig(), bottleneck_prop_ns=5 * MS, hard_limit=30,
+                  duration_s=10)
+    ctx = SimContext(cfg, 1)
+    port, q = ctx.topo.bottleneck_port, ctx.topo.bottleneck
+    stuck = 0
+    for ms in range(1, cfg.duration_s * 1000 + 1):
+        ctx.sim.run(ms * MS)
+        if (port.busy_until <= ctx.sim.now and not port._kick_pending
+                and next(iter(q.queued_packets()), None) is not None):
+            stuck += 1
+    s = ctx.run().summary
+    assert s["overflow_drops"] > 0
+    assert stuck == 0

@@ -151,6 +151,27 @@ class TestSenderSide:
         assert any(p.seq == 0 and p.size_bytes == 1500 for p in retx)
         assert conn.retx_segments == 1
 
+    def test_ack_covering_a_retransmission_gives_no_rtt_sample(self):
+        # Karn's rule (RFC 6298 §3): an ACK that covers a retransmitted
+        # segment may answer either transmission, so it is not timed, even
+        # where it also covers a segment sent once.
+        sim = Simulator()
+        conn, src, _ = stub_conn(sim)
+        establish(sim, conn, src)  # ten segments sent at 0
+        samples = []
+        conn.rtt_cb = samples.append
+        sim.run(50 * MS)
+        srtt = conn.srtt_ns
+        conn._retransmit(conn.snd_una)
+        sim.run(70 * MS)
+        conn.on_sender_receive(ack(2 * MSS))
+        assert samples == []
+        assert conn.srtt_ns == srtt
+        # The next ACK covers only fresh data, and is timed again.
+        sim.run(80 * MS)
+        conn.on_sender_receive(ack(3 * MSS))
+        assert samples == [80 * MS]
+
     def test_cwnd_floor_is_one_packet(self):
         sim = Simulator()
         conn, src, _ = stub_conn(sim)
