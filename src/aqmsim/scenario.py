@@ -10,9 +10,14 @@ import math
 from dataclasses import dataclass, replace
 
 from .aqm import DEFAULT_HARD_LIMIT, DEFAULT_INTERVAL, DEFAULT_TARGET
-from .engine import MS, US
+from .engine import MS, SECOND, US
+from .transport import ACK_SIZE
 
 MBPS = 10**6
+# The fastest rate the integer-ns clock can time: the smallest packet sent,
+# a 64 B ACK, takes 1 ns at it (`transmit_delay` rounds half up) and 0 ns
+# at any faster one.
+MAX_BW_BPS = 2 * ACK_SIZE * 8 * SECOND
 
 DISCIPLINES = ("taildrop", "codel", "fq_codel")
 
@@ -59,9 +64,13 @@ class ScenarioConfig:
             raise ValueError("target must be below interval")
         if self.hard_limit < 1:
             raise ValueError("hard_limit_pkts must be >= 1")
-        for bw in (self.access_bw_bps, self.bottleneck_bw_bps, self.exit_bw_bps):
+        for key in ("access_bw_mbps", "bottleneck_bw_mbps", "exit_bw_mbps"):
+            bw = getattr(self, KEY_SPECS[key][0])
             if bw <= 0:
-                raise ValueError("link bandwidths must be positive")
+                raise ValueError(f"{key} must be positive")
+            if bw > MAX_BW_BPS:
+                raise ValueError(f"{key} must be at most {MAX_BW_BPS // MBPS}: a 64 B "
+                                 f"packet would take 0 ns on the wire, got {bw / MBPS:g}")
         for name in ("alpha", "gamma", "epsilon"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -1,11 +1,13 @@
 """Tabular Q-learning agent that retunes the AQM target/interval pair.
 
-States are discretized congestion levels: the observed per-interval count of
-ECE-marked packets (current state) and a forecast of the next interval's
-count (next state), both scaled against their running maxima. The forecast
-arrives as a number from the caller, which owns the forecaster. Actions map
-to a fixed grid of 100 target values with interval locked at 20x target. The
-reward is the connection's power: throughput divided by measured RTT.
+States are discretized congestion levels, all scaled against the running
+maximum of the observed counts of ECE-marked packets. A decision's state is
+the last 100 ms bin measured before it. Its successor is the caller's
+forecast of the bin after the next decision's state, the first 100 ms that
+decision's action governs: the next state's own bin is already measured
+when `decide` runs. Actions map to a fixed grid of 100 target values with
+interval locked at 20x target. The reward is the connection's power:
+throughput divided by measured RTT.
 """
 from __future__ import annotations
 
@@ -73,9 +75,8 @@ class QLearningTuner:
     """Drives one decision per epoch: observe, select, apply, later learn
     from the reward and a forecast count that the caller supplies.
 
-    `q` is the 100x100 action-value table; `max_obs_ref` and `max_pred_ref`
-    are the running maxima that observed and predicted counts are
-    discretized against, never below 1."""
+    `q` is the 100x100 action-value table; states and successors are
+    discretized against `max_obs_ref`, never below 1."""
 
     def __init__(self, alpha: float, gamma: float, epsilon: float, rng):
         self.alpha = alpha
@@ -84,7 +85,6 @@ class QLearningTuner:
         self.rng = rng
         self.q = np.zeros((N_LEVELS, N_ACTIONS))
         self.max_obs_ref = 1.0
-        self.max_pred_ref = 1.0
         self.pending = None  # (state, action) of the decision awaiting its reward
         self.updates = 0
 
@@ -101,7 +101,6 @@ class QLearningTuner:
         the forecast next count; with no decision outstanding, do nothing."""
         if self.pending is None:
             return
-        self.max_pred_ref = max(self.max_pred_ref, float(predicted))
-        s_next = discretize(predicted, self.max_pred_ref)
+        s_next = discretize(predicted, self.max_obs_ref)
         q_update(self.q, *self.pending, reward, s_next, self.alpha, self.gamma)
         self.updates += 1

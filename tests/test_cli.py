@@ -147,6 +147,10 @@ def test_missing_checkpoint_error(tmp_path, capsys):
     ("access_prop_ms=1e400", "access_prop_ms"),
     ("exit_prop_ms=nan", "exit_prop_ms"),
     ("bottleneck_bw_mbps=1e305", "bottleneck_bw_mbps"),
+    # A rate at which a 64 B packet serializes in 0 ns, or no rate at all.
+    *((f"{key}={value}", key)
+      for key in ("access_bw_mbps", "bottleneck_bw_mbps", "exit_bw_mbps")
+      for value in ("1e300", "2e6", "0")),
     ("alpha=1.5", "alpha must be in [0, 1]"),
     ("gamma=2", "gamma must be in [0, 1]"),
     ("epsilon=-0.1", "epsilon must be in [0, 1]"),
@@ -159,6 +163,13 @@ def test_bad_delay_or_offset_exits_2_with_one_line(tmp_path, capsys, setting, na
     assert err.count("\n") == 1 and err.startswith("error:")
     assert named in err
     assert "Traceback" not in err
+
+
+# The fastest rate the integer-ns clock times: a 64 B packet takes 1 ns.
+@pytest.mark.parametrize("key", ["access_bw_mbps", "bottleneck_bw_mbps", "exit_bw_mbps"])
+def test_fastest_timed_link_rate_runs(tmp_path, key):
+    assert main(["run", "--set", "pairs=1", "--duration-s", "1",
+                 "--set", f"{key}=1024000", "--out", str(tmp_path)]) == 0
 
 
 # Not config keys: the random topology's ranges are constants, and every

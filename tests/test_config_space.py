@@ -2,8 +2,9 @@
 that `validate` accepts runs to in-range, self-consistent outputs. Each
 clause is checked against a count kept outside the counters it checks:
 class-level wrappers of the bottleneck's `enqueue` and `dequeue` count the
-packets it holds, and wrappers of `Packet` and `Host.receive` follow every
-packet from the moment it is built."""
+packets it holds and when each one leaves, a wrapper of
+`QueueStats.on_drop_law` when a law drop leaves, and wrappers of `Packet`
+and `Host.receive` follow every packet from the moment it is built."""
 import math
 from contextlib import ExitStack
 from unittest import mock
@@ -11,12 +12,13 @@ from unittest import mock
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from aqmsim.aqm import Codel, FqCodel, TailDrop
+from aqmsim.aqm import Codel, FqCodel, QueueStats, TailDrop
 from aqmsim.engine import SECOND, US
 from aqmsim.harness import EPOCH_COLUMNS, SimContext
 from aqmsim.network import Host, Link
 from aqmsim.packets import Packet
-from aqmsim.scenario import DISCIPLINES, ScenarioConfig, apply_setting
+from aqmsim.scenario import (DISCIPLINES, MAX_BW_BPS, MBPS, ScenarioConfig,
+                             apply_setting)
 
 DISCIPLINE_CLASS = {"taildrop": TailDrop, "codel": Codel, "fq_codel": FqCodel}
 
@@ -29,6 +31,12 @@ def _ms(us: int) -> str:
 def _delay_ms(most_us: int):
     """0 (a chained port) as often as a drawn delay of up to `most_us`."""
     return st.one_of(st.just(0), st.integers(1, most_us)).map(_ms)
+
+
+# Any whole Mbps up to the fastest rate `validate` accepts, with the edges
+# and the defaults' order of magnitude as often as the rest.
+_LINK_MBPS = st.one_of(st.sampled_from((1, 100, MAX_BW_BPS // MBPS)),
+                       st.integers(1, MAX_BW_BPS // MBPS))
 
 
 @st.composite
@@ -49,6 +57,8 @@ def configs(draw) -> ScenarioConfig:
         "bottleneck_prop_ms": draw(_delay_ms(10_000)),
         "exit_prop_ms": draw(_delay_ms(5_000)),
         "bottleneck_bw_mbps": draw(st.sampled_from((1, 5, 20))),
+        "access_bw_mbps": draw(_LINK_MBPS),
+        "exit_bw_mbps": draw(_LINK_MBPS),
         "ecn": draw(st.booleans()),
         "random_topology": draw(st.booleans()),
     }
@@ -84,22 +94,38 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
     cls = DISCIPLINE_CLASS[cfg.disc]
     enqueue, dequeue = cls.enqueue, cls.dequeue
     init, receive = Packet.__init__, Host.receive
+    on_drop_law, drain_area = QueueStats.on_drop_law, QueueStats.drain_area
     changes = []  # (time, packets held) after each enqueue and dequeue
     after_enqueue = []  # packets held after each enqueue
+    admitted = []  # enq_ns of each packet admitted
+    departures = []  # the time each admitted packet left: forwarded or law-dropped
+    drained = []  # each occupancy integral drain_area returned
     built = []
     host_rx = []
 
     def counted_enqueue(self, pkt, now):
-        admitted = enqueue(self, pkt, now)
+        ok = enqueue(self, pkt, now)
         held = _held(self)
         after_enqueue.append(held)
         changes.append((now, held))
-        return admitted
+        if ok:
+            admitted.append(pkt.enq_ns)
+        return ok
 
     def counted_dequeue(self, now):
         pkt = dequeue(self, now)
         changes.append((now, _held(self)))
+        if pkt is not None:
+            departures.append(now)
         return pkt
+
+    def counted_drop_law(self, now):
+        departures.append(now)
+        on_drop_law(self, now)
+
+    def counted_drain(self, now):
+        drained.append(drain_area(self, now))
+        return drained[-1]
 
     def counted_init(self, *args):
         init(self, *args)
@@ -113,6 +139,8 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
         # Installed before the topology is built, which binds Host.receive.
         for owner, name, wrapper in ((cls, "enqueue", counted_enqueue),
                                      (cls, "dequeue", counted_dequeue),
+                                     (QueueStats, "on_drop_law", counted_drop_law),
+                                     (QueueStats, "drain_area", counted_drain),
                                      (Packet, "__init__", counted_init),
                                      (Host, "receive", counted_receive)):
             patches.enter_context(mock.patch.object(owner, name, wrapper))
@@ -135,6 +163,13 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
     areas = _epoch_areas(changes, cfg.duration_s)
     assert occupancy == [100.0 * a / (SECOND * limit) for a in areas]
     assert all(0.0 <= pct <= 100.0 for pct in occupancy)
+
+    # Little's law on the sample path: the integral of the packets held is
+    # the sum of the admitted packets' sojourns, each from its enq_ns to its
+    # departure, or to the run's end if it is still held.
+    departures += [cfg.duration_s * SECOND] * held
+    assert len(departures) == len(admitted)
+    assert sum(drained) == sum(departures) - sum(admitted)
 
     # Every plain hop balances against its own FIFO.
     ports = [h.egress for h in topo.hosts_a + topo.hosts_b + [topo.mon_a, topo.mon_b]]

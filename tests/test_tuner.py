@@ -175,17 +175,15 @@ class TestReferenceMaxima:
         tuner.decide(observed_count=5.0)
         tuner.decide(observed_count=2.0)
         assert tuner.max_obs_ref == 5.0
-        tuner.learn(1.0, predicted=3.0)
-        tuner.learn(1.0, predicted=1.0)
-        assert tuner.max_pred_ref == 3.0
+        tuner.learn(1.0, predicted=30.0)
+        assert tuner.max_obs_ref == 5.0
 
     def test_start_at_one(self):
         tuner = _tuner()
         assert tuner.max_obs_ref == 1.0
-        assert tuner.max_pred_ref == 1.0
         tuner.decide(observed_count=0.5)
         tuner.learn(1.0, predicted=0.0)
-        assert (tuner.max_obs_ref, tuner.max_pred_ref) == (1.0, 1.0)
+        assert tuner.max_obs_ref == 1.0
 
 
 class TestDecisionFlow:
@@ -211,15 +209,27 @@ class TestDecisionFlow:
         tuner = _tuner()
         tuner.learn(1.0, predicted=7.0)
         assert tuner.updates == 0
-        assert tuner.max_pred_ref == 1.0
         assert not tuner.q.any()
 
     def test_reference_maxima_grow_with_observations(self):
         tuner = _tuner()
         tuner.decide(observed_count=250.0)
         assert tuner.max_obs_ref == 250.0
-        tuner.learn(1.0, predicted=40.0)
-        assert tuner.max_pred_ref == 40.0
+        tuner.learn(1.0, predicted=400.0)
+        assert tuner.max_obs_ref == 250.0
+
+    def test_successor_is_read_against_the_observed_maximum(self):
+        # The state and its successor share one scale: a forecast of 100
+        # against an observed maximum of 200 is level 50, not the top level
+        # that a maximum of forecasts alone would give it.
+        tuner = _tuner()
+        tuner.q[50, 0], tuner.q[99, 0] = 10.0, 40.0
+        tuner.decide(observed_count=200.0)
+        assert tuner.pending == (99, 0)
+        tuner.learn(1.0, predicted=100.0)
+        # alpha 0.5 toward reward 1 plus gamma 0.8 times row 50's best, 10,
+        # from the pending value 40
+        assert tuner.q[99, 0] == 40.0 + 0.5 * (1.0 + 0.8 * 10.0 - 40.0)
 
 
 class TestToyMdpConvergence:
