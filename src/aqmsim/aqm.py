@@ -61,7 +61,7 @@ class AqmParams:
 
 
 class QueueStats:
-    """Packet counters plus time-weighted occupancy integration.
+    """Packet counters plus the occupancy integral, kept as a sum of sojourns.
 
     `queued` is the resident packet count, kept as an integer that every
     counter update moves with it, so one stats object can be shared by all
@@ -69,10 +69,20 @@ class QueueStats:
     `enqueued - forwarded - dropped_law`: an overflow drop was never
     enqueued, so it only counts in `dropped_overflow`. `max_queued` is its
     peak over the run.
+
+    The occupancy integral uses the sample-path form of Little's law
+    (L = lambda W; Little 1961): the integral of the held count over a window
+    is the sum of the time each packet was held within it. So an admission
+    at `now` subtracts `now` from `area_pkt_ns`, and a departure (forward or
+    law drop) adds it. Between drains `area_pkt_ns + queued * t` is the
+    integral from the previous drain to any `t` at or after the last change:
+    `area_pkt_ns` holds the departure times less the admission times since
+    that drain, less `queued * t_drain` for the packets it found held.
+    Integers keep it exact.
     """
 
     __slots__ = ("enqueued", "forwarded", "marked", "dropped_law", "dropped_overflow",
-                 "queued", "area_pkt_ns", "last_ns", "max_queued")
+                 "queued", "area_pkt_ns", "max_queued")
 
     def __init__(self):
         self.enqueued = 0
@@ -82,35 +92,31 @@ class QueueStats:
         self.dropped_overflow = 0
         self.queued = 0
         self.area_pkt_ns = 0
-        self.last_ns = 0
         self.max_queued = 0
 
     def on_enqueue(self, now: int) -> None:
-        q = self.queued
-        self.area_pkt_ns += q * (now - self.last_ns)
-        self.last_ns = now
+        self.area_pkt_ns -= now
         self.enqueued += 1
-        self.queued = q = q + 1
+        self.queued = q = self.queued + 1
         if q > self.max_queued:
             self.max_queued = q
 
     def on_forward(self, now: int) -> None:
-        self.area_pkt_ns += self.queued * (now - self.last_ns)
-        self.last_ns = now
+        self.area_pkt_ns += now
         self.forwarded += 1
         self.queued -= 1
 
     def on_drop_law(self, now: int) -> None:
-        self.area_pkt_ns += self.queued * (now - self.last_ns)
-        self.last_ns = now
+        self.area_pkt_ns += now
         self.dropped_law += 1
         self.queued -= 1
 
     def drain_area(self, now: int) -> int:
-        """Occupancy integral (packet*ns) since the previous drain."""
-        area = self.area_pkt_ns + self.queued * (now - self.last_ns)
-        self.last_ns = now
-        self.area_pkt_ns = 0
+        """Occupancy integral (packet*ns) since the previous drain; the
+        packets still held carry over from `now`."""
+        held_ns = self.queued * now
+        area = self.area_pkt_ns + held_ns
+        self.area_pkt_ns = -held_ns
         return area
 
 

@@ -43,11 +43,18 @@ class Simulator:
         heappush(self._heap, (t, self._seq, fn, arg))
 
     def run(self, t_end: int) -> None:
-        """Dispatch every event with timestamp <= t_end, then park the clock there."""
+        """Dispatch every event with timestamp <= t_end, then park the clock
+        there. Each event is popped before its time is read, so only the
+        first one past t_end is pushed back."""
         heap = self._heap
         no_arg = _NO_ARG
-        while heap and heap[0][0] <= t_end:
-            t, _, fn, arg = heappop(heap)
+        while heap:
+            t, seq, fn, arg = heappop(heap)
+            if t > t_end:
+                # The first event past the end goes back as it was: its
+                # sequence number keeps its place among ties.
+                heappush(heap, (t, seq, fn, arg))
+                break
             self.now = t
             if arg is no_arg:
                 fn()

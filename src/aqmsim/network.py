@@ -13,6 +13,14 @@ and inherits the wire step and the wakeup, so a hop schedules the same
 events at the same times in the same order whichever queue it has. Each
 port looks up a packet's serialization time in its own `SerializationTimes`
 and hands deliveries to a callback bound once.
+
+A host sends only across the dumbbell, and its router sends every such
+packet through one egress port: the bottleneck for a B-side host, the
+reverse bottleneck link for an A-side one. So each host's uplink delivers
+straight to that port, and a router runs only where it chooses a port (at
+the far end of either bottleneck direction) or feeds R1's ECE tap. Both
+routers keep their full tables. This is exact: only R1 taps, it counts only
+B-bound packets, and no B-side uplink carries one.
 """
 from __future__ import annotations
 
@@ -45,7 +53,7 @@ class EgressPort:
     """Unidirectional transmitter in front of a queue discipline."""
 
     __slots__ = ("sim", "prop_ns", "q", "dst", "busy_until",
-                 "_kick_pending", "_chained", "_tx_ns", "_deliver")
+                 "_kick_pending", "_chained", "_tx_ns", "_receive", "_deliver")
 
     def __init__(self, sim, bandwidth_bps: int, prop_ns: int, discipline, dst):
         self.sim = sim
@@ -56,7 +64,14 @@ class EgressPort:
         self._kick_pending = False
         self._chained = prop_ns == 0
         self._tx_ns = SerializationTimes(bandwidth_bps)
-        self._deliver = self._deliver_chain if self._chained else dst.receive
+        self._receive = dst.receive
+        self._deliver = self._deliver_chain if self._chained else self._receive
+
+    @property
+    def receive(self):
+        """A port as a hop's destination sends on what arrives: a host's
+        uplink delivers straight to its router's egress port."""
+        return self.send
 
     def send(self, pkt) -> None:
         self.q.enqueue(pkt, self.sim.now)
@@ -92,7 +107,7 @@ class EgressPort:
             self.sim.schedule(self.busy_until, self._kick)
 
     def _deliver_chain(self, pkt) -> None:
-        self.dst.receive(pkt)
+        self._receive(pkt)
         if self.sim.now >= self.busy_until:
             self._pump()
 
@@ -156,7 +171,7 @@ class Link(EgressPort):
             self._transmit(self.q.popleft())
 
     def _deliver_chain(self, pkt) -> None:
-        self.dst.receive(pkt)
+        self._receive(pkt)
         if self.q and self.sim.now >= self.busy_until:
             self._pump()
 
@@ -290,28 +305,27 @@ class Topology:
         def link(bw, prop, dst):
             return Link(sim, bw, prop, cfg.hard_limit, dst)
 
-        def attach(host, router, bw, prop):
-            """The host's uplink to the router and the router's port back."""
-            host.egress = link(bw, prop, router)
+        # The single bottleneck R1 -> R2 carries every A-bound packet, and
+        # its reverse direction R2 -> R1 every B-bound one.
+        bport = EgressPort(sim, cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns,
+                           self.bottleneck, self.r2)
+        self.bottleneck_port = bport
+        rev = link(cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns, self.r1)
+
+        def attach(host, router, across, bw, prop):
+            """The host's uplink, delivering straight to the port `across`
+            that its router routes every packet of the host through, and
+            the router's port back to the host."""
+            host.egress = link(bw, prop, across)
             router.routes[host.node_id] = link(bw, prop, host)
 
         # B side: the monitor keeps the configured access link.
         for host, (bw, prop) in zip(b_hosts, access + [configured]):
-            attach(host, self.r1, bw, prop)
-
-        # The single bottleneck R1 -> R2 carries every A-bound packet.
-        bport = EgressPort(sim, cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns,
-                           self.bottleneck, self.r2)
-        for host in a_hosts:
-            self.r1.routes[host.node_id] = bport
-        self.bottleneck_port = bport
-
-        # A-side links and the reverse bottleneck direction.
-        for host in a_hosts:
-            attach(host, self.r2, cfg.exit_bw_bps, cfg.exit_prop_ns)
-        rev = link(cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns, self.r1)
-        for host in b_hosts:
+            attach(host, self.r1, bport, bw, prop)
             self.r2.routes[host.node_id] = rev
+        for host in a_hosts:
+            attach(host, self.r2, rev, cfg.exit_bw_bps, cfg.exit_prop_ns)
+            self.r1.routes[host.node_id] = bport
 
     def base_rtt_ns(self) -> int:
         """Idle round trip on the monitor path (propagation only)."""

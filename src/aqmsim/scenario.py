@@ -21,6 +21,11 @@ MAX_BW_BPS = 2 * ACK_SIZE * 8 * SECOND
 
 DISCIPLINES = ("taildrop", "codel", "fq_codel")
 
+# The longest run: one simulated day. A run allocates its per-second state
+# (ten 100 ms ECE bins and one epoch event a second) before it simulates
+# anything, about 28 MB at this bound, so a longer one is refused up front.
+MAX_DURATION_S = 86_400
+
 
 @dataclass
 class ScenarioConfig:
@@ -54,6 +59,9 @@ class ScenarioConfig:
             raise ValueError(f"disc must be one of {DISCIPLINES}, got {self.disc!r}")
         if self.duration_s < 1:
             raise ValueError("duration_s must be >= 1")
+        if self.duration_s > MAX_DURATION_S:
+            raise ValueError(f"duration_s must be at most {MAX_DURATION_S} (one simulated "
+                             f"day), got {self.duration_s}")
         if self.target_ns <= 0 or self.interval_ns <= 0:
             raise ValueError("target and interval must be positive")
         # Outputs report both in whole us, so a run takes no other value.

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aqmsim.aqm import (DRR_QUANTUM, MAX_PACKET_BYTES, AqmParams, Codel, FqCodel,
+from aqmsim.aqm import (DRR_QUANTUM, MAX_PACKET_BYTES, AqmParams, Codel, FqCodel, QueueStats,
                         TailDrop, control_interval, make_discipline, mix64)
 from aqmsim.engine import MS, SECOND, US
 from aqmsim.harness import SimContext
@@ -338,6 +339,46 @@ class TestFqCodel:
         out = [q.dequeue(10**9) for _ in range(10)]
         assert all(p.ecn == ECT0 for p in out)
         assert q.stats.marked == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_occupancy_integral_is_the_held_count_summed_ns_by_ns(seed):
+    # Seeded admissions, forwards, law drops and drains at nondecreasing
+    # times, several at one instant, drains often while packets are held.
+    # Each drain must equal the held count summed over every ns since the
+    # previous drain.
+    rng = random.Random(seed)
+    stats = QueueStats()
+    now = held = last_drain = 0
+    held_at = {}  # ns -> packets held during [ns, ns + 1)
+    drains_while_held = 0
+    for _ in range(400):
+        step = rng.choice((0, 0, 1, 7, 23))
+        for t in range(now, now + step):
+            held_at[t] = held
+        now += step
+        op = rng.random()
+        if op < 0.45:
+            stats.on_enqueue(now)
+            held += 1
+        elif op < 0.8 and held:
+            stats.on_forward(now)
+            held -= 1
+        elif op < 0.9 and held:
+            stats.on_drop_law(now)
+            held -= 1
+        else:
+            expected = sum(held_at.get(t, 0) for t in range(last_drain, now))
+            assert stats.drain_area(now) == expected
+            drains_while_held += held > 0
+            last_drain = now
+        assert stats.queued == held
+    for t in range(now, now + 50):
+        held_at[t] = held
+    expected = sum(held_at.get(t, 0) for t in range(last_drain, now + 50))
+    assert stats.drain_area(now + 50) == expected
+    assert stats.drain_area(now + 50) == 0
+    assert drains_while_held > 10
 
 
 def test_make_discipline_kinds():

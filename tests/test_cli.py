@@ -8,6 +8,7 @@ from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.engine import Simulator
 from aqmsim.predictor import STEPS, LstmForecaster, min_series_length, save_checkpoint
+from aqmsim.scenario import MAX_DURATION_S
 
 
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
@@ -248,6 +249,36 @@ def runs(monkeypatch):
     calls = []
     monkeypatch.setattr(Simulator, "run", lambda sim, until: calls.append(until))
     return calls
+
+
+# A run allocates its per-second state before it simulates, so a run length
+# beyond the bound is refused before any run is built, in every command.
+@pytest.mark.parametrize("argv", [
+    ["run", "--duration-s", str(MAX_DURATION_S + 1)],
+    ["run", "--set", f"duration_s={10**12}"],
+    ["sweep", "--sweep-duration-s", str(10**12), "--seeds", "1", "--targets-ms", "1"],
+    ["compare", "--duration-s", str(MAX_DURATION_S + 1), "--seeds", "1"],
+], ids=["run", "run-set", "sweep", "compare"])
+def test_run_length_beyond_the_bound_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    built = []
+
+    def refuse(self, cfg, *args, **kwargs):
+        built.append(cfg.duration_s)
+        raise AssertionError("a SimContext was built")
+
+    monkeypatch.setattr(harness.SimContext, "__init__", refuse)
+    monkeypatch.setattr(harness, "pretrain_predictor",
+                        lambda path, **kwargs: built.append(path))
+    out = tmp_path / "out"
+    extra = ["--jobs", "1"] if argv[0] != "run" else []
+    rc = main(argv + extra + ["--set", "pairs=1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"duration_s must be at most {MAX_DURATION_S}" in err
+    assert built == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("targets,named", [

@@ -37,6 +37,35 @@ def test_empty_queue_signals_end():
     assert len(sim) == 0 and sim.now == 10
 
 
+def test_run_stops_at_t_end_and_keeps_the_next_event_pending():
+    # `run` pops each event before it reads its time: an event at exactly
+    # t_end runs, the first one past it goes back on the heap, and ties
+    # scheduled before and during a run keep insertion order across two
+    # consecutive runs.
+    sim = Simulator()
+    order = []
+
+    def schedule_during(label):
+        order.append(label)
+        sim.schedule(20, order.append, "t20-during")
+        sim.schedule(10, order.append, "t10-during")
+
+    sim.schedule(20, order.append, "t20-before")
+    sim.schedule(10, order.append, "t10-before")
+    sim.schedule(10, schedule_during, "t10-schedules")
+    sim.schedule(11, order.append, "t11")
+    sim.run(10)
+    assert order == ["t10-before", "t10-schedules", "t10-during"]
+    assert sim.now == 10
+    assert len(sim) == 3  # t11 was popped and pushed back, and still counts
+    sim.run(15)
+    assert order[3:] == ["t11"] and sim.now == 15 and len(sim) == 2
+    sim.schedule(20, order.append, "t20-after")
+    sim.run(20)
+    assert order[4:] == ["t20-before", "t20-during", "t20-after"]
+    assert sim.now == 20 and len(sim) == 0
+
+
 def test_clock_monotone_and_past_scheduling_fails():
     sim = Simulator()
     sim.schedule(10, lambda: None)

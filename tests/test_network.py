@@ -1,11 +1,15 @@
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
+from aqmsim.harness import SimContext
 from aqmsim.network import EgressPort, Link
 from aqmsim.packets import ECT0, F_ACK, Packet
+from aqmsim.scenario import ScenarioConfig
 
 
 class Sink:
@@ -162,3 +166,55 @@ def test_link_and_taildrop_port_are_one_transmitter(seed, prop_ns):
         assert delivered_at == free + prop_ns
     # The schedule reaches the case this test is for.
     assert any(t in frees for t, _ in arrivals)
+
+
+@pytest.mark.parametrize("random_topology", [False, True])
+def test_uplinks_deliver_to_the_port_their_router_routes_through(random_topology):
+    cfg = replace(ScenarioConfig(), pairs=3, duration_s=2,
+                  random_topology=random_topology)
+    init, send = Link.__init__, Link.send
+    built = []  # every Link made
+    carried = []  # (uplink, packet) for every packet a host put on its uplink
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def counted_send(self, pkt):
+        if self in uplinks:
+            carried.append((self, pkt))
+        send(self, pkt)
+
+    with mock.patch.object(Link, "__init__", counted_init):
+        ctx = SimContext(cfg, seed=5)
+    topo = ctx.topo
+    r1, r2 = topo.r1, topo.r2
+    b_side = topo.hosts_b + [topo.mon_b]
+    a_side = topo.hosts_a + [topo.mon_a]
+    router_of = {id(h.egress): router for hosts, router in ((b_side, r1), (a_side, r2))
+                 for h in hosts}
+    uplinks = {h.egress for h in b_side + a_side}
+    with mock.patch.object(Link, "send", counted_send):
+        ctx.run()
+
+    # Each uplink's destination is the port its router names for every host
+    # across the dumbbell, which is every host it sends to.
+    for hosts, peers, router in ((b_side, a_side, r1), (a_side, b_side, r2)):
+        for host in hosts:
+            assert {id(router.routes[peer.node_id]) for peer in peers} == {id(host.egress.dst)}
+    assert len(carried) > 0
+    for uplink, pkt in carried:
+        router = router_of[id(uplink)]
+        assert router.routes[pkt.dst_id] is uplink.dst
+        # A router's ECE tap counts only packets bound for these nodes, so an
+        # uplink that passes its router by never hides one from the tap.
+        assert pkt.dst_id not in router.ece_count_ids
+    assert r1.ece_count_ids == {h.node_id for h in b_side}
+    assert not r2.ece_count_ids
+
+    # Every Link made is still reachable from the hosts' uplinks and the two
+    # routing tables, which the conservation checks enumerate.
+    reachable = [h.egress for h in b_side + a_side]
+    reachable += list(r1.routes.values()) + list(r2.routes.values())
+    assert {id(p) for p in reachable} == {id(p) for p in built} | {id(topo.bottleneck_port)}
+    assert len(built) == 4 * cfg.pairs + 5

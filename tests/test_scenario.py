@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from aqmsim.engine import MS, US
-from aqmsim.scenario import (KEY_SPECS, ScenarioConfig, apply_overrides,
+from aqmsim.scenario import (KEY_SPECS, MAX_DURATION_S, ScenarioConfig, apply_overrides,
                              apply_setting, load_config)
 
 
@@ -93,6 +93,16 @@ def test_validation_rejects_bad_shapes():
     cfg = apply_setting(ScenarioConfig(), "target_us", "200000")  # 200 ms >= interval
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_duration_is_bounded_before_anything_is_allocated():
+    # Checked on the config alone: a run of the refused length would
+    # allocate its per-second state before it starts.
+    apply_setting(ScenarioConfig(), "duration_s", str(MAX_DURATION_S)).validate()
+    for value in (MAX_DURATION_S + 1, 10**12):
+        cfg = apply_setting(ScenarioConfig(), "duration_s", str(value))
+        with pytest.raises(ValueError, match=f"duration_s must be at most {MAX_DURATION_S}"):
+            cfg.validate()
 
 
 def test_every_field_has_exactly_one_config_key():
