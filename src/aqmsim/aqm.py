@@ -307,22 +307,16 @@ class FqCodel:
         return mix64(flow_id ^ self.hash_seed) % NUM_SUBQUEUES
 
     def enqueue(self, pkt, now: int) -> bool:
-        stats = self.stats
-        if stats.queued >= self.params.hard_limit:
-            stats.dropped_overflow += 1
-            return False
         sub = self._sub_of_flow.get(pkt.flow_id)
         if sub is None:
             bucket = self.bucket_of(pkt.flow_id)
             if bucket not in self._subs:
-                self._subs[bucket] = _SubQueue(self.params, stats)
+                self._subs[bucket] = _SubQueue(self.params, self.stats)
             sub = self._sub_of_flow[pkt.flow_id] = self._subs[bucket]
-        # The limit covers all buckets and was checked above, so the packet
-        # joins its bucket directly.
-        pkt.enq_ns = now
-        sub._q.append(pkt)
-        sub.backlog_bytes += pkt.size_bytes
-        stats.on_enqueue(now)
+        # The bucket's limit check reads the shared stats, so the limit
+        # covers all buckets.
+        if not sub.enqueue(pkt, now):
+            return False
         if not sub.listed:
             sub.deficit = DRR_QUANTUM
             sub.listed = True

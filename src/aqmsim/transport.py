@@ -131,8 +131,9 @@ class Connection:
         pkt = Packet(self.cid, 0, ACK_SIZE, NOT_ECT,
                      syn_flags(self.ecn_capable), now, self.dst.node_id)
         self.src.egress.send(pkt)
-        self.rto_deadline = now + INITIAL_RTO * self.rto_backoff
-        self._schedule_rto(self.rto_deadline)
+        # srtt_ns is 0 before the handshake, so this is INITIAL_RTO, backed off.
+        self.rto_deadline = now + self._rto()
+        self._schedule_rto()
 
     # -- sender side ------------------------------------------------------
 
@@ -219,16 +220,21 @@ class Connection:
                 if self.w_est > self.cwnd:
                     self.cwnd = self.w_est
 
+    def _cut(self, now: int, cwnd: float, ssthresh: float) -> None:
+        """Start a CUBIC epoch at `now` whose w_max is the current window (at
+        least one packet); no further cut comes within one smoothed RTT."""
+        self.w_max = max(self.cwnd, 1.0)
+        self.k_s = cubic_k(self.w_max)
+        self.cwnd = self.w_est = cwnd
+        self.ssthresh = ssthresh
+        self.epoch_start_ns = now
+        self.in_cwr_until = now + (self.srtt_ns if self.srtt_ns else INITIAL_RTO)
+
     def _congestion_signal(self, kind: str) -> None:
         now = self.sim.now
         if now >= self.in_cwr_until:
-            self.w_max = self.cwnd
-            self.k_s = cubic_k(self.w_max)
-            self.cwnd = max(CUBIC_BETA * self.cwnd, 1.0)
-            self.ssthresh = self.cwnd
-            self.w_est = self.cwnd
-            self.epoch_start_ns = now
-            self.in_cwr_until = now + (self.srtt_ns if self.srtt_ns else INITIAL_RTO)
+            cwnd = max(CUBIC_BETA * self.cwnd, 1.0)
+            self._cut(now, cwnd, cwnd)
             self.reduction_log.append((now, self.srtt_ns))
             if kind == "ece":
                 self.cwr_pending = True
@@ -245,7 +251,7 @@ class Connection:
                      F_ACK, now, self.dst.node_id)
         self.src.egress.send(pkt)
         self.rto_deadline = now + self._rto()
-        self._schedule_rto(self.rto_deadline)
+        self._schedule_rto()
 
     def _try_send(self) -> None:
         now = self.sim.now
@@ -276,10 +282,10 @@ class Connection:
 
     # -- retransmission timer ----------------------------------------------
 
-    def _schedule_rto(self, deadline: int) -> None:
+    def _schedule_rto(self) -> None:
         if not self.rto_pending:
             self.rto_pending = True
-            self.sim.schedule(deadline, self._on_rto)
+            self.sim.schedule(self.rto_deadline, self._on_rto)
 
     def _on_rto(self) -> None:
         self.rto_pending = False
@@ -287,20 +293,14 @@ class Connection:
         if self.established and self.snd_nxt == self.snd_una:
             return
         if now < self.rto_deadline:
-            self._schedule_rto(self.rto_deadline)
+            self._schedule_rto()
             return
         if not self.established:
             self.rto_backoff = min(self.rto_backoff * 2, 8)
             self._send_syn()
             return
         # Timeout: collapse to one segment and restart from the first hole.
-        self.w_max = max(self.cwnd, 1.0)
-        self.k_s = cubic_k(self.w_max)
-        self.ssthresh = max(CUBIC_BETA * self.cwnd, 2.0)
-        self.cwnd = 1.0
-        self.w_est = 1.0
-        self.epoch_start_ns = now
-        self.in_cwr_until = now + (self.srtt_ns if self.srtt_ns else INITIAL_RTO)
+        self._cut(now, 1.0, max(CUBIC_BETA * self.cwnd, 2.0))
         self.dup_acks = 0
         self.recover_seq = self.snd_nxt
         self.rto_backoff = min(self.rto_backoff * 2, 8)

@@ -241,10 +241,27 @@ class TestFqCodel:
 
     def test_overflow_counts_total_across_subqueues(self):
         q = FqCodel(AqmParams(hard_limit=100))
+        assert len({q.bucket_of(f) for f in (*range(10), 11)}) == 11
         for f in range(10):
             for _ in range(10):
                 assert q.enqueue(mk_pkt(flow=f), 0)
+        listed = list(q._new)
         assert not q.enqueue(mk_pkt(flow=11), 0)
+        assert q.stats.dropped_overflow == 1
+        # The refused packet is held nowhere, and flow 11's bucket joins no
+        # list: the DRR lists are the ten flows', as before the refusal.
+        held = list(q.queued_packets())
+        assert all(p.flow_id != 11 for p in held)
+        assert list(q._new) == listed and not q._old
+        assert q.stats.queued == len(held) == 100
+        # One departure makes room: flow 11's next packet is admitted and its
+        # bucket joins the new list, behind the ten flows.
+        assert q.dequeue(0).flow_id == 0
+        pkt = mk_pkt(flow=11)
+        assert q.enqueue(pkt, 0)
+        *rest, last = q._new
+        assert rest == listed and list(last.queued_packets()) == [pkt]
+        assert q.stats.queued == sum(1 for _ in q.queued_packets()) == 100
         assert q.stats.dropped_overflow == 1
 
     def test_new_flow_served_before_old(self):

@@ -1,0 +1,233 @@
+"""The refusal property over `cli.main` (ROADMAP item 17): every argv either
+runs (exit 0) or is refused with exit code 2, exactly one `error:` line on
+stderr and no output directory; none ends in a traceback.
+
+The argv are drawn per command from each flag's values at and beyond its
+edges, NaN, inf and non-numbers, with flags repeated, flags another command
+takes, and flags none takes. The simulation, the fan-out, the pretrain and
+the fit are replaced with recorders, so an accepted argv costs nothing; all
+that runs is parsing, validation, config and checkpoint loading, and the
+building of a single run, which the draws keep small (see `SET_VALUES`)."""
+import contextlib
+import io
+import os
+import shutil
+import tempfile
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aqmsim import harness
+from aqmsim.cli import main
+from aqmsim.predictor import STEPS, FitReport, LstmForecaster, min_series_length, save_checkpoint
+from aqmsim.scenario import KEY_SPECS, MAX_BW_BPS, MAX_DURATION_S, MBPS
+
+COMMANDS = ("run", "sweep", "compare", "pretrain", "retrain-demo")
+REPORT = FitReport(0.0, 0.0, 0.0, 0.0, 1, 0.8, 1, 1)
+SUMMARY = {name: 0 for name, _ in harness.SUMMARY_COLUMNS}
+
+# Text that is no number, or a number in a form that int() or float() reads.
+JUNK = ("nan", "inf", "-inf", "1e400", "abc", "", "1.5", "0x10", "1_0", " 7 ", "-0",
+        "+3", "1e3")
+
+
+def _int_edge(least: int, *more):
+    """Integer text just below, at and above the least value a flag takes,
+    or junk, as often as each other."""
+    return st.one_of(st.sampled_from((str(least - 1), str(least), str(least + 1),
+                                      *map(str, more))),
+                     st.sampled_from(JUNK))
+
+
+def _listed(entries):
+    """A comma-separated list of 0-3 entries, repeats and empties included."""
+    return st.lists(st.sampled_from(entries), max_size=3).map(",".join)
+
+
+_BW = ("-1", "0", "1e-9", "1", "20", str(MAX_BW_BPS // MBPS),
+       f"{MAX_BW_BPS // MBPS}.0000001", str(MAX_BW_BPS // MBPS + 1), "1e300", "inf", "nan")
+_PROP = ("-1", "-0.0000001", "0", "0.0000001", "0.001", "20", "inf", "nan")
+_TIME_US = ("-1", "0", "0.5", "1", "5000", "99999", "100000", "100001", "1e400", "nan")
+_UNIT = ("-0.1", "0", "-0", "0.5", "1", "1.0000001", "nan", "inf")
+_BOOL = ("true", "false", "yes", "2", "")
+# Each key's values at and beyond its edges. No key but `duration_s` has an
+# upper edge; the sizes a single run allocates up front grow with `pairs`,
+# `duration_s` and `retrain_at_s` (1 ms bins up to the retrain), so those
+# are drawn at their edges and at their defaults, never far beyond.
+SET_VALUES = {
+    "pairs": ("-1", "0", "1", "2", "20", "1.5", "nan", "x"),
+    "disc": ("codel", "fq_codel", "taildrop", "bogus", ""),
+    "ecn": _BOOL,
+    "intelligent": _BOOL,
+    "duration_s": ("0", "1", "2", str(MAX_DURATION_S), str(MAX_DURATION_S + 1), "1e3", "nan"),
+    "access_bw_mbps": _BW,
+    "access_prop_ms": _PROP,
+    "bottleneck_bw_mbps": _BW,
+    "bottleneck_prop_ms": _PROP,
+    "exit_bw_mbps": _BW,
+    "exit_prop_ms": _PROP,
+    "target_us": _TIME_US,
+    "interval_us": _TIME_US,
+    "hard_limit_pkts": ("-1", "0", "1", "2", "1000", "1e3"),
+    "alpha": _UNIT,
+    "gamma": _UNIT,
+    "epsilon": _UNIT,
+    "checkpoint": ("{good}", "{absent}", "{bad}", ""),
+    "retrain_at_s": ("-1", "0", "1", "6", "7", "1.5"),
+    "random_topology": _BOOL,
+    "bulk_start_ms": ("-1", "0", "50", "1.5"),
+    "monitor_start_ms": ("-1", "0", "50", "1.5"),
+}
+assert set(SET_VALUES) == set(KEY_SPECS)
+
+_SETTING = st.one_of(
+    st.sampled_from(sorted(SET_VALUES)).flatmap(
+        lambda key: st.sampled_from(SET_VALUES[key]).map(lambda v: f"{key}={v}")),
+    st.sampled_from(("bogus=1", "pairs", "=1", "pairs==1")),
+)
+_SEEDS = ("0", "1", "2", "-1", "1.5", "x", "nan")
+_TARGETS_MS = ("0.001", "0.0015", "0.05", "1", "6", "0", "-1", "1e-9", "inf", "nan", "abc",
+               "1e400")
+
+# Every flag some command takes, and two that none takes (one a prefix of a
+# real one, which is never expanded), each with the values drawn for it.
+FLAG_VALUES = {
+    "--config": st.sampled_from(("{config}", "{badconfig}", "{absent}", "{dir}")),
+    "--out": st.just("{out}/other"),
+    "--set": _SETTING,
+    "--seed": _int_edge(0, 10**30),
+    "--duration-s": _int_edge(1, MAX_DURATION_S, MAX_DURATION_S + 1),
+    "--sweep-duration-s": _int_edge(1, MAX_DURATION_S, MAX_DURATION_S + 1),
+    "--jobs": _int_edge(0, 10**6),
+    "--seeds": _listed(_SEEDS),
+    "--targets-ms": _listed(_TARGETS_MS),
+    "--disciplines": _listed(("codel", "fq_codel", "taildrop", "bogus", "")),
+    "--trace": st.sampled_from(("{absent}", "{bad}")),
+    "--synth-seed": _int_edge(0, 10**30),
+    "--length": _int_edge(min_series_length(STEPS), 10**12),
+    "--epochs": _int_edge(0, 10**6),
+    "--checkpoint": st.sampled_from(("{good}", "{absent}", "{bad}")),
+    "--bogus": st.sampled_from(("1", "")),
+    "--dur": st.sampled_from(("1", "")),
+}
+
+
+# The flags each command takes; --set is drawn as often as the others
+# together.
+COMMAND_FLAGS = {
+    "run": ("--config", "--out", "--seed", "--duration-s"),
+    "sweep": ("--config", "--out", "--targets-ms", "--seeds", "--sweep-duration-s", "--jobs"),
+    "compare": ("--config", "--out", "--duration-s", "--seeds", "--disciplines", "--jobs"),
+    "pretrain": ("--out", "--trace", "--synth-seed", "--length", "--epochs"),
+    "retrain-demo": ("--config", "--out", "--seed", "--checkpoint"),
+}
+
+
+@st.composite
+def argvs(draw):
+    """One command, then up to four of its flags, each repeated at times,
+    and at times a flag it does not take, in any order. A flag is given no
+    value at times, and a stray word follows at times. retrain-demo is
+    mostly given its required --checkpoint."""
+    command = draw(st.sampled_from(COMMANDS))
+    own = st.sampled_from(COMMAND_FLAGS[command])
+    if command != "pretrain":
+        own = st.one_of(own, st.just("--set"))
+    flags = [(flag, draw(FLAG_VALUES[flag])) for flag in draw(st.lists(own, max_size=4))]
+    if draw(st.integers(0, 4)) == 0:
+        flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
+        flags.append((flag, draw(FLAG_VALUES[flag])))
+    if command == "retrain-demo" and draw(st.integers(0, 3)):
+        flags.append(("--checkpoint", draw(FLAG_VALUES["--checkpoint"])))
+    # The loop with each kind of checkpoint, which is read only once the
+    # config has passed validation.
+    if command in ("run", "compare") and draw(st.integers(0, 2)) == 0:
+        flags.append(("--set", "intelligent=true"))
+        flags.append(("--set", "checkpoint=" + draw(st.sampled_from(SET_VALUES["checkpoint"]))))
+    argv = [command]
+    for flag, value in draw(st.permutations(flags)):
+        argv.append(flag)
+        if draw(st.integers(0, 19)):
+            argv.append(value)
+    if draw(st.integers(0, 19)) == 0:
+        argv.append("stray")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The paths an argv may name: a checkpoint and a config that load, a
+    file that is neither, a directory, and a path that does not exist."""
+    base = tmp_path_factory.mktemp("cli-files")
+    good = base / "good.json"
+    save_checkpoint(LstmForecaster(layers=1, hidden=2, seed=1), good)
+    (base / "bad.json").write_text("not json\n")
+    (base / "config.txt").write_text("pairs = 2\nduration_s = 2\n")
+    (base / "badconfig.txt").write_text("pairs = 2\nbogus = 1\n")
+    return {"good": good, "bad": base / "bad.json", "absent": base / "absent",
+            "config": base / "config.txt", "badconfig": base / "badconfig.txt", "dir": base}
+
+
+@pytest.fixture(scope="module")
+def workers(files):
+    """Recorders in place of every worker that simulates or trains. Each
+    returns what its caller reads, so an accepted argv runs to exit 0; the
+    stand-in pretrain writes the small checkpoint where it was asked to."""
+    calls = []
+
+    def run(self):
+        calls.append(("run", self.cfg, self.seed))
+        self.summary = SUMMARY
+        return self
+
+    def run_labelled(tasks, jobs):
+        calls.append(("run_labelled", len(tasks), jobs))
+        groups = {}
+        for label, _, _ in tasks:
+            groups.setdefault(label, []).append(SUMMARY)
+        return [SUMMARY] * len(tasks), groups
+
+    def pretrain(path, **kwargs):
+        calls.append(("pretrain", path))
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        shutil.copyfile(files["good"], path)
+        return None, REPORT
+
+    def fit(self, series, epochs):
+        calls.append(("fit", len(series), epochs))
+        return REPORT
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(harness.SimContext, "run", run))
+        stack.enter_context(mock.patch.object(harness, "_run_labelled", run_labelled))
+        stack.enter_context(mock.patch.object(harness, "pretrain_predictor", pretrain))
+        stack.enter_context(mock.patch.object(LstmForecaster, "fit", fit))
+        yield calls
+
+
+# The derandomized profile, at more examples than its default: an accepted
+# argv takes about 5 ms on a 2-vCPU x86-64 VM, so 1,800 take about 10 s.
+@settings(max_examples=1800)
+@given(argvs())
+def test_every_argv_runs_or_is_refused_in_one_line(files, workers, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        names = {key: str(path) for key, path in files.items()}
+        argv = [arg.format(out=tmp, **names) for arg in argv] + ["--out", out]
+        del workers[:]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's own exit, which main must not reach
+                rc = exc.code
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if rc == 0:
+            assert workers, "an accepted argv reached no worker"
+        else:
+            assert rc == 2
+            assert err.count("\n") == 1 and err.startswith("error:"), err
+            assert os.listdir(tmp) == [], "a refused argv left output behind"

@@ -4,7 +4,7 @@ from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
 from aqmsim.network import EgressPort, Host
 from aqmsim.packets import (CE, ECT0, NOT_ECT, F_ACK, F_CWR, F_ECE, F_SYN, Packet)
-from aqmsim.transport import (AIMD_RATE, CUBIC_BETA, CUBIC_C, MSS, Connection,
+from aqmsim.transport import (AIMD_RATE, CUBIC_BETA, CUBIC_C, MSS, Connection, cubic_k,
                               cubic_window, negotiate_ecn, syn_flags, synack_flags)
 
 
@@ -172,6 +172,33 @@ class TestSenderSide:
         conn.on_sender_receive(ack(3 * MSS))
         assert samples == [80 * MS]
 
+    def test_send_rearms_a_lapsed_timer_which_retransmits(self):
+        # A window that sends nothing lets the SYN's timer lapse with no data
+        # outstanding; the next send must arm a fresh timer from its own
+        # time, or the connection could wait forever on a lost segment.
+        sim = Simulator()
+        conn, src, _ = stub_conn(sim)
+        conn.start()
+        sim.run(30 * MS)
+        conn.cwnd = 0.0
+        conn.on_sender_receive(Packet(0, 0, 64, NOT_ECT, synack_flags(True), 0, 0))
+        assert conn.srtt_ns == 30 * MS and conn.snd_nxt == 0
+        sim.run(2 * SECOND)  # the SYN's timer fires at 1 s and finds nothing to time
+        assert not conn.rto_pending and conn.rto_deadline <= sim.now
+        conn.cwnd = 2.0
+        conn._try_send()
+        assert conn.snd_nxt == 2 * MSS
+        assert conn.rto_pending
+        deadline = 2 * SECOND + 200 * MS  # MIN_RTO, above 2 srtt
+        assert conn.rto_deadline == deadline
+        sim.run(deadline - 1)
+        assert conn.retx_segments == 0
+        sim.run(deadline)
+        assert conn.retx_segments == 1
+        retx = src.sent[-1]
+        assert (retx.seq, retx.size_bytes, retx.sent_at) == (conn.snd_una, MSS, deadline)
+        assert conn.cwnd == 1.0
+
     def test_cwnd_floor_is_one_packet(self):
         sim = Simulator()
         conn, src, _ = stub_conn(sim)
@@ -223,17 +250,32 @@ class TestCachedCubicGrowth:
         for i in range(1, 5):
             sim.run(sim.now + 10 * MS)
             conn.on_sender_receive(ack(i * MSS))
+        cwnd0 = conn.cwnd
         if cut == "ece":
-            conn.on_sender_receive(ack(5 * MSS, F_ACK | F_ECE))
+            # On a duplicate ACK, so that no growth follows the cut.
+            conn.on_sender_receive(ack(4 * MSS, F_ACK | F_ECE))
+            now = sim.now
         elif cut == "loss":
             for _ in range(3):
                 conn.on_sender_receive(ack(4 * MSS))
+            now = sim.now
         else:
             while not conn.retx_segments:
                 sim.run(sim.now + 10 * MS)
-            assert conn.cwnd == 1.0
+            # The timeout's retransmission was sent at the cut.
+            assert src.sent[-1].seq == conn.snd_una
+            now = src.sent[-1].sent_at
         assert len(conn.reduction_log) == (cut != "timeout")
-        assert conn.w_max > 10.0
+        # Right after the cut: the epoch starts at the pre-cut window.
+        assert conn.w_max == cwnd0 > 10.0
+        assert conn.k_s == cubic_k(conn.w_max)
+        assert conn.epoch_start_ns == now
+        assert conn.in_cwr_until == now + conn.srtt_ns
+        assert conn.w_est == conn.cwnd
+        if cut == "timeout":
+            assert (conn.cwnd, conn.ssthresh) == (1.0, max(CUBIC_BETA * cwnd0, 2.0))
+        else:
+            assert conn.cwnd == conn.ssthresh == max(CUBIC_BETA * cwnd0, 1.0)
         avoidance_steps = 0
         for _ in range(30):  # 150 ms: no further timeout
             sim.run(sim.now + 5 * MS)
