@@ -133,7 +133,8 @@ def main(argv=None) -> int:
     try:
         return _dispatch(parser.parse_args(argv))
     except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Escaped, so that a newline in a path or a stray word keeps it one line.
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -123,10 +123,7 @@ class SimContext:
         self._ms_limit_ns = collect_1ms_s * SECOND
         self.bins1ms = [0] * (self._ms_limit_ns // RETRAIN_BIN_NS)
 
-        r1 = self.topo.r1
-        b_side = {h.node_id for h in self.topo.hosts_b} | {self.topo.mon_b.node_id}
-        r1.ece_count_ids = frozenset(b_side)
-        r1.ece_hook = self._note_ece
+        self.topo.r1.ece_hook = self._note_ece
 
         # Bulk transfers B -> A plus the monitor pair's probe connection.
         # The monitor comes up first; load starts at bulk_start_ms, or on a
@@ -189,7 +186,8 @@ class SimContext:
 
     # -- instrumentation ----------------------------------------------------
 
-    def _note_ece(self, now: int) -> None:
+    def _note_ece(self) -> None:
+        now = self.sim.now
         self.bins100[now // BIN_NS] += 1
         if now < self._ms_limit_ns:
             self.bins1ms[now // RETRAIN_BIN_NS] += 1

@@ -19,8 +19,9 @@ packet through one egress port: the bottleneck for a B-side host, the
 reverse bottleneck link for an A-side one. So each host's uplink delivers
 straight to that port, and a router runs only where it chooses a port (at
 the far end of either bottleneck direction) or feeds R1's ECE tap. Both
-routers keep their full tables. This is exact: only R1 taps, it counts only
-B-bound packets, and no B-side uplink carries one.
+routers keep their full tables. R1's tap counts every echo its one inbound
+port, the reverse bottleneck link, delivers, with no destination filter:
+that port carries only B-bound packets, and no B-side uplink carries one.
 """
 from __future__ import annotations
 
@@ -187,32 +188,24 @@ class Host:
         self.egress = None
         self.handlers = {}
 
-    def attach(self, conn, receiver_end: bool) -> None:
-        self.handlers[conn.cid] = (conn.on_receiver_receive if receiver_end
-                                   else conn.on_sender_receive)
-
     def receive(self, pkt) -> None:
         self.handlers[pkt.flow_id](pkt)
 
 
 class Router:
-    """Static routing by destination node id, with an optional tap that
-    counts ECE-flagged, non-negotiation packets headed to one side."""
+    """Static routing by destination node id, with an optional tap,
+    `ece_hook`, called for every ECE-flagged, non-negotiation packet."""
 
-    __slots__ = ("sim", "routes", "ece_count_ids", "ece_hook")
+    __slots__ = ("routes", "ece_hook")
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self):
         self.routes = {}
-        self.ece_count_ids = frozenset()
         self.ece_hook = None
 
     def receive(self, pkt) -> None:
-        # The flag first: most packets carry no ECE, and all but one router
-        # count none.
-        if (pkt.flags & F_ECE and pkt.dst_id in self.ece_count_ids
-                and not pkt.flags & F_SYN):
-            self.ece_hook(self.sim.now)
+        # The flag first: most packets carry no ECE, and only R1 has a hook.
+        if pkt.flags & F_ECE and not pkt.flags & F_SYN and self.ece_hook is not None:
+            self.ece_hook()
         self.routes[pkt.dst_id].send(pkt)
 
 
@@ -240,8 +233,8 @@ class PingProbe:
         self.request_size = request_size
         self.samples = []
         self._seq = 0
-        src.attach(self, receiver_end=False)
-        dst.attach(self, receiver_end=True)
+        src.handlers[cid] = self.on_sender_receive
+        dst.handlers[cid] = self.on_receiver_receive
 
     def start(self) -> None:
         self.sim.schedule(self.start_ns, self._send_request)
@@ -282,8 +275,8 @@ class Topology:
         self.hosts_a = [Host(next(ids)) for _ in range(n)]
         self.mon_b = Host(next(ids))
         self.mon_a = Host(next(ids))
-        self.r1 = Router(sim)
-        self.r2 = Router(sim)
+        self.r1 = Router()
+        self.r2 = Router()
 
         configured = (cfg.access_bw_bps, cfg.access_prop_ns)
         if cfg.random_topology:

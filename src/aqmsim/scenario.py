@@ -25,6 +25,10 @@ DISCIPLINES = ("taildrop", "codel", "fq_codel")
 # (ten 100 ms ECE bins and one epoch event a second) before it simulates
 # anything, about 28 MB at this bound, so a longer one is refused up front.
 MAX_DURATION_S = 86_400
+# The latest in-loop retrain, one simulated hour: an intelligent run keeps a
+# 1 ms ECE bin for every ms before it, allocated up front, 3.6 M bins (about
+# 29 MB) at this bound and about 720 MB at a day, so a later one is refused.
+MAX_RETRAIN_AT_S = 3_600
 
 
 @dataclass
@@ -59,9 +63,11 @@ class ScenarioConfig:
             raise ValueError(f"disc must be one of {DISCIPLINES}, got {self.disc!r}")
         if self.duration_s < 1:
             raise ValueError("duration_s must be >= 1")
-        if self.duration_s > MAX_DURATION_S:
-            raise ValueError(f"duration_s must be at most {MAX_DURATION_S} (one simulated "
-                             f"day), got {self.duration_s}")
+        for key, bound, span in (("duration_s", MAX_DURATION_S, "day"),
+                                 ("retrain_at_s", MAX_RETRAIN_AT_S, "hour")):
+            if getattr(self, key) > bound:
+                raise ValueError(f"{key} must be at most {bound} (one simulated {span}), "
+                                 f"got {getattr(self, key)}")
         if self.target_ns <= 0 or self.interval_ns <= 0:
             raise ValueError("target and interval must be positive")
         # Outputs report both in whole us, so a run takes no other value.

@@ -117,8 +117,8 @@ class Connection:
 
         self.rtt_cb = None
 
-        src.attach(self, receiver_end=False)
-        dst.attach(self, receiver_end=True)
+        src.handlers[cid] = self.on_sender_receive
+        dst.handlers[cid] = self.on_receiver_receive
 
     # -- setup ------------------------------------------------------------
 
@@ -276,9 +276,8 @@ class Connection:
         if snd_nxt > snd_una:
             if self.rto_deadline <= now:
                 self.rto_deadline = now + self._rto()
-            if not self.rto_pending:  # _schedule_rto, inline
-                self.rto_pending = True
-                self.sim.schedule(self.rto_deadline, self._on_rto)
+            if not self.rto_pending:  # the guard inline: every ACK passes it
+                self._schedule_rto()
 
     # -- retransmission timer ----------------------------------------------
 

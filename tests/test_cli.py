@@ -8,7 +8,7 @@ from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.engine import Simulator
 from aqmsim.predictor import STEPS, LstmForecaster, min_series_length, save_checkpoint
-from aqmsim.scenario import MAX_DURATION_S
+from aqmsim.scenario import MAX_DURATION_S, MAX_RETRAIN_AT_S
 
 
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
@@ -278,6 +278,57 @@ def test_run_length_beyond_the_bound_exits_2_before_any_run(tmp_path, capsys, mo
     assert err.count("\n") == 1 and err.startswith("error:")
     assert f"duration_s must be at most {MAX_DURATION_S}" in err
     assert built == []
+    assert not out.exists()
+
+
+# An intelligent run allocates its 1 ms bins up to the retrain before it
+# simulates, so a retrain beyond the bound is refused before any run is
+# built, from --set and from a config file alike.
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_retrain_beyond_the_bound_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                        source):
+    built = []
+
+    def refuse(self, cfg, *args, **kwargs):
+        built.append(cfg.retrain_at_s)
+        raise AssertionError("a SimContext was built")
+
+    monkeypatch.setattr(harness.SimContext, "__init__", refuse)
+    setting = f"retrain_at_s={MAX_RETRAIN_AT_S + 1}"
+    argv = ["run", "--set", "intelligent=true", "--set", "checkpoint=absent.json",
+            "--duration-s", str(MAX_DURATION_S)]
+    if source == "set":
+        argv += ["--set", setting]
+    else:
+        config = tmp_path / "late.conf"
+        config.write_text(setting.replace("=", " = ") + "\n")
+        argv += ["--config", str(config)]
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"retrain_at_s must be at most {MAX_RETRAIN_AT_S}" in err
+    assert built == []
+    assert not out.exists()
+
+
+# The message is printed on one line whatever it holds: a stray word and a
+# config path with a newline in them are shown escaped.
+@pytest.mark.parametrize("case", ["stray", "config"])
+def test_a_newline_in_the_message_stays_on_one_line(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "stray":
+        argv, shown = ["run", "a\nb"], "a\\nb"
+    else:
+        config = tmp_path / "cfg\nx"
+        config.write_text("bogus = 1\n")
+        argv, shown = ["run", "--config", str(config)], "cfg\\nx:1: unknown config key"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert shown in err
     assert not out.exists()
 
 

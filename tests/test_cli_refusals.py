@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.predictor import STEPS, FitReport, LstmForecaster, min_series_length, save_checkpoint
-from aqmsim.scenario import KEY_SPECS, MAX_BW_BPS, MAX_DURATION_S, MBPS
+from aqmsim.scenario import KEY_SPECS, MAX_BW_BPS, MAX_DURATION_S, MAX_RETRAIN_AT_S, MBPS
 
 COMMANDS = ("run", "sweep", "compare", "pretrain", "retrain-demo")
 REPORT = FitReport(0.0, 0.0, 0.0, 0.0, 1, 0.8, 1, 1)
@@ -52,10 +52,11 @@ _PROP = ("-1", "-0.0000001", "0", "0.0000001", "0.001", "20", "inf", "nan")
 _TIME_US = ("-1", "0", "0.5", "1", "5000", "99999", "100000", "100001", "1e400", "nan")
 _UNIT = ("-0.1", "0", "-0", "0.5", "1", "1.0000001", "nan", "inf")
 _BOOL = ("true", "false", "yes", "2", "")
-# Each key's values at and beyond its edges. No key but `duration_s` has an
-# upper edge; the sizes a single run allocates up front grow with `pairs`,
-# `duration_s` and `retrain_at_s` (1 ms bins up to the retrain), so those
-# are drawn at their edges and at their defaults, never far beyond.
+# Each key's values at and beyond its edges. No key but `duration_s` and
+# `retrain_at_s` has an upper edge; the sizes a single run allocates up front
+# grow with `pairs`, `duration_s` and `retrain_at_s` (1 ms bins up to the
+# retrain), so those are drawn at their edges and at their defaults, and far
+# beyond only where the bound refuses the value.
 SET_VALUES = {
     "pairs": ("-1", "0", "1", "2", "20", "1.5", "nan", "x"),
     "disc": ("codel", "fq_codel", "taildrop", "bogus", ""),
@@ -75,7 +76,8 @@ SET_VALUES = {
     "gamma": _UNIT,
     "epsilon": _UNIT,
     "checkpoint": ("{good}", "{absent}", "{bad}", ""),
-    "retrain_at_s": ("-1", "0", "1", "6", "7", "1.5"),
+    "retrain_at_s": ("-1", "0", "1", "6", "7", "1.5", str(MAX_RETRAIN_AT_S),
+                     str(MAX_RETRAIN_AT_S + 1), str(MAX_DURATION_S), "1e3"),
     "random_topology": _BOOL,
     "bulk_start_ms": ("-1", "0", "50", "1.5"),
     "monitor_start_ms": ("-1", "0", "50", "1.5"),
@@ -94,7 +96,8 @@ _TARGETS_MS = ("0.001", "0.0015", "0.05", "1", "6", "0", "-1", "1e-9", "inf", "n
 # Every flag some command takes, and two that none takes (one a prefix of a
 # real one, which is never expanded), each with the values drawn for it.
 FLAG_VALUES = {
-    "--config": st.sampled_from(("{config}", "{badconfig}", "{absent}", "{dir}")),
+    "--config": st.sampled_from(("{config}", "{badconfig}", "{nlconfig}", "{absent}",
+                                 "{dir}")),
     "--out": st.just("{out}/other"),
     "--set": _SETTING,
     "--seed": _int_edge(0, 10**30),
@@ -129,8 +132,9 @@ COMMAND_FLAGS = {
 def argvs(draw):
     """One command, then up to four of its flags, each repeated at times,
     and at times a flag it does not take, in any order. A flag is given no
-    value at times, and a stray word follows at times. retrain-demo is
-    mostly given its required --checkpoint."""
+    value at times, and a stray word, with a newline in it at times,
+    follows at times. retrain-demo is mostly given its required
+    --checkpoint."""
     command = draw(st.sampled_from(COMMANDS))
     own = st.sampled_from(COMMAND_FLAGS[command])
     if command != "pretrain":
@@ -152,22 +156,25 @@ def argvs(draw):
         if draw(st.integers(0, 19)):
             argv.append(value)
     if draw(st.integers(0, 19)) == 0:
-        argv.append("stray")
+        argv.append(draw(st.sampled_from(("stray", "a\nb"))))
     return argv
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """The paths an argv may name: a checkpoint and a config that load, a
-    file that is neither, a directory, and a path that does not exist."""
+    file that is neither, a refused config whose path holds a newline, a
+    directory, and a path that does not exist."""
     base = tmp_path_factory.mktemp("cli-files")
     good = base / "good.json"
     save_checkpoint(LstmForecaster(layers=1, hidden=2, seed=1), good)
     (base / "bad.json").write_text("not json\n")
     (base / "config.txt").write_text("pairs = 2\nduration_s = 2\n")
     (base / "badconfig.txt").write_text("pairs = 2\nbogus = 1\n")
+    (base / "bad\nconfig.txt").write_text("pairs = 2\nbogus = 1\n")
     return {"good": good, "bad": base / "bad.json", "absent": base / "absent",
-            "config": base / "config.txt", "badconfig": base / "badconfig.txt", "dir": base}
+            "config": base / "config.txt", "badconfig": base / "badconfig.txt",
+            "nlconfig": base / "bad\nconfig.txt", "dir": base}
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ import pytest
 from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
 from aqmsim.harness import SimContext
-from aqmsim.network import EgressPort, Link
-from aqmsim.packets import ECT0, F_ACK, Packet
+from aqmsim.network import EgressPort, Link, Router
+from aqmsim.packets import ECT0, F_ACK, F_ECE, F_SYN, NOT_ECT, Packet
 from aqmsim.scenario import ScenarioConfig
 
 
@@ -203,14 +203,14 @@ def test_uplinks_deliver_to_the_port_their_router_routes_through(random_topology
         for host in hosts:
             assert {id(router.routes[peer.node_id]) for peer in peers} == {id(host.egress.dst)}
     assert len(carried) > 0
+    b_ids = {h.node_id for h in b_side}
     for uplink, pkt in carried:
         router = router_of[id(uplink)]
         assert router.routes[pkt.dst_id] is uplink.dst
-        # A router's ECE tap counts only packets bound for these nodes, so an
-        # uplink that passes its router by never hides one from the tap.
-        assert pkt.dst_id not in router.ece_count_ids
-    assert r1.ece_count_ids == {h.node_id for h in b_side}
-    assert not r2.ece_count_ids
+        # No B-side uplink carries a B-bound packet, so an uplink that
+        # passes R1 by never hides an echo from R1's ECE tap.
+        assert (pkt.dst_id in b_ids) == (router is r2)
+    assert r1.ece_hook is not None and r2.ece_hook is None
 
     # Every Link made is still reachable from the hosts' uplinks and the two
     # routing tables, which the conservation checks enumerate.
@@ -218,3 +218,53 @@ def test_uplinks_deliver_to_the_port_their_router_routes_through(random_topology
     reachable += list(r1.routes.values()) + list(r2.routes.values())
     assert {id(p) for p in reachable} == {id(p) for p in built} | {id(topo.bottleneck_port)}
     assert len(built) == 4 * cfg.pairs + 5
+
+
+@pytest.mark.parametrize("random_topology", [False, True])
+@pytest.mark.parametrize("bottleneck_prop_ms", [0, 5])
+def test_r1_receives_only_b_bound_packets_and_taps_every_echo(random_topology,
+                                                             bottleneck_prop_ms):
+    # R1's tap has no destination filter: the wiring alone keeps every packet
+    # that reaches R1 bound for the B side, chained bottleneck or not.
+    cfg = replace(ScenarioConfig(), pairs=4, duration_s=3, disc="codel",
+                  random_topology=random_topology,
+                  bottleneck_prop_ns=bottleneck_prop_ms * MS)
+    receive = Router.receive
+    received = []  # (router, packet) for every packet a router received
+
+    def counted_receive(self, pkt):
+        received.append((self, pkt))
+        receive(self, pkt)
+
+    with mock.patch.object(Router, "receive", counted_receive):
+        ctx = SimContext(cfg, seed=3)
+        ctx.run()
+    topo = ctx.topo
+    b_ids = {h.node_id for h in topo.hosts_b + [topo.mon_b]}
+    at_r1 = [pkt for router, pkt in received if router is topo.r1]
+    at_r2 = [pkt for router, pkt in received if router is topo.r2]
+    assert at_r1 and at_r2
+    assert all(pkt.dst_id in b_ids for pkt in at_r1)
+    assert not any(pkt.dst_id in b_ids for pkt in at_r2)
+
+    def echoes(pkts):
+        return sum(1 for pkt in pkts if pkt.flags & F_ECE and not pkt.flags & F_SYN)
+    # Every non-negotiation echo R1 receives lands in one 100 ms bin, and
+    # the run marks enough for the count to mean something.
+    assert echoes(at_r1) == sum(ctx.bins100) > 0
+    assert echoes(at_r2) == 0
+
+
+def test_a_router_routes_and_taps_only_non_negotiation_echoes():
+    routed, tapped = [], []
+    router = Router()
+    router.routes[7] = mock.Mock(send=routed.append)
+    pkts = [Packet(0, 0, 64, NOT_ECT, flags, 0, 7)
+            for flags in (F_ACK | F_ECE, F_ACK, F_SYN | F_ACK | F_ECE)]
+    # Without a hook, a router routes an echo and calls nothing.
+    router.receive(pkts[0])
+    router.ece_hook = lambda: tapped.append(len(routed))
+    for pkt in pkts:
+        router.receive(pkt)
+    assert routed == [pkts[0]] + pkts
+    assert tapped == [1]

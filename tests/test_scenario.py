@@ -4,8 +4,8 @@ from dataclasses import fields
 import pytest
 
 from aqmsim.engine import MS, US
-from aqmsim.scenario import (KEY_SPECS, MAX_DURATION_S, ScenarioConfig, apply_overrides,
-                             apply_setting, load_config)
+from aqmsim.scenario import (KEY_SPECS, MAX_DURATION_S, MAX_RETRAIN_AT_S, ScenarioConfig,
+                             apply_overrides, apply_setting, load_config)
 
 
 def test_defaults_reproduce_fixed_topology():
@@ -102,6 +102,17 @@ def test_duration_is_bounded_before_anything_is_allocated():
     for value in (MAX_DURATION_S + 1, 10**12):
         cfg = apply_setting(ScenarioConfig(), "duration_s", str(value))
         with pytest.raises(ValueError, match=f"duration_s must be at most {MAX_DURATION_S}"):
+            cfg.validate()
+
+
+def test_retrain_time_is_bounded_before_anything_is_allocated():
+    # An intelligent run allocates a 1 ms bin for every ms before its
+    # retrain, so the bound holds at the longest run too.
+    base = ScenarioConfig(intelligent=True, duration_s=MAX_DURATION_S)
+    apply_setting(base, "retrain_at_s", str(MAX_RETRAIN_AT_S)).validate()
+    for value in (MAX_RETRAIN_AT_S + 1, MAX_DURATION_S, 10**12):
+        cfg = apply_setting(base, "retrain_at_s", str(value))
+        with pytest.raises(ValueError, match=f"retrain_at_s must be at most {MAX_RETRAIN_AT_S}"):
             cfg.validate()
 
 

@@ -61,9 +61,7 @@ class StubHost:
         self.node_id = node_id
         self.sent = []
         self.egress = self
-
-    def attach(self, conn, receiver_end):
-        pass
+        self.handlers = {}
 
     def send(self, pkt):
         self.sent.append(pkt)
