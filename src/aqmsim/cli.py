@@ -9,7 +9,7 @@ from functools import partial
 
 from . import harness
 from .engine import MS, US
-from .predictor import STEPS, min_series_length
+from .predictor import MAX_SYNTH_LENGTH, STEPS, min_series_length
 from .scenario import ScenarioConfig, _scaled_int, apply_overrides, load_config
 
 
@@ -44,16 +44,18 @@ def _build_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _int_at_least(least: int):
-    """An argparse type: an integer >= `least`; argparse reports a refused
-    value with the flag's name."""
+def _int_at_least(least: int, most: int | None = None):
+    """An argparse type: an integer >= `least`, and <= `most` if given;
+    argparse reports a refused value with the flag's name."""
+    span = f">= {least}" if most is None else f"in [{least}, {most}]"
+
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < least:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        if value is None or value < least or most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
         return value
     return convert
 
@@ -117,9 +119,11 @@ def main(argv=None) -> int:
                                        "omitted = synthetic bursty trace")
     p_pre.add_argument("--synth-seed", type=_seed, default=1234)
     least = min_series_length(STEPS)
-    p_pre.add_argument("--length", type=_int_at_least(least), default=6000,
+    p_pre.add_argument("--length", type=_int_at_least(least, MAX_SYNTH_LENGTH), default=6000,
                        help=f"synthetic trace samples (default 6000; at least {least}, "
-                            f"so that the training split holds a {STEPS}-step window)")
+                            f"so that the training split holds a {STEPS}-step window, "
+                            f"and at most {MAX_SYNTH_LENGTH}, since the forecaster is "
+                            f"sized from it)")
     p_pre.add_argument("--epochs", type=_int_at_least(0), default=100)
     p_pre.add_argument("--out", default="out")
 

@@ -267,7 +267,6 @@ class Topology:
     R2, receiver hosts behind R2, and one monitor pair."""
 
     def __init__(self, sim, cfg, seed: int):
-        self.sim = sim
         self.cfg = cfg
         n = cfg.pairs
         ids = iter(range(2 * n + 2))

@@ -15,7 +15,8 @@ F_CWR = 16
 
 
 class Packet:
-    """One simulated segment. For pure ACKs, `seq` carries the cumulative ack."""
+    """One simulated segment. For pure ACKs, `seq` carries the cumulative ack
+    and `sent_at` echoes the send time of the segment the ACK answers."""
 
     __slots__ = ("flow_id", "seq", "size_bytes", "ecn", "flags", "sent_at",
                  "dst_id", "enq_ns")

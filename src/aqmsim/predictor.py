@@ -561,6 +561,12 @@ class LstmForecaster:
 
 # -- traces ---------------------------------------------------------------
 
+# The longest synthetic trace `pretrain` draws. The forecaster it trains is
+# sized from the trace (`neurons_per_layer`), so the trace, the weights and
+# Adam's state take about 125 B a sample before the first step: about 25 MB
+# at this bound, the size the duration bound admits.
+MAX_SYNTH_LENGTH = 200_000
+
 
 def synth_trace(seed: int, length: int, p_on_enter: float = 0.05,
                 p_on_stay: float = 0.90, lam: float = 20.0) -> EceSeries:

@@ -21,6 +21,10 @@ MAX_BW_BPS = 2 * ACK_SIZE * 8 * SECOND
 
 DISCIPLINES = ("taildrop", "codel", "fq_codel")
 
+# The most sender/receiver pairs: a run builds about 6 KB of hosts, links
+# and connections a pair before it simulates anything, about 25 MB at this
+# bound (the size the duration bound admits), so more are refused up front.
+MAX_PAIRS = 4_000
 # The longest run: one simulated day. A run allocates its per-second state
 # (ten 100 ms ECE bins and one epoch event a second) before it simulates
 # anything, about 28 MB at this bound, so a longer one is refused up front.
@@ -63,10 +67,11 @@ class ScenarioConfig:
             raise ValueError(f"disc must be one of {DISCIPLINES}, got {self.disc!r}")
         if self.duration_s < 1:
             raise ValueError("duration_s must be >= 1")
-        for key, bound, span in (("duration_s", MAX_DURATION_S, "day"),
-                                 ("retrain_at_s", MAX_RETRAIN_AT_S, "hour")):
+        for key, bound, why in (("pairs", MAX_PAIRS, "about 25 MB built up front"),
+                                ("duration_s", MAX_DURATION_S, "one simulated day"),
+                                ("retrain_at_s", MAX_RETRAIN_AT_S, "one simulated hour")):
             if getattr(self, key) > bound:
-                raise ValueError(f"{key} must be at most {bound} (one simulated {span}), "
+                raise ValueError(f"{key} must be at most {bound} ({why}), "
                                  f"got {getattr(self, key)}")
         if self.target_ns <= 0 or self.interval_ns <= 0:
             raise ValueError("target and interval must be positive")

@@ -3,8 +3,10 @@
 The feedback chain under study is primary here: a CE-marked data packet makes
 the receiver echo ECE on every ACK until it sees a CWR-flagged data packet;
 the sender reduces its window at most once per round trip no matter how many
-ECE or loss signals arrive inside that window. Delayed ACKs, SACK and Nagle
-are deliberately absent.
+ECE or loss signals arrive inside that window. Each ACK and SYN-ACK echoes the
+send time of the segment it answers, and the sender times every advancing ACK
+from that echo (RFC 7323 §4), so it keeps no table of send times. Delayed
+ACKs, SACK and Nagle are deliberately absent.
 """
 from __future__ import annotations
 
@@ -69,8 +71,8 @@ class Connection:
         # sender
         "cwnd", "ssthresh", "w_max", "k_s", "w_est", "epoch_start_ns", "in_cwr_until",
         "cwr_pending", "ecn_negotiated", "established", "snd_nxt", "snd_una",
-        "dup_acks", "recover_seq", "send_ns", "srtt_ns",
-        "rto_deadline", "rto_pending", "rto_backoff", "syn_sent_ns",
+        "dup_acks", "recover_seq", "srtt_ns",
+        "rto_deadline", "rto_pending", "rto_backoff",
         "retx_segments", "reduction_log",
         # receiver
         "rcv_nxt", "ooo", "ece_pending", "delivered_bytes",
@@ -101,12 +103,10 @@ class Connection:
         self.snd_una = 0
         self.dup_acks = 0
         self.recover_seq = 0
-        self.send_ns = {}
         self.srtt_ns = 0
         self.rto_deadline = 0
         self.rto_pending = False
         self.rto_backoff = 1
-        self.syn_sent_ns = 0
         self.retx_segments = 0
         self.reduction_log = []
 
@@ -127,7 +127,6 @@ class Connection:
 
     def _send_syn(self) -> None:
         now = self.sim.now
-        self.syn_sent_ns = now
         pkt = Packet(self.cid, 0, ACK_SIZE, NOT_ECT,
                      syn_flags(self.ecn_capable), now, self.dst.node_id)
         self.src.egress.send(pkt)
@@ -145,8 +144,9 @@ class Connection:
             self.established = True
             self.ecn_negotiated = negotiate_ecn(self.ecn_capable,
                                                 bool(pkt.flags & F_ECE))
-            # The first RTT sample: no data is acked yet, so srtt_ns is 0.
-            self.srtt_ns = now - self.syn_sent_ns
+            # The first RTT sample, from the SYN it echoes: no data is acked
+            # yet, so srtt_ns is 0.
+            self.srtt_ns = now - pkt.sent_at
             if self.rtt_cb is not None:
                 self.rtt_cb(self.srtt_ns)
             self.rto_backoff = 1
@@ -154,7 +154,7 @@ class Connection:
             return
         ack = pkt.seq
         if ack > self.snd_una:
-            self._ack_advance(ack, bool(pkt.flags & F_ECE))
+            self._ack_advance(ack, bool(pkt.flags & F_ECE), pkt.sent_at)
         elif ack == self.snd_una and self.snd_nxt > self.snd_una:
             self.dup_acks += 1
             if pkt.flags & F_ECE:
@@ -163,28 +163,21 @@ class Connection:
                 self._congestion_signal("loss")
             self._try_send()
 
-    def _ack_advance(self, ack: int, ece: bool) -> None:
+    def _ack_advance(self, ack: int, ece: bool, echoed: int) -> None:
         now = self.sim.now
-        pop = self.send_ns.pop
-        acked = range(self.snd_una, ack, MSS)
-        # The RTT sample comes from the newest acked segment. Karn's rule: an
-        # ACK that covers a retransmitted segment, whose send time
-        # `_retransmit` cleared, gives none (RFC 6298 §3).
-        sampled = True
-        for seq in acked:
-            t0 = pop(seq, None)
-            if t0 is None:
-                sampled = False
-        if sampled:
-            sample = now - t0
-            self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
-            if self.rtt_cb is not None:
-                self.rtt_cb(sample)
+        # Every advancing ACK is timed from the send time it echoes, that of
+        # a retransmission included (RFC 7323 §4); Karn's rule is for timing
+        # without an echo (RFC 6298 §3).
+        sample = now - echoed
+        self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
+        if self.rtt_cb is not None:
+            self.rtt_cb(sample)
+        newly_acked = (ack - self.snd_una) // MSS
         self.snd_una = ack
         self.dup_acks = 0
         if ece:
             self._congestion_signal("ece")
-        self._grow(len(acked))
+        self._grow(newly_acked)
         if ack < self.recover_seq:
             # Partial ack exposes the next hole; fill it without a new cut.
             self._retransmit(ack)
@@ -244,7 +237,6 @@ class Connection:
 
     def _retransmit(self, seq: int) -> None:
         now = self.sim.now
-        self.send_ns.pop(seq, None)
         self.retx_segments += 1
         pkt = Packet(self.cid, seq, MSS,
                      ECT0 if self.ecn_negotiated else NOT_ECT,
@@ -259,7 +251,6 @@ class Connection:
         snd_nxt = self.snd_nxt
         limit = snd_una + int(self.cwnd) * MSS
         send = self.src.egress.send
-        send_ns = self.send_ns
         ecn = ECT0 if self.ecn_negotiated else NOT_ECT
         # Sending schedules events and returns; it never re-enters this
         # connection, so snd_nxt can live in a local until the loop ends.
@@ -269,7 +260,6 @@ class Connection:
                 flags |= F_CWR
                 self.cwr_pending = False
             pkt = Packet(self.cid, snd_nxt, MSS, ecn, flags, now, self.dst.node_id)
-            send_ns[snd_nxt] = now
             snd_nxt += MSS
             send(pkt)
         self.snd_nxt = snd_nxt
@@ -308,10 +298,9 @@ class Connection:
     # -- receiver side -----------------------------------------------------
 
     def on_receiver_receive(self, pkt) -> None:
-        now = self.sim.now
         if pkt.flags & F_SYN:
             reply = Packet(self.cid, 0, ACK_SIZE, NOT_ECT,
-                           synack_flags(self.ecn_capable), now, self.src.node_id)
+                           synack_flags(self.ecn_capable), pkt.sent_at, self.src.node_id)
             self.dst.egress.send(reply)
             return
         if pkt.flags & F_CWR:
@@ -329,5 +318,5 @@ class Connection:
             self.ooo.add(seq)
         flags = F_ACK | F_ECE if self.ece_pending else F_ACK
         ack = Packet(self.cid, self.rcv_nxt, ACK_SIZE, NOT_ECT,
-                     flags, now, self.src.node_id)
+                     flags, pkt.sent_at, self.src.node_id)
         self.dst.egress.send(ack)

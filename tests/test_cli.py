@@ -7,8 +7,9 @@ import pytest
 from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.engine import Simulator
-from aqmsim.predictor import STEPS, LstmForecaster, min_series_length, save_checkpoint
-from aqmsim.scenario import MAX_DURATION_S, MAX_RETRAIN_AT_S
+from aqmsim.predictor import (MAX_SYNTH_LENGTH, STEPS, LstmForecaster, min_series_length,
+                              save_checkpoint, synth_trace)
+from aqmsim.scenario import MAX_DURATION_S, MAX_PAIRS, MAX_RETRAIN_AT_S
 
 
 def test_run_subcommand_writes_outputs(tmp_path, capsys):
@@ -311,6 +312,69 @@ def test_retrain_beyond_the_bound_exits_2_before_any_run(tmp_path, capsys, monke
     assert f"retrain_at_s must be at most {MAX_RETRAIN_AT_S}" in err
     assert built == []
     assert not out.exists()
+
+
+# A run builds every pair before it simulates, so more pairs than the bound
+# are refused before any run is built, from --set and from a config file,
+# in every command that simulates.
+@pytest.mark.parametrize("command,source", [
+    ("run", "set"), ("run", "config"), ("sweep", "set"), ("compare", "set"),
+    ("retrain-demo", "set")])
+def test_pairs_beyond_the_bound_exit_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                      command, source):
+    built = []
+
+    def refuse(self, cfg, *args, **kwargs):
+        built.append(cfg.pairs)
+        raise AssertionError("a SimContext was built")
+
+    monkeypatch.setattr(harness.SimContext, "__init__", refuse)
+    monkeypatch.setattr(harness, "pretrain_predictor",
+                        lambda path, **kwargs: built.append(path))
+    setting = f"pairs={MAX_PAIRS + 1}"
+    if source == "set":
+        argv = ["--set", setting]
+    else:
+        config = tmp_path / "wide.conf"
+        config.write_text(setting.replace("=", " = ") + "\n")
+        argv = ["--config", str(config)]
+    out = tmp_path / "out"
+    rc = main([command, *COMMAND_REST[command], *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"pairs must be at most {MAX_PAIRS}" in err
+    assert built == []
+    assert not out.exists()
+
+
+# The forecaster `pretrain` trains is sized from its synthetic trace, so a
+# --length beyond the bound is refused before the trace is drawn; the bound
+# itself reaches the trace as given.
+def test_synthetic_length_is_bounded_before_the_trace_is_drawn(tmp_path, capsys,
+                                                                monkeypatch):
+    drawn = []
+
+    def record(seed, length):
+        drawn.append(length)
+        return synth_trace(seed, min_series_length(STEPS))
+
+    monkeypatch.setattr(harness, "synth_trace", record)
+    for length in (MAX_SYNTH_LENGTH + 1, 10**13):
+        out = tmp_path / f"refused{length}"
+        rc = main(["pretrain", "--length", str(length), "--epochs", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "--length" in err and str(MAX_SYNTH_LENGTH) in err
+        assert not out.exists()
+    assert drawn == []
+    out = tmp_path / "at-the-bound"
+    rc = main(["pretrain", "--length", str(MAX_SYNTH_LENGTH), "--epochs", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert drawn == [MAX_SYNTH_LENGTH]
+    assert (out / "pretrained.json").exists()
 
 
 # The message is printed on one line whatever it holds: a stray word and a

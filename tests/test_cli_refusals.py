@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from aqmsim import harness
 from aqmsim.cli import main
-from aqmsim.predictor import STEPS, FitReport, LstmForecaster, min_series_length, save_checkpoint
-from aqmsim.scenario import KEY_SPECS, MAX_BW_BPS, MAX_DURATION_S, MAX_RETRAIN_AT_S, MBPS
+from aqmsim.predictor import (MAX_SYNTH_LENGTH, STEPS, FitReport, LstmForecaster,
+                              min_series_length, save_checkpoint)
+from aqmsim.scenario import (KEY_SPECS, MAX_BW_BPS, MAX_DURATION_S, MAX_PAIRS,
+                             MAX_RETRAIN_AT_S, MBPS)
 
 COMMANDS = ("run", "sweep", "compare", "pretrain", "retrain-demo")
 REPORT = FitReport(0.0, 0.0, 0.0, 0.0, 1, 0.8, 1, 1)
@@ -52,13 +54,15 @@ _PROP = ("-1", "-0.0000001", "0", "0.0000001", "0.001", "20", "inf", "nan")
 _TIME_US = ("-1", "0", "0.5", "1", "5000", "99999", "100000", "100001", "1e400", "nan")
 _UNIT = ("-0.1", "0", "-0", "0.5", "1", "1.0000001", "nan", "inf")
 _BOOL = ("true", "false", "yes", "2", "")
-# Each key's values at and beyond its edges. No key but `duration_s` and
-# `retrain_at_s` has an upper edge; the sizes a single run allocates up front
-# grow with `pairs`, `duration_s` and `retrain_at_s` (1 ms bins up to the
-# retrain), so those are drawn at their edges and at their defaults, and far
-# beyond only where the bound refuses the value.
+# Each key's values at and beyond its edges. No key but `pairs`,
+# `duration_s` and `retrain_at_s` has an upper edge; the sizes a single run
+# allocates up front grow with those three (1 ms bins up to the retrain), so
+# they are drawn at their edges and at their defaults, and far beyond only
+# where the bound refuses the value. A run built at the pairs bound takes
+# about 0.1 s and 25 MB.
 SET_VALUES = {
-    "pairs": ("-1", "0", "1", "2", "20", "1.5", "nan", "x"),
+    "pairs": ("-1", "0", "1", "2", "20", str(MAX_PAIRS), str(MAX_PAIRS + 1), str(10**12),
+              "1.5", "nan", "x"),
     "disc": ("codel", "fq_codel", "taildrop", "bogus", ""),
     "ecn": _BOOL,
     "intelligent": _BOOL,
@@ -109,7 +113,8 @@ FLAG_VALUES = {
     "--disciplines": _listed(("codel", "fq_codel", "taildrop", "bogus", "")),
     "--trace": st.sampled_from(("{absent}", "{bad}")),
     "--synth-seed": _int_edge(0, 10**30),
-    "--length": _int_edge(min_series_length(STEPS), 10**12),
+    "--length": _int_edge(min_series_length(STEPS), MAX_SYNTH_LENGTH, MAX_SYNTH_LENGTH + 1,
+                          10**13),
     "--epochs": _int_edge(0, 10**6),
     "--checkpoint": st.sampled_from(("{good}", "{absent}", "{bad}")),
     "--bogus": st.sampled_from(("1", "")),

@@ -33,13 +33,13 @@ DURATION_S = 10
 
 GOLDEN = {
     ("taildrop", False):
-        "4f568b0ea79e0c49d6264e85a89a0b29bfc6578b9da51e6c798b3ccecba91020",
+        "1cf16017e18c426e758f40cb91ca6f9a509fd4caa9bed5bc53a5dbf59ea20d5e",
     ("codel", False):
-        "774ef9fed200faceb9161a85497af10e9e8b3846a8b52a00e4eacc3b81dc99fb",
+        "0f21ef9c219d6d87393ad5e8a3903bb1a860a3052a2ba2b6b5b0e5a4573b945d",
     ("fq_codel", False):
         "347447c30dac68ae04c6fa1937a3150497b0e07efbb7a5d6f4422fd2bcb4888b",
     ("taildrop", True):
-        "e1927ac41d5c323f6858e829f896338fab5dc73e0970e39cf33f20f9b3eec98e",
+        "b952c2aef7e06c2b38b9ad82f8413bcba108241dcbf3b7b3e49443c6bdfb477c",
     ("codel", True):
         "352299b60f960e2dcc12c657369852719c3af43b0ccb3faaa53e25161827468a",
     ("fq_codel", True):
@@ -140,9 +140,9 @@ def test_output_digest_unchanged(tmp_path, disc, random_topology):
 # its queue holds, which an overflow drop must leave as it is: a count that
 # fell below the packets held would idle the port with packets waiting.
 UNCHAINED = {
-    "taildrop": "e258d81ff626858e4c08870809e59ef05fd7913d240c4c71b4b6fe658c010352",
-    "codel": "4c8768d9cac7c6de7cdf1f01f5b637ae3f9a2a6d0bf4d039a9c7a854878fd583",
-    "fq_codel": "fff04cf0ccba1ad0cea4f72c7ecbb05d7d6269be5f70cb66fb0d02a1f26e9440",
+    "taildrop": "436a65231ed5b118200a6ef9994cd44dcac9c7fb1c02fd14e03ebe61889049b3",
+    "codel": "ae0266429bb3bb402ff17570af835cf8030028eefdf271a4db2ca3a0ac3e80e8",
+    "fq_codel": "b49bc5027486e43b0979c5ad3aeceebf267ab785b96402a3067aee69d0613cf9",
 }
 
 
@@ -162,19 +162,20 @@ def file_digest(path) -> str:
 # through the harness: sha256 of (epochs.csv, summary.csv). The intelligent
 # one loads a 1-epoch checkpoint trained on the 6,000-interval synthetic
 # trace of seed 1234 from model seed 7, so like the compare.csv pin it is
-# taken with numpy 2.4's bundled OpenBLAS, per core. A change that moves
-# these bytes fails here, before a benchmark run would reject it.
+# taken with numpy 2.4's bundled OpenBLAS, per core (at present both cores
+# give the same bytes). A change that moves these bytes fails here, before
+# a benchmark run would reject it.
 BENCHMARK_WORKLOADS = {
     "fq_codel": (
         "b2676ecc2c6e3986b5b44d51561b5bd8b41beedb1f609172baf9f12e2a59d0a0",
         "93b905e2a8a44de98e9e3d7f63b134ee01d95b7b34d704a41af68b531714ab61"),
     "codel_intelligent": {
         "SkylakeX": (
-            "5366f4478aa98435fb1dd79ad8cfa10e718ef3830c76bb917a0cbe6bddee7fb3",
-            "950640edafe1a6732d28951e7ca5a3c4be81403b7f7e4e87248ecfb3e4f76264"),
+            "b82ad513fd96ef051fea070ff66a7a5ed453c20b76cb2dd6d81cadf3893cba2f",
+            "701c30b6c463f9d26101b48d1649e498df4722a3b1db515eb07dcf7fd70ec75b"),
         "Haswell": (
-            "d4cc46e5dce038b61f4e23542b87b6e7a1505ab6dba1e97b4b46d61a440dab2f",
-            "950640edafe1a6732d28951e7ca5a3c4be81403b7f7e4e87248ecfb3e4f76264")},
+            "b82ad513fd96ef051fea070ff66a7a5ed453c20b76cb2dd6d81cadf3893cba2f",
+            "701c30b6c463f9d26101b48d1649e498df4722a3b1db515eb07dcf7fd70ec75b")},
 }
 
 

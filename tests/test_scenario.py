@@ -4,8 +4,8 @@ from dataclasses import fields
 import pytest
 
 from aqmsim.engine import MS, US
-from aqmsim.scenario import (KEY_SPECS, MAX_DURATION_S, MAX_RETRAIN_AT_S, ScenarioConfig,
-                             apply_overrides, apply_setting, load_config)
+from aqmsim.scenario import (KEY_SPECS, MAX_DURATION_S, MAX_PAIRS, MAX_RETRAIN_AT_S,
+                             ScenarioConfig, apply_overrides, apply_setting, load_config)
 
 
 def test_defaults_reproduce_fixed_topology():
@@ -102,6 +102,16 @@ def test_duration_is_bounded_before_anything_is_allocated():
     for value in (MAX_DURATION_S + 1, 10**12):
         cfg = apply_setting(ScenarioConfig(), "duration_s", str(value))
         with pytest.raises(ValueError, match=f"duration_s must be at most {MAX_DURATION_S}"):
+            cfg.validate()
+
+
+def test_pairs_are_bounded_before_anything_is_allocated():
+    # Checked on the config alone: a run builds every pair's hosts, links and
+    # connection before it starts.
+    apply_setting(ScenarioConfig(), "pairs", str(MAX_PAIRS)).validate()
+    for value in (MAX_PAIRS + 1, 10**12):
+        cfg = apply_setting(ScenarioConfig(), "pairs", str(value))
+        with pytest.raises(ValueError, match=f"pairs must be at most {MAX_PAIRS}"):
             cfg.validate()
 
 

@@ -2,8 +2,10 @@ import pytest
 
 from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
+from aqmsim.harness import SimContext
 from aqmsim.network import EgressPort, Host
 from aqmsim.packets import (CE, ECT0, NOT_ECT, F_ACK, F_CWR, F_ECE, F_SYN, Packet)
+from aqmsim.scenario import ScenarioConfig
 from aqmsim.transport import (AIMD_RATE, CUBIC_BETA, CUBIC_C, MSS, Connection, cubic_k,
                               cubic_window, negotiate_ecn, syn_flags, synack_flags)
 
@@ -149,26 +151,41 @@ class TestSenderSide:
         assert any(p.seq == 0 and p.size_bytes == 1500 for p in retx)
         assert conn.retx_segments == 1
 
-    def test_ack_covering_a_retransmission_gives_no_rtt_sample(self):
-        # Karn's rule (RFC 6298 §3): an ACK that covers a retransmitted
-        # segment may answer either transmission, so it is not timed, even
-        # where it also covers a segment sent once.
+    # Every advancing ACK is timed from the send time it echoes (RFC 7323
+    # §4), so a retransmission is timed like any segment, and an ACK that
+    # answers the original is timed from the original.
+    def test_ack_answering_a_retransmission_is_timed_from_it(self):
         sim = Simulator()
         conn, src, _ = stub_conn(sim)
         establish(sim, conn, src)  # ten segments sent at 0
         samples = []
         conn.rtt_cb = samples.append
         sim.run(50 * MS)
-        srtt = conn.srtt_ns
         conn._retransmit(conn.snd_una)
+        retx = src.sent[-1]
+        assert (retx.seq, retx.sent_at) == (0, 50 * MS)
         sim.run(70 * MS)
-        conn.on_sender_receive(ack(2 * MSS))
-        assert samples == []
-        assert conn.srtt_ns == srtt
-        # The next ACK covers only fresh data, and is timed again.
+        conn.on_sender_receive(ack(2 * MSS, sent_at=retx.sent_at))
+        assert samples == [20 * MS]
+        assert (conn.srtt_ns, conn.snd_una) == (20 * MS, 2 * MSS)
+
+    def test_ack_answering_the_original_after_a_spurious_retransmission(self):
+        sim = Simulator()
+        conn, src, _ = stub_conn(sim)
+        establish(sim, conn, src)  # ten segments sent at 0
+        samples = []
+        conn.rtt_cb = samples.append
+        sim.run(50 * MS)
+        conn._retransmit(conn.snd_una)  # the original was not lost
         sim.run(80 * MS)
-        conn.on_sender_receive(ack(3 * MSS))
+        conn.on_sender_receive(ack(MSS, sent_at=0))
         assert samples == [80 * MS]
+        # The retransmission's own ACK comes later and advances nothing, so
+        # it is not timed.
+        sim.run(90 * MS)
+        conn.on_sender_receive(ack(MSS, sent_at=50 * MS))
+        assert samples == [80 * MS]
+        assert conn.dup_acks == 1
 
     def test_send_rearms_a_lapsed_timer_which_retransmits(self):
         # A window that sends nothing lets the SYN's timer lapse with no data
@@ -210,8 +227,8 @@ class TestSenderSide:
         assert conn.cwnd >= 1.0
 
 
-def ack(seq, flags=F_ACK):
-    return Packet(0, seq, 64, NOT_ECT, flags, 0, 0)
+def ack(seq, flags=F_ACK, sent_at=0):
+    return Packet(0, seq, 64, NOT_ECT, flags, sent_at, 0)
 
 
 def reference_grow(conn, newly_acked):
@@ -334,6 +351,19 @@ class TestReceiverSide:
         conn.on_receiver_receive(data_pkt(1500))
         assert dst.sent[-1].seq == 4500
 
+    def test_acks_echo_the_send_time_of_the_segment_they_answer(self):
+        sim = Simulator()
+        conn, dst = make_receiver(sim)
+        sim.run(9 * MS)
+        conn.on_receiver_receive(Packet(0, 0, 64, NOT_ECT, syn_flags(True), 3 * MS, 1))
+        for seq, sent_at in ((0, 4 * MS), (3000, 5 * MS), (1500, 6 * MS)):
+            conn.on_receiver_receive(Packet(0, seq, 1500, ECT0, F_ACK, sent_at, 1))
+        # The SYN-ACK, an in-order ACK, a duplicate for the segment beyond
+        # the hole, and the ACK of the segment that fills it.
+        assert [(a.flags, a.seq, a.sent_at) for a in dst.sent] == [
+            (synack_flags(True), 0, 3 * MS), (F_ACK, 1500, 4 * MS),
+            (F_ACK, 1500, 5 * MS), (F_ACK, 4500, 6 * MS)]
+
     def test_syn_answered_with_synack_ece_iff_capable(self):
         sim = Simulator()
         conn, dst = make_receiver(sim)
@@ -384,3 +414,46 @@ class TestEndToEndPair:
         # 2 * 5 ms propagation plus serialization; the pipe is self-congested,
         # so allow generous queueing headroom above the base RTT.
         assert conn.srtt_ns >= 10 * MS
+
+
+# The pinned configs that lose packets: the tail-drop goldens (seed 3, 10 s,
+# fixed and random topology) and the unchained bottlenecks (seed 3, 5 s).
+LOSSY = {
+    "golden-taildrop-fixed": dict(disc="taildrop", duration_s=10),
+    "golden-taildrop-random": dict(disc="taildrop", duration_s=10, random_topology=True),
+    **{f"unchained-{disc}": dict(disc=disc, duration_s=5, bottleneck_prop_ns=5 * MS,
+                                 hard_limit=60)
+       for disc in ("taildrop", "codel", "fq_codel")},
+}
+
+
+def propagation_round_trip(topo, conn) -> int:
+    """The sum of the propagation delays of the links a connection's data
+    and ACKs cross, read from the links themselves."""
+    src, dst = conn.src.node_id, conn.dst.node_id
+    data = (conn.src.egress.prop_ns + topo.bottleneck_port.prop_ns
+            + topo.r2.routes[dst].prop_ns)
+    acks = conn.dst.egress.prop_ns + topo.r2.routes[src].prop_ns + topo.r1.routes[src].prop_ns
+    return data + acks
+
+
+@pytest.mark.parametrize("name", sorted(LOSSY))
+def test_every_rtt_sample_exceeds_its_propagation_round_trip(name):
+    """Whatever a segment's fate, the send time an ACK echoes is that of a
+    transmission the ACK answers, so no sample can be shorter than the
+    path's round trip; an echo of the wrong time (the receiver's clock, say)
+    would give one-way samples."""
+    ctx = SimContext(ScenarioConfig(**LOSSY[name]), 3)
+    conns = ctx.conns + [ctx.monitor]
+    floor = {conn.cid: propagation_round_trip(ctx.topo, conn) for conn in conns}
+    samples = []
+    for conn in conns:
+        def record(sample, cid=conn.cid, keep=conn.rtt_cb):
+            samples.append((cid, sample))
+            if keep is not None:
+                keep(sample)
+        conn.rtt_cb = record
+    ctx.run()
+    assert sum(conn.retx_segments for conn in conns) > 0
+    assert {cid for cid, _ in samples} == set(floor)
+    assert [(cid, s) for cid, s in samples if s <= floor[cid]] == []
