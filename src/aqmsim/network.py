@@ -22,6 +22,12 @@ the far end of either bottleneck direction) or feeds R1's ECE tap. Both
 routers keep their full tables. R1's tap counts every echo its one inbound
 port, the reverse bottleneck link, delivers, with no destination filter:
 that port carries only B-bound packets, and no B-side uplink carries one.
+
+A host's downlink carries only packets addressed to that host, each of a
+flow that ends there. So on a host where one flow ends, every bulk host, the
+downlink delivers straight to that flow's handler; a monitor host, where
+three flows end, dispatches in `Host.receive`. `Host.register` binds the
+downlink either way.
 """
 from __future__ import annotations
 
@@ -65,8 +71,13 @@ class EgressPort:
         self._kick_pending = False
         self._chained = prop_ns == 0
         self._tx_ns = SerializationTimes(bandwidth_bps)
-        self._receive = dst.receive
-        self._deliver = self._deliver_chain if self._chained else self._receive
+        self.bind(dst.receive)
+
+    def bind(self, receive) -> None:
+        """Hand each delivered packet to `receive`; a chained port starts
+        its next transmission after the handing over."""
+        self._receive = receive
+        self._deliver = self._deliver_chain if self._chained else receive
 
     @property
     def receive(self):
@@ -178,15 +189,24 @@ class Link(EgressPort):
 
 
 class Host:
-    """End host with a single uplink; hands each packet to the handler of
-    its flow's end on this host."""
+    """End host with a single uplink and a single downlink; hands each
+    packet to the handler of its flow's end on this host."""
 
-    __slots__ = ("node_id", "egress", "handlers")
+    __slots__ = ("node_id", "egress", "downlink", "handlers")
 
     def __init__(self, node_id: int):
         self.node_id = node_id
         self.egress = None
+        self.downlink = None
         self.handlers = {}
+
+    def register(self, cid: int, handler) -> None:
+        """Hand flow `cid`'s packets to `handler`: straight from the
+        downlink while it is the one flow that ends here, else through
+        `receive`."""
+        self.handlers[cid] = handler
+        if self.downlink is not None:
+            self.downlink.bind(handler if len(self.handlers) == 1 else self.receive)
 
     def receive(self, pkt) -> None:
         self.handlers[pkt.flow_id](pkt)
@@ -233,8 +253,8 @@ class PingProbe:
         self.request_size = request_size
         self.samples = []
         self._seq = 0
-        src.handlers[cid] = self.on_sender_receive
-        dst.handlers[cid] = self.on_receiver_receive
+        src.register(cid, self.on_sender_receive)
+        dst.register(cid, self.on_receiver_receive)
 
     def start(self) -> None:
         self.sim.schedule(self.start_ns, self._send_request)
@@ -307,9 +327,9 @@ class Topology:
         def attach(host, router, across, bw, prop):
             """The host's uplink, delivering straight to the port `across`
             that its router routes every packet of the host through, and
-            the router's port back to the host."""
+            its downlink, the router's port back to the host."""
             host.egress = link(bw, prop, across)
-            router.routes[host.node_id] = link(bw, prop, host)
+            router.routes[host.node_id] = host.downlink = link(bw, prop, host)
 
         # B side: the monitor keeps the configured access link.
         for host, (bw, prop) in zip(b_hosts, access + [configured]):

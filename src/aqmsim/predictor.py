@@ -561,10 +561,11 @@ class LstmForecaster:
 
 # -- traces ---------------------------------------------------------------
 
-# The longest synthetic trace `pretrain` draws. The forecaster it trains is
+# The longest trace `pretrain` draws or reads. The forecaster it trains is
 # sized from the trace (`neurons_per_layer`), so the trace, the weights and
 # Adam's state take about 125 B a sample before the first step: about 25 MB
-# at this bound, the size the duration bound admits.
+# at this bound, the size the duration bound admits. The bound is on memory,
+# not time: an epoch's time grows with length × width².
 MAX_SYNTH_LENGTH = 200_000
 
 
@@ -586,13 +587,18 @@ def synth_trace(seed: int, length: int, p_on_enter: float = 0.05,
 
 
 def ingest_trace(path) -> EceSeries:
-    """Read a two-column CSV: interval_index (0-based consecutive), ece_count."""
+    """Read a two-column CSV: interval_index (0-based consecutive), ece_count.
+    A row past MAX_SYNTH_LENGTH samples is refused as it is read."""
     counts = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
+            if len(counts) == MAX_SYNTH_LENGTH:
+                raise ValueError(f"{path}:{ln + 1}: trace holds more than "
+                                 f"{MAX_SYNTH_LENGTH} samples, the most a forecaster "
+                                 f"is sized from")
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln + 1}: expected 'index,count'")

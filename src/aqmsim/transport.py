@@ -117,8 +117,8 @@ class Connection:
 
         self.rtt_cb = None
 
-        src.handlers[cid] = self.on_sender_receive
-        dst.handlers[cid] = self.on_receiver_receive
+        src.register(cid, self.on_sender_receive)
+        dst.register(cid, self.on_receiver_receive)
 
     # -- setup ------------------------------------------------------------
 
@@ -154,7 +154,44 @@ class Connection:
             return
         ack = pkt.seq
         if ack > self.snd_una:
-            self._ack_advance(ack, bool(pkt.flags & F_ECE), pkt.sent_at)
+            # Every advancing ACK is timed from the send time it echoes, that
+            # of a retransmission included (RFC 7323 §4); Karn's rule is for
+            # timing without an echo (RFC 6298 §3).
+            sample = now - pkt.sent_at
+            self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
+            if self.rtt_cb is not None:
+                self.rtt_cb(sample)
+            newly_acked = (ack - self.snd_una) // MSS
+            self.snd_una = ack
+            self.dup_acks = 0
+            if pkt.flags & F_ECE:
+                self._congestion_signal("ece")
+            # Window growth, one step per newly acked segment.
+            for _ in range(newly_acked):
+                if self.cwnd < self.ssthresh:
+                    self.cwnd += 1.0
+                    self.w_est = self.cwnd
+                else:
+                    t = (now - self.epoch_start_ns + self.srtt_ns) / SECOND
+                    # cubic_window(t, w_max) from the cached K. Its one-packet
+                    # floor cannot change the comparison: cwnd is never below 1.
+                    target = CUBIC_C * (t - self.k_s) ** 3 + self.w_max
+                    if target > self.cwnd:
+                        self.cwnd += (target - self.cwnd) / self.cwnd
+                    else:
+                        self.cwnd += 0.01 / self.cwnd
+                    # TCP-friendly region: never grow slower than a Reno-rate
+                    # window started from the same reduction.
+                    self.w_est += AIMD_RATE / self.cwnd
+                    if self.w_est > self.cwnd:
+                        self.cwnd = self.w_est
+            if ack < self.recover_seq:
+                # Partial ack exposes the next hole; fill it without a new cut.
+                self._retransmit(ack)
+            self.rto_backoff = 1
+            base = 2 * self.srtt_ns if self.srtt_ns else INITIAL_RTO  # _rto, inline
+            self.rto_deadline = now + (base if base > MIN_RTO else MIN_RTO)
+            self._try_send()
         elif ack == self.snd_una and self.snd_nxt > self.snd_una:
             self.dup_acks += 1
             if pkt.flags & F_ECE:
@@ -163,55 +200,13 @@ class Connection:
                 self._congestion_signal("loss")
             self._try_send()
 
-    def _ack_advance(self, ack: int, ece: bool, echoed: int) -> None:
-        now = self.sim.now
-        # Every advancing ACK is timed from the send time it echoes, that of
-        # a retransmission included (RFC 7323 §4); Karn's rule is for timing
-        # without an echo (RFC 6298 §3).
-        sample = now - echoed
-        self.srtt_ns = (7 * self.srtt_ns + sample) // 8 if self.srtt_ns else sample
-        if self.rtt_cb is not None:
-            self.rtt_cb(sample)
-        newly_acked = (ack - self.snd_una) // MSS
-        self.snd_una = ack
-        self.dup_acks = 0
-        if ece:
-            self._congestion_signal("ece")
-        self._grow(newly_acked)
-        if ack < self.recover_seq:
-            # Partial ack exposes the next hole; fill it without a new cut.
-            self._retransmit(ack)
-        self.rto_backoff = 1
-        base = 2 * self.srtt_ns if self.srtt_ns else INITIAL_RTO  # _rto, inline
-        self.rto_deadline = now + (base if base > MIN_RTO else MIN_RTO)
-        self._try_send()
-
     def _rto(self) -> int:
-        # `_ack_advance` has a copy of this inline at backoff 1.
+        # The advancing-ACK branch of `on_sender_receive` has a copy of this
+        # inline at backoff 1.
         base = 2 * self.srtt_ns if self.srtt_ns else INITIAL_RTO
         if base < MIN_RTO:
             base = MIN_RTO
         return base * self.rto_backoff
-
-    def _grow(self, newly_acked: int) -> None:
-        for _ in range(newly_acked):
-            if self.cwnd < self.ssthresh:
-                self.cwnd += 1.0
-                self.w_est = self.cwnd
-            else:
-                t = (self.sim.now - self.epoch_start_ns + self.srtt_ns) / SECOND
-                # cubic_window(t, w_max) from the cached K. Its one-packet
-                # floor cannot change the comparison: cwnd is never below 1.
-                target = CUBIC_C * (t - self.k_s) ** 3 + self.w_max
-                if target > self.cwnd:
-                    self.cwnd += (target - self.cwnd) / self.cwnd
-                else:
-                    self.cwnd += 0.01 / self.cwnd
-                # TCP-friendly region: never grow slower than a Reno-rate
-                # window started from the same reduction.
-                self.w_est += AIMD_RATE / self.cwnd
-                if self.w_est > self.cwnd:
-                    self.cwnd = self.w_est
 
     def _cut(self, now: int, cwnd: float, ssthresh: float) -> None:
         """Start a CUBIC epoch at `now` whose w_max is the current window (at

@@ -127,6 +127,6 @@ def record_receiver(conn) -> list:
             log.append(("ack", bool(pkt.flags & F_ECE), pkt.flags))
         uplink.send(pkt)
 
-    host.handlers[conn.cid] = on_segment
+    host.register(conn.cid, on_segment)
     host.egress = SimpleNamespace(send=send)
     return log

@@ -7,8 +7,9 @@ import pytest
 from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.engine import Simulator
-from aqmsim.predictor import (MAX_SYNTH_LENGTH, STEPS, LstmForecaster, min_series_length,
-                              save_checkpoint, synth_trace)
+from aqmsim.predictor import (MAX_SYNTH_LENGTH, STEPS, FitReport, LstmForecaster,
+                              min_series_length, neurons_per_layer, save_checkpoint,
+                              synth_trace)
 from aqmsim.scenario import MAX_DURATION_S, MAX_PAIRS, MAX_RETRAIN_AT_S
 
 
@@ -374,6 +375,45 @@ def test_synthetic_length_is_bounded_before_the_trace_is_drawn(tmp_path, capsys,
                "--out", str(out)])
     assert rc == 0
     assert drawn == [MAX_SYNTH_LENGTH]
+    assert (out / "pretrained.json").exists()
+
+
+# A --trace sizes the forecaster as --length does, so a trace past the same
+# bound is refused as it is read, naming the first row past it; a trace at
+# the bound reaches the forecaster's sizing whole. The forecaster is a
+# recorder, so that nothing trains.
+def test_trace_is_bounded_while_it_is_read(tmp_path, capsys, monkeypatch):
+    built, fitted = [], []
+
+    def forecaster(**kwargs):
+        built.append(kwargs)
+        return LstmForecaster(layers=1, hidden=2, seed=1)
+
+    def fit(self, counts, epochs):
+        fitted.append(len(counts))
+        return FitReport(0.0, 0.0, 0.0, 0.0, 1, 0.8, 1, 1)
+
+    monkeypatch.setattr(harness, "LstmForecaster", forecaster)
+    monkeypatch.setattr(LstmForecaster, "fit", fit)
+    at, past = tmp_path / "at.csv", tmp_path / "past.csv"
+    rows = [f"{i},{i % 5}\n" for i in range(MAX_SYNTH_LENGTH + 1)]
+    at.write_text("".join(rows[:-1]))
+    past.write_text("".join(rows))
+
+    out = tmp_path / "refused"
+    rc = main(["pretrain", "--trace", str(past), "--epochs", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"{past}:{MAX_SYNTH_LENGTH + 1}:" in err and f"more than {MAX_SYNTH_LENGTH}" in err
+    assert not out.exists()
+    assert built == fitted == []
+
+    out = tmp_path / "at-the-bound"
+    rc = main(["pretrain", "--trace", str(at), "--epochs", "0", "--out", str(out)])
+    assert rc == 0
+    assert [kw["hidden"] for kw in built] == [neurons_per_layer(STEPS, MAX_SYNTH_LENGTH, 3)]
+    assert fitted == [MAX_SYNTH_LENGTH]
     assert (out / "pretrained.json").exists()
 
 

@@ -4,25 +4,29 @@ stderr and no output directory; none ends in a traceback.
 
 The argv are drawn per command from each flag's values at and beyond its
 edges, NaN, inf and non-numbers, with flags repeated, flags another command
-takes, and flags none takes. The simulation, the fan-out, the pretrain and
-the fit are replaced with recorders, so an accepted argv costs nothing; all
-that runs is parsing, validation, config and checkpoint loading, and the
-building of a single run, which the draws keep small (see `SET_VALUES`)."""
+takes, and flags none takes. The simulation, the fan-out, the synthetic
+trace, the forecaster's construction and the fit are replaced with
+recorders, so an accepted argv costs nothing; all that runs is parsing,
+validation, config, trace and checkpoint reading, the writers, and the
+building of a single run, which the draws keep small (see `SET_VALUES`).
+
+Two more properties draw malformed input files, trace CSVs and mutated
+checkpoints, under the commands that read them."""
 import contextlib
 import io
+import json
 import os
-import shutil
 import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqmsim import harness
 from aqmsim.cli import main
 from aqmsim.predictor import (MAX_SYNTH_LENGTH, STEPS, FitReport, LstmForecaster,
-                              min_series_length, save_checkpoint)
+                              min_series_length, save_checkpoint, synth_trace)
 from aqmsim.scenario import (KEY_SPECS, MAX_BW_BPS, MAX_DURATION_S, MAX_PAIRS,
                              MAX_RETRAIN_AT_S, MBPS)
 
@@ -169,8 +173,11 @@ def argvs(draw):
 def files(tmp_path_factory):
     """The paths an argv may name: a checkpoint and a config that load, a
     file that is neither, a refused config whose path holds a newline, a
-    directory, and a path that does not exist."""
+    directory, a path that does not exist, and a trace one row past the
+    bound."""
     base = tmp_path_factory.mktemp("cli-files")
+    with open(base / "past.csv", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{i},{i % 7}\n" for i in range(MAX_SYNTH_LENGTH + 1))
     good = base / "good.json"
     save_checkpoint(LstmForecaster(layers=1, hidden=2, seed=1), good)
     (base / "bad.json").write_text("not json\n")
@@ -179,14 +186,16 @@ def files(tmp_path_factory):
     (base / "bad\nconfig.txt").write_text("pairs = 2\nbogus = 1\n")
     return {"good": good, "bad": base / "bad.json", "absent": base / "absent",
             "config": base / "config.txt", "badconfig": base / "badconfig.txt",
-            "nlconfig": base / "bad\nconfig.txt", "dir": base}
+            "nlconfig": base / "bad\nconfig.txt", "dir": base, "past": base / "past.csv"}
 
 
 @pytest.fixture(scope="module")
-def workers(files):
-    """Recorders in place of every worker that simulates or trains. Each
-    returns what its caller reads, so an accepted argv runs to exit 0; the
-    stand-in pretrain writes the small checkpoint where it was asked to."""
+def workers():
+    """Recorders in place of every worker that simulates, draws a synthetic
+    trace or trains. Each returns what its caller reads, so an accepted argv
+    runs to exit 0: the stand-in trace is the shortest one pretraining takes,
+    and the stand-in forecaster a small one, whose checkpoint the pretrain
+    writes where it was asked to."""
     calls = []
 
     def run(self):
@@ -201,11 +210,13 @@ def workers(files):
             groups.setdefault(label, []).append(SUMMARY)
         return [SUMMARY] * len(tasks), groups
 
-    def pretrain(path, **kwargs):
-        calls.append(("pretrain", path))
-        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-        shutil.copyfile(files["good"], path)
-        return None, REPORT
+    def synth(seed, length):
+        calls.append(("synth", length))
+        return synth_trace(seed, min_series_length(STEPS))
+
+    def forecaster(**kwargs):
+        calls.append(("forecaster", kwargs))
+        return LstmForecaster(layers=1, hidden=2, seed=1)
 
     def fit(self, series, epochs):
         calls.append(("fit", len(series), epochs))
@@ -214,7 +225,8 @@ def workers(files):
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(harness.SimContext, "run", run))
         stack.enter_context(mock.patch.object(harness, "_run_labelled", run_labelled))
-        stack.enter_context(mock.patch.object(harness, "pretrain_predictor", pretrain))
+        stack.enter_context(mock.patch.object(harness, "synth_trace", synth))
+        stack.enter_context(mock.patch.object(harness, "LstmForecaster", forecaster))
         stack.enter_context(mock.patch.object(LstmForecaster, "fit", fit))
         yield calls
 
@@ -243,3 +255,135 @@ def test_every_argv_runs_or_is_refused_in_one_line(files, workers, argv):
             assert rc == 2
             assert err.count("\n") == 1 and err.startswith("error:"), err
             assert os.listdir(tmp) == [], "a refused argv left output behind"
+
+
+# The fields a checkpoint must hold, each of which load_checkpoint checks.
+CHECKPOINT_FIELDS = ("kind", "steps", "layers", "hidden", "dropout", "seed", "norm_min",
+                     "norm_max", "Wx", "Wh", "b", "w_out", "b_out")
+ARRAY_FIELDS = ("Wx", "Wh", "b", "w_out")
+
+
+@st.composite
+def bad_traces(draw):
+    """A trace CSV's text: up to 20 good rows, then one with a wrong column
+    count, a non-integer field, an index out of order, a negative count or
+    a count beyond int64."""
+    n = draw(st.integers(0, 20))
+    rows = [f"{i},{draw(st.integers(0, 50))}" for i in range(n)]
+    fault = draw(st.sampled_from(("columns", "field", "order", "negative", "int64")))
+    if fault == "columns":
+        row = draw(st.sampled_from((f"{n}", f"{n},1,2", f"{n},1,", f"{n};1")))
+    elif fault == "field":
+        junk = draw(st.sampled_from(("x", "", "1.5", "nan", "1e3", "0x10", "--1")))
+        row = draw(st.sampled_from((f"{junk},1", f"{n},{junk}")))
+    elif fault == "order":
+        row = f"{draw(st.sampled_from((n - 1, n + 1, -1, n + 10**6)))},1"
+    elif fault == "negative":
+        row = f"{n},{-draw(st.integers(1, 2**70))}"
+    else:
+        row = f"{n},{2**63 + draw(st.integers(0, 2**70))}"
+    return "\n".join(rows + [row]) + "\n"
+
+
+def _paths(value, at=()):
+    """The index path of every entry of a nested list, itself included."""
+    yield at
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, at + (i,))
+
+
+def _at(value, path):
+    for i in path:
+        value = value[i]
+    return value
+
+
+@st.composite
+def checkpoint_mutations(draw):
+    """A function that breaks a saved checkpoint's JSON in one way: a field
+    dropped, retyped, set to NaN (an array field in one entry), or an array
+    field mis-shaped (one list in it a row short or a row long)."""
+    how = draw(st.sampled_from(("drop", "retype", "nan", "shape")))
+    key = draw(st.sampled_from(ARRAY_FIELDS if how == "shape" else CHECKPOINT_FIELDS))
+    other = draw(st.sampled_from(("x", True, None, {}, [])))
+    pick = draw(st.integers(0, 10**6))
+    longer = draw(st.booleans())
+
+    def mutate(blob):
+        if how == "drop":
+            del blob[key]
+        elif how == "retype":
+            blob[key] = other
+        elif how == "nan" and key not in ARRAY_FIELDS:
+            blob[key] = float("nan")
+        else:
+            # One entry of the array: a number set to NaN, or a list made a
+            # row long or a row short.
+            paths = [p for p in _paths(blob[key])
+                     if isinstance(_at(blob[key], p), list) == (how == "shape")]
+            path = paths[pick % len(paths)]
+            if how == "nan":
+                _at(blob[key], path[:-1])[path[-1]] = float("nan")
+            elif longer:
+                _at(blob[key], path).append(_at(blob[key], path)[-1])
+            else:
+                _at(blob[key], path).pop()
+    mutate.__name__ = f"{how} {key}"
+    return mutate
+
+
+# Commands that read a checkpoint, each as small as it runs.
+CHECKPOINT_ARGV = (
+    ("retrain-demo", "--checkpoint", "{path}"),
+    ("run", "--duration-s", "1", "--set", "pairs=1", "--set", "intelligent=true",
+     "--set", "checkpoint={path}"),
+    ("compare", "--seeds", "1", "--disciplines", "codel", "--duration-s", "1",
+     "--set", "pairs=1", "--set", "checkpoint={path}"),
+)
+
+
+def _refused(argv, path, tmp, workers):
+    """`argv` naming the file `path` exits 2 with one `error:` line that
+    names the file, before any worker runs and before its `--out` in `tmp`
+    is made."""
+    out = os.path.join(tmp, "out")
+    del workers[:]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = main(argv + ["--out", out])
+    err = stderr.getvalue()
+    assert rc == 2, err
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert path in err
+    assert workers == []
+    assert not os.path.exists(out), "a refused file left output behind"
+
+
+# The trace one row past the bound (None) takes about 0.2 s to read, so it
+# is drawn in a tenth of the draws, and always once.
+@settings(max_examples=150)
+@given(st.integers(0, 9).flatmap(lambda k: bad_traces() if k else st.just(None)))
+@example(None)
+def test_every_bad_trace_is_refused_in_one_line(files, workers, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is None:
+            path = str(files["past"])
+        else:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        _refused(["pretrain", "--trace", path, "--epochs", "1"], path, tmp, workers)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(CHECKPOINT_ARGV), checkpoint_mutations())
+def test_every_bad_checkpoint_is_refused_in_one_line(files, workers, argv, mutate):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.json")
+        with open(files["good"], encoding="utf-8") as fh:
+            blob = json.load(fh)
+        mutate(blob)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+        _refused([arg.format(path=path) for arg in argv], path, tmp, workers)

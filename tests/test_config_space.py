@@ -4,7 +4,9 @@ clause is checked against a count kept outside the counters it checks:
 class-level wrappers of the bottleneck's `enqueue` and `dequeue` count the
 packets it holds and when each one leaves, a wrapper of
 `QueueStats.on_drop_law` when a law drop leaves, and wrappers of `Packet`
-and `Host.receive` follow every packet from the moment it is built."""
+and of the four handlers a packet can reach a host through (each end of a
+`Connection` and of a `PingProbe`) follow every packet from the moment it is
+built."""
 import math
 from contextlib import ExitStack
 from unittest import mock
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 from aqmsim.aqm import Codel, FqCodel, QueueStats, TailDrop
 from aqmsim.engine import SECOND, US
 from aqmsim.harness import EPOCH_COLUMNS, SimContext
-from aqmsim.network import Host, Link
+from aqmsim.network import Link, PingProbe
 from aqmsim.packets import Packet
 from aqmsim.scenario import (DISCIPLINES, MAX_BW_BPS, MBPS, ScenarioConfig,
                              apply_setting)
+from aqmsim.transport import Connection
 
 DISCIPLINE_CLASS = {"taildrop": TailDrop, "codel": Codel, "fq_codel": FqCodel}
 
@@ -93,7 +96,7 @@ def _epoch_areas(changes, duration_s: int) -> list:
 def test_every_accepted_config_runs_to_consistent_outputs(cfg):
     cls = DISCIPLINE_CLASS[cfg.disc]
     enqueue, dequeue = cls.enqueue, cls.dequeue
-    init, receive = Packet.__init__, Host.receive
+    init = Packet.__init__
     on_drop_law, drain_area = QueueStats.on_drop_law, QueueStats.drain_area
     changes = []  # (time, packets held) after each enqueue and dequeue
     after_enqueue = []  # packets held after each enqueue
@@ -131,19 +134,25 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
         init(self, *args)
         built.append(self)
 
-    def counted_receive(self, pkt):
-        host_rx.append(pkt)
-        receive(self, pkt)
+    def counted(handler):
+        def counted_handler(self, pkt):
+            host_rx.append(pkt)
+            handler(self, pkt)
+        return counted_handler
 
     with ExitStack() as patches:
-        # Installed before the topology is built, which binds Host.receive.
+        # Installed before the topology is built, where each flow's ends
+        # register these handlers with their hosts.
         for owner, name, wrapper in ((cls, "enqueue", counted_enqueue),
                                      (cls, "dequeue", counted_dequeue),
                                      (QueueStats, "on_drop_law", counted_drop_law),
                                      (QueueStats, "drain_area", counted_drain),
-                                     (Packet, "__init__", counted_init),
-                                     (Host, "receive", counted_receive)):
+                                     (Packet, "__init__", counted_init)):
             patches.enter_context(mock.patch.object(owner, name, wrapper))
+        for owner in (Connection, PingProbe):
+            for name in ("on_sender_receive", "on_receiver_receive"):
+                patches.enter_context(
+                    mock.patch.object(owner, name, counted(getattr(owner, name))))
         ctx = SimContext(cfg, seed=1).run()
 
     q, topo = ctx.topo.bottleneck, ctx.topo

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from dataclasses import replace
 from unittest import mock
@@ -6,10 +7,11 @@ import pytest
 
 from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
-from aqmsim.harness import SimContext
-from aqmsim.network import EgressPort, Link, Router
+from aqmsim.harness import RAND_START_MAX_S, SimContext
+from aqmsim.network import EgressPort, Host, Link, PingProbe, Router
 from aqmsim.packets import ECT0, F_ACK, F_ECE, F_SYN, NOT_ECT, Packet
 from aqmsim.scenario import ScenarioConfig
+from aqmsim.transport import Connection
 
 
 class Sink:
@@ -253,6 +255,71 @@ def test_r1_receives_only_b_bound_packets_and_taps_every_echo(random_topology,
     # the run marks enough for the count to mean something.
     assert echoes(at_r1) == sum(ctx.bins100) > 0
     assert echoes(at_r2) == 0
+
+
+@pytest.mark.parametrize("random_topology", [False, True])
+@pytest.mark.parametrize("bottleneck_prop_ms", [0, 5])
+def test_a_one_flow_hosts_downlink_delivers_straight_to_its_flow(random_topology,
+                                                                 bottleneck_prop_ms):
+    # A downlink carries only packets addressed to its host, each of a flow
+    # that ends there, so a bulk host's downlink hands every packet to its
+    # one flow's handler; the monitor hosts, where three flows end, keep
+    # Host.receive. The A side's downlinks are chained (exit_prop 0), the
+    # B side's are not. The run outlasts the random topology's latest start.
+    cfg = replace(ScenarioConfig(), pairs=3, duration_s=RAND_START_MAX_S + 1, disc="codel",
+                  random_topology=random_topology,
+                  bottleneck_prop_ns=bottleneck_prop_ms * MS)
+    handled = []  # (flow end, its host, packet) for every packet a handler took
+    host_rx = []  # every packet Host.receive dispatched
+    receive = Host.receive
+
+    def counted_receive(self, pkt):
+        host_rx.append(pkt)
+        receive(self, pkt)
+
+    def recorded(handler, host_of):
+        def record(self, pkt):
+            handled.append((self, host_of(self), pkt))
+            handler(self, pkt)
+        return record
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(Host, "receive", counted_receive))
+        for owner in (Connection, PingProbe):
+            for name, host_of in (("on_sender_receive", lambda end: end.src),
+                                  ("on_receiver_receive", lambda end: end.dst)):
+                stack.enter_context(mock.patch.object(
+                    owner, name, recorded(getattr(owner, name), host_of)))
+        ctx = SimContext(cfg, seed=5)
+        topo = ctx.topo
+        for conn in ctx.conns:
+            for host, handler, router in ((conn.src, conn.on_sender_receive, topo.r1),
+                                          (conn.dst, conn.on_receiver_receive, topo.r2)):
+                port = host.downlink
+                assert router.routes[host.node_id] is port
+                assert host.handlers == {conn.cid: handler}
+                assert port._receive == handler
+                assert port._deliver == (port._deliver_chain if port._chained else handler)
+        monitors = (topo.mon_b, topo.mon_a)
+        for host in monitors:
+            assert len(host.handlers) == 3
+            assert host.downlink._receive == host.receive
+        ctx.run()
+
+    chained = {conn.dst.downlink._chained for conn in ctx.conns}
+    unchained = {conn.src.downlink._chained for conn in ctx.conns}
+    assert chained == {True} and unchained == {False}
+    # Every packet a flow's end took carries that flow's id and was
+    # addressed to its host, and every bulk end took some.
+    assert all(pkt.flow_id == end.cid and pkt.dst_id == host.node_id
+               for end, host, pkt in handled)
+    ends = {(id(end), host.node_id) for end, host, _ in handled}
+    assert all((id(conn), host.node_id) in ends
+               for conn in ctx.conns for host in (conn.src, conn.dst))
+    # Host.receive dispatched exactly the monitor hosts' packets.
+    monitor_ids = {host.node_id for host in monitors}
+    assert host_rx == [pkt for _, host, pkt in handled if host.node_id in monitor_ids]
+    assert host_rx
 
 
 def test_a_router_routes_and_taps_only_non_negotiation_echoes():

@@ -65,6 +65,9 @@ class StubHost:
         self.egress = self
         self.handlers = {}
 
+    def register(self, cid, handler):
+        self.handlers[cid] = handler
+
     def send(self, pkt):
         self.sent.append(pkt)
 
@@ -296,7 +299,12 @@ class TestCachedCubicGrowth:
             sim.run(sim.now + 5 * MS)
             avoidance_steps += conn.cwnd >= conn.ssthresh
             expected = reference_grow(conn, 2)
-            conn._grow(2)
+            # Two new segments acked, with an echo one smoothed RTT old, so
+            # that srtt_ns, which the growth reads, does not move.
+            srtt = conn.srtt_ns
+            assert conn.snd_nxt >= conn.snd_una + 2 * MSS
+            conn.on_sender_receive(ack(conn.snd_una + 2 * MSS, sent_at=sim.now - srtt))
+            assert conn.srtt_ns == srtt
             assert (conn.cwnd, conn.w_est) == expected
         assert avoidance_steps >= 20
 
