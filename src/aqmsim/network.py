@@ -1,18 +1,15 @@
 """Hosts, routers, duplex links, and the dumbbell topology.
 
-An EgressPort owns one direction of a link: a transmitter in front of a
-queue. The transmitter tracks serialization arithmetically (busy_until), so
-a packet costs one delivery event per hop, at the end of its serialization
-plus the propagation delay. On a chained port (no propagation delay) that
-delivery puts the next packet on the wire; on any other, a wakeup event
-does, armed only while the queue is backlogged. The queue is the
-bottleneck's discipline, or, for a Link, a plain drop-tail FIFO with a hard
-packet limit; every hop except the bottleneck is a Link. A Link overrides
-only the methods that touch its queue (`send`, `_pump`, `_deliver_chain`)
-and inherits the wire step and the wakeup, so a hop schedules the same
-events at the same times in the same order whichever queue it has. Each
-port looks up a packet's serialization time in its own `SerializationTimes`
-and hands deliveries to a callback bound once.
+Each direction of a link is a `Hop`, whose wire tracks serialization
+arithmetically (`busy_until`): a packet costs one delivery event per hop.
+Every hop but the bottleneck is a `Link`, a tail-drop FIFO with nothing to
+decide at dequeue, so `Link.send` fixes a packet's wire start on arrival
+(Lindley's recursion) and schedules its delivery at once. The bottleneck is
+an `EgressPort` in front of its discipline, which decides at dequeue, so
+each transmission there starts in an event: on a chained port (no
+propagation delay) the delivery that ends the one before, on any other a
+wakeup armed while the queue is backlogged. Each hop hands its deliveries
+to a handler bound once.
 
 A host sends only across the dumbbell, and its router sends every such
 packet through one egress port: the bottleneck for a B-side host, the
@@ -56,34 +53,49 @@ class SerializationTimes(dict):
         return ns
 
 
-class EgressPort:
-    """Unidirectional transmitter in front of a queue discipline."""
+class Hop:
+    """One direction of a link: a wire whose serialization is tracked
+    arithmetically (`busy_until`), a propagation delay, and the handler its
+    deliveries go to."""
 
-    __slots__ = ("sim", "prop_ns", "q", "dst", "busy_until",
-                 "_kick_pending", "_chained", "_tx_ns", "_receive", "_deliver")
+    __slots__ = ("sim", "prop_ns", "dst", "busy_until", "_tx_ns", "_receive")
 
-    def __init__(self, sim, bandwidth_bps: int, prop_ns: int, discipline, dst):
+    def __init__(self, sim, bandwidth_bps: int, prop_ns: int, dst):
         self.sim = sim
         self.prop_ns = prop_ns
-        self.q = discipline
         self.dst = dst
         self.busy_until = 0
-        self._kick_pending = False
-        self._chained = prop_ns == 0
         self._tx_ns = SerializationTimes(bandwidth_bps)
         self.bind(dst.receive)
+
+    def bind(self, receive) -> None:
+        """Hand each delivered packet to `receive`."""
+        self._receive = receive
+
+    @property
+    def receive(self):
+        """A hop as a destination sends on what arrives: a host's uplink
+        delivers straight to its router's egress port."""
+        return self.send
+
+
+class EgressPort(Hop):
+    """Unidirectional transmitter in front of a queue discipline, which
+    decides at dequeue: each transmission starts in an event of its own."""
+
+    __slots__ = ("q", "_kick_pending", "_chained", "_deliver")
+
+    def __init__(self, sim, bandwidth_bps: int, prop_ns: int, discipline, dst):
+        self.q = discipline
+        self._kick_pending = False
+        self._chained = prop_ns == 0
+        super().__init__(sim, bandwidth_bps, prop_ns, dst)
 
     def bind(self, receive) -> None:
         """Hand each delivered packet to `receive`; a chained port starts
         its next transmission after the handing over."""
         self._receive = receive
         self._deliver = self._deliver_chain if self._chained else receive
-
-    @property
-    def receive(self):
-        """A port as a hop's destination sends on what arrives: a host's
-        uplink delivers straight to its router's egress port."""
-        return self.send
 
     def send(self, pkt) -> None:
         self.q.enqueue(pkt, self.sim.now)
@@ -124,68 +136,53 @@ class EgressPort:
             self._pump()
 
 
-class Link(EgressPort):
-    """Unidirectional transmitter in front of a tail-drop FIFO, the deque `q`.
+class Link(Hop):
+    """Unidirectional tail-drop FIFO: a pure delay line. A packet's wire
+    start is fixed on arrival, at the later of now and `busy_until`
+    (Lindley's recursion), so `send` schedules its delivery at once and
+    keeps only the start times of the packets still waiting, in `_waiting`
+    (a start at or before now leaves it at the next arrival on a busy wire).
 
     Counters: `arrivals` (every packet handed to `send`), `forwarded`
-    (packets that started transmission), `overflow_drops` (arrivals refused
-    at the hard limit) and `peak` (most packets ever waiting at once, not
-    counting the one on the wire). A packet that finds the link idle and the
-    FIFO empty goes straight onto the wire without touching the FIFO.
+    (packets admitted), `overflow_drops` (arrivals refused with `hard_limit`
+    packets waiting) and `peak` (most packets ever waiting at once, not
+    counting the one on the wire).
     """
 
-    __slots__ = ("hard_limit", "arrivals", "forwarded", "overflow_drops", "peak")
+    __slots__ = ("hard_limit", "arrivals", "forwarded", "overflow_drops", "peak",
+                 "_waiting")
 
     def __init__(self, sim, bandwidth_bps: int, prop_ns: int, hard_limit: int, dst):
         if hard_limit < 1:
             raise ValueError("hard_limit must be >= 1")
-        super().__init__(sim, bandwidth_bps, prop_ns, deque(), dst)
+        super().__init__(sim, bandwidth_bps, prop_ns, dst)
         self.hard_limit = hard_limit
         self.arrivals = 0
         self.forwarded = 0
         self.overflow_drops = 0
         self.peak = 0
+        self._waiting = deque()
 
     def send(self, pkt) -> None:
         self.arrivals += 1
-        sim = self.sim
-        if self.busy_until <= sim.now:
-            if not self.q:
-                # The common case, `_transmit` inline: with the FIFO empty
-                # there is no wakeup to arm.
-                self.forwarded += 1
-                done = sim.now + self._tx_ns[pkt.size_bytes]
-                self.busy_until = done
-                sim.schedule(done + self.prop_ns, self._deliver, pkt)
+        now = self.sim.now
+        start = self.busy_until
+        if start > now:
+            # The wire is busy: the packet waits until `start`.
+            waiting = self._waiting
+            while waiting and waiting[0] <= now:
+                waiting.popleft()
+            if len(waiting) >= self.hard_limit:
+                self.overflow_drops += 1
                 return
-            # The wire fell idle at this very instant and its wakeup has not
-            # run yet: join the FIFO and send its head.
-            self._admit(pkt)
-            self._pump()
+            waiting.append(start)
+            if len(waiting) > self.peak:
+                self.peak = len(waiting)
         else:
-            self._admit(pkt)
-            if not self._chained and not self._kick_pending:
-                self._kick_pending = True
-                sim.schedule(self.busy_until, self._kick)
-
-    def _admit(self, pkt) -> None:
-        q = self.q
-        if len(q) >= self.hard_limit:
-            self.overflow_drops += 1
-            return
-        q.append(pkt)
-        if len(q) > self.peak:
-            self.peak = len(q)
-
-    def _pump(self) -> None:
-        if self.q:
-            self.forwarded += 1
-            self._transmit(self.q.popleft())
-
-    def _deliver_chain(self, pkt) -> None:
-        self._receive(pkt)
-        if self.q and self.sim.now >= self.busy_until:
-            self._pump()
+            start = now
+        self.forwarded += 1
+        done = self.busy_until = start + self._tx_ns[pkt.size_bytes]
+        self.sim.schedule(done + self.prop_ns, self._receive, pkt)
 
 
 class Host:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -586,9 +587,15 @@ def synth_trace(seed: int, length: int, p_on_enter: float = 0.05,
     return EceSeries(counts=counts)
 
 
+# A CSV integer: an optional minus sign and ASCII digits, nothing else that
+# `int()` would take (`+3`, `1_0`, non-ASCII digits).
+_CSV_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def ingest_trace(path) -> EceSeries:
     """Read a two-column CSV: interval_index (0-based consecutive), ece_count.
-    A row past MAX_SYNTH_LENGTH samples is refused as it is read."""
+    Each field, stripped of surrounding spaces, is a CSV integer. A row past
+    MAX_SYNTH_LENGTH samples is refused as it is read."""
     counts = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh):
@@ -603,8 +610,10 @@ def ingest_trace(path) -> EceSeries:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln + 1}: expected 'index,count'")
             try:
+                if not all(_CSV_INTEGER.fullmatch(part.strip()) for part in parts):
+                    raise ValueError(line)
                 idx, cnt = int(parts[0]), int(parts[1])
-            except ValueError:
+            except ValueError:  # `int()` also refuses more than 4,300 digits
                 raise ValueError(f"{path}:{ln + 1}: non-integer field") from None
             if idx != len(counts):
                 raise ValueError(f"{path}:{ln + 1}: interval index {idx} out of order")
@@ -619,12 +628,15 @@ def ingest_trace(path) -> EceSeries:
 # -- checkpoints ------------------------------------------------------------
 
 
+CHECKPOINT_VERSION = 1
+
+
 def save_checkpoint(model: LstmForecaster, path) -> None:
     """Self-describing JSON container; floats round-trip exactly. Makes the
     file's directory."""
     blob = {
         "kind": "lstm-forecaster",
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "steps": model.steps,
         "layers": model.layers,
         "hidden": model.hidden,
@@ -695,13 +707,20 @@ def _array_field(path, key: str, value, shape) -> np.ndarray:
 
 def load_checkpoint(path) -> LstmForecaster:
     """Read a checkpoint written by save_checkpoint. A missing, mistyped,
-    non-finite or mis-shaped field, a weight or bias beyond TRAIN_DTYPE's
-    range, or a step count other than STEPS, raises ValueError naming the
-    path and the field."""
+    non-finite or mis-shaped field, a version other than CHECKPOINT_VERSION,
+    a weight or bias beyond TRAIN_DTYPE's range, or a step count other than
+    STEPS, raises ValueError naming the path and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict) or blob.get("kind") != "lstm-forecaster":
         raise ValueError(f"{path}: not a forecaster checkpoint")
+    # Any other format, a later one included, is not read as this one.
+    if "version" not in blob:
+        raise ValueError(f"{path}: checkpoint lacks the 'version' field")
+    version = blob["version"]
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint field 'version' is {version!r}, but "
+                         f"this reader takes version {CHECKPOINT_VERSION}")
     for key in _CHECKPOINT_FIELDS:
         if key not in blob:
             raise ValueError(f"{path}: checkpoint lacks the {key!r} field")

@@ -1,7 +1,8 @@
 """Shared test utilities: rank correlation, tiny oracles, a memory probe, the
 name of the BLAS kernel behind numpy's matmul, a trace writer, a setter
-of a forecaster's flat parameter vector and a recorder of what a
-connection's receiver sees and sends."""
+of a forecaster's flat parameter vector, a recorder of what a
+connection's receiver sees and sends, and the plain links of a topology
+with a balance of each one's packets counted outside its counters."""
 
 import ctypes
 import math
@@ -130,3 +131,38 @@ def record_receiver(conn) -> list:
     host.register(conn.cid, on_segment)
     host.egress = SimpleNamespace(send=send)
     return log
+
+
+def plain_links(topo) -> list:
+    """Every port of the topology except the bottleneck, each once."""
+    hosts = topo.hosts_a + topo.hosts_b + [topo.mon_a, topo.mon_b]
+    ports = [h.egress for h in hosts]
+    ports += list(topo.r1.routes.values()) + list(topo.r2.routes.values())
+    return list({id(p): p for p in ports if p is not topo.bottleneck_port}.values())
+
+
+def count_deliveries(links) -> dict:
+    """Bind each link's deliveries through a counter of its own, keyed by the
+    link's id: the packets it hands its destination. Call after the flows
+    have registered with their hosts and before the run."""
+    delivered = {}
+    for link in links:
+        delivered[id(link)] = 0
+
+        def counted(pkt, key=id(link), handler=link._receive):
+            delivered[key] += 1
+            handler(pkt)
+
+        link.bind(counted)
+    return delivered
+
+
+def check_link_balance(link, delivered: dict, sim) -> None:
+    """Every packet a link took was delivered, is still to be delivered (an
+    event in the engine's heap), or was refused at the hard limit; and the
+    packets still waiting for the wire, those that start after now, number
+    no more than its peak, which is within the hard limit."""
+    pending = sum(1 for event in sim._heap if event[2] is link._receive)
+    assert link.arrivals == delivered[id(link)] + pending + link.overflow_drops
+    waiting = sum(1 for start in link._waiting if start > sim.now)
+    assert waiting <= link.peak <= link.hard_limit

@@ -192,23 +192,36 @@ def test_removed_config_key_exits_2(tmp_path, capsys, key):
     assert not out.exists()
 
 
+# A CSV integer is an optional minus sign and ASCII digits; these forms
+# `int()` takes, or a float's, are not.
+NON_CSV_INTEGERS = {"underscore": "1_0", "plus": "+3", "arabic_indic_digit": "\u0663",
+                    "exponent": "1e3"}
+
+
 # A trace that pretrain cannot train on is refused, naming the file, before
 # --out is made: too short for a training window, rows out of order, a count
-# beyond int64, absent.
+# beyond int64, a negative count, a count that is not a CSV integer, absent.
 @pytest.mark.parametrize("case,named", [
     ("short", "3 samples"),
     ("out_of_order", "out of order"),
     ("huge_count", "trace.csv:21: count out of range"),
+    ("negative", "trace.csv:21: negative count"),
+    *((case, "trace.csv:21: non-integer field") for case in NON_CSV_INTEGERS),
     ("missing", "No such file"),
 ])
 def test_pretrain_bad_trace_exits_2_before_out(tmp_path, capsys, case, named):
     trace = tmp_path / "trace.csv"
+    good = "".join(f"{i},1\n" for i in range(20))
     if case == "short":
         trace.write_text("0,1\n1,0\n2,4\n")
     elif case == "out_of_order":
-        trace.write_text("".join(f"{i},1\n" for i in (*range(20), 25)))
+        trace.write_text(good + "25,1\n")
     elif case == "huge_count":
-        trace.write_text("".join(f"{i},1\n" for i in range(20)) + f"20,{10**30}\n")
+        trace.write_text(good + f"20,{10**30}\n")
+    elif case == "negative":
+        trace.write_text(good + "20, -3 \n")
+    elif case in NON_CSV_INTEGERS:
+        trace.write_text(good + f"20, {NON_CSV_INTEGERS[case]}\n", encoding="utf-8")
     out = tmp_path / "pre"
     rc = main(["pretrain", "--trace", str(trace), "--epochs", "1", "--out", str(out)])
     err = capsys.readouterr().err
@@ -614,14 +627,22 @@ def _short_rows(matrices):
     # Finite, but beyond float32, which training computes in.
     ("b", lambda blob: [[1e39] + blob["b"][0][1:]] + blob["b"][1:]),
     ("b_out", lambda blob: -1e39),
+    # A checkpoint of no stated format, or of another one.
+    ("version", None),
+    ("version", lambda blob: 2),
+    ("version", lambda blob: True),
 ], ids=["mistyped-steps", "short-Wx-list", "short-Wh-rows", "nan-norm_max",
-        "inf-w_out", "float32-overflow-b", "float32-overflow-b_out"])
+        "inf-w_out", "float32-overflow-b", "float32-overflow-b_out", "missing-version",
+        "version-2", "version-true"])
 def test_checkpoint_bad_field_exits_2_with_one_line(tmp_path, capsys, runs, command,
                                                      field, corrupt):
     ckpt = tmp_path / "bad.json"
     save_checkpoint(LstmForecaster(layers=2, hidden=3, seed=1), ckpt)
     blob = json.loads(ckpt.read_text())
-    blob[field] = corrupt(blob)
+    if corrupt is None:
+        del blob[field]
+    else:
+        blob[field] = corrupt(blob)
     ckpt.write_text(json.dumps(blob))
     argv = [arg.format(ckpt=ckpt) for arg in command]
     rc = main(argv + ["--set", "pairs=1", "--out", str(tmp_path / "out")])

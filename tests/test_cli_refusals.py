@@ -258,31 +258,39 @@ def test_every_argv_runs_or_is_refused_in_one_line(files, workers, argv):
 
 
 # The fields a checkpoint must hold, each of which load_checkpoint checks.
-CHECKPOINT_FIELDS = ("kind", "steps", "layers", "hidden", "dropout", "seed", "norm_min",
-                     "norm_max", "Wx", "Wh", "b", "w_out", "b_out")
+CHECKPOINT_FIELDS = ("kind", "version", "steps", "layers", "hidden", "dropout", "seed",
+                     "norm_min", "norm_max", "Wx", "Wh", "b", "w_out", "b_out")
 ARRAY_FIELDS = ("Wx", "Wh", "b", "w_out")
 
 
 @st.composite
 def bad_traces(draw):
-    """A trace CSV's text: up to 20 good rows, then one with a wrong column
-    count, a non-integer field, an index out of order, a negative count or
-    a count beyond int64."""
+    """A trace CSV's text and the diagnosis of its last row: up to 20 good
+    rows, then one with a wrong column count, a non-integer field, an index
+    out of order, a negative count or a count beyond int64."""
     n = draw(st.integers(0, 20))
     rows = [f"{i},{draw(st.integers(0, 50))}" for i in range(n)]
     fault = draw(st.sampled_from(("columns", "field", "order", "negative", "int64")))
     if fault == "columns":
         row = draw(st.sampled_from((f"{n}", f"{n},1,2", f"{n},1,", f"{n};1")))
+        named = "expected 'index,count'"
     elif fault == "field":
-        junk = draw(st.sampled_from(("x", "", "1.5", "nan", "1e3", "0x10", "--1")))
+        # The last is too long for `int()` to read (4,300 digits at most).
+        junk = draw(st.sampled_from(("x", "", "1.5", "nan", "1e3", "0x10", "--1", "1_0",
+                                     "+3", "\u0663", "9" * 5000)))
         row = draw(st.sampled_from((f"{junk},1", f"{n},{junk}")))
+        named = "non-integer field"
     elif fault == "order":
-        row = f"{draw(st.sampled_from((n - 1, n + 1, -1, n + 10**6)))},1"
+        index = draw(st.sampled_from((n - 1, n + 1, -1, n + 10**6)))
+        row = f"{index},1"
+        named = f"interval index {index} out of order"
     elif fault == "negative":
         row = f"{n},{-draw(st.integers(1, 2**70))}"
+        named = "negative count"
     else:
         row = f"{n},{2**63 + draw(st.integers(0, 2**70))}"
-    return "\n".join(rows + [row]) + "\n"
+        named = "count out of range"
+    return "\n".join(rows + [row]) + "\n", f":{n + 1}: {named}"
 
 
 def _paths(value, at=()):
@@ -358,6 +366,7 @@ def _refused(argv, path, tmp, workers):
     assert path in err
     assert workers == []
     assert not os.path.exists(out), "a refused file left output behind"
+    return err
 
 
 # The trace one row past the bound (None) takes about 0.2 s to read, so it
@@ -365,15 +374,19 @@ def _refused(argv, path, tmp, workers):
 @settings(max_examples=150)
 @given(st.integers(0, 9).flatmap(lambda k: bad_traces() if k else st.just(None)))
 @example(None)
-def test_every_bad_trace_is_refused_in_one_line(files, workers, text):
+def test_every_bad_trace_is_refused_in_one_line(files, workers, trace):
     with tempfile.TemporaryDirectory() as tmp:
-        if text is None:
+        if trace is None:
             path = str(files["past"])
+            named = f":{MAX_SYNTH_LENGTH + 1}: trace holds more than"
         else:
+            text, named = trace
             path = os.path.join(tmp, "trace.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        _refused(["pretrain", "--trace", path, "--epochs", "1"], path, tmp, workers)
+        err = _refused(["pretrain", "--trace", path, "--epochs", "1"], path, tmp, workers)
+        # Refused at the faulty row, for its fault.
+        assert path + named in err, err
 
 
 @settings(max_examples=150)

@@ -6,7 +6,8 @@ packets it holds and when each one leaves, a wrapper of
 `QueueStats.on_drop_law` when a law drop leaves, and wrappers of `Packet`
 and of the four handlers a packet can reach a host through (each end of a
 `Connection` and of a `PingProbe`) follow every packet from the moment it is
-built."""
+built; each plain link's deliveries are counted through a handler of its
+own, bound after the flows register."""
 import math
 from contextlib import ExitStack
 from unittest import mock
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 from aqmsim.aqm import Codel, FqCodel, QueueStats, TailDrop
 from aqmsim.engine import SECOND, US
 from aqmsim.harness import EPOCH_COLUMNS, SimContext
-from aqmsim.network import Link, PingProbe
+from aqmsim.network import PingProbe
 from aqmsim.packets import Packet
 from aqmsim.scenario import (DISCIPLINES, MAX_BW_BPS, MBPS, ScenarioConfig,
                              apply_setting)
 from aqmsim.transport import Connection
+from helpers import check_link_balance, count_deliveries, plain_links
 
 DISCIPLINE_CLASS = {"taildrop": TailDrop, "codel": Codel, "fq_codel": FqCodel}
 
@@ -153,9 +155,13 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
             for name in ("on_sender_receive", "on_receiver_receive"):
                 patches.enter_context(
                     mock.patch.object(owner, name, counted(getattr(owner, name))))
-        ctx = SimContext(cfg, seed=1).run()
+        ctx = SimContext(cfg, seed=1)
+        topo = ctx.topo
+        links = plain_links(topo)
+        delivered = count_deliveries(links)
+        ctx.run()
 
-    q, topo = ctx.topo.bottleneck, ctx.topo
+    q = topo.bottleneck
     s = q.stats
     limit = cfg.hard_limit
     held = _held(q)
@@ -180,21 +186,18 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
     assert len(departures) == len(admitted)
     assert sum(drained) == sum(departures) - sum(admitted)
 
-    # Every plain hop balances against its own FIFO.
-    ports = [h.egress for h in topo.hosts_a + topo.hosts_b + [topo.mon_a, topo.mon_b]]
-    ports += list(topo.r1.routes.values()) + list(topo.r2.routes.values())
-    links = list({id(p): p for p in ports if isinstance(p, Link)}.values())
+    # Every plain hop balances against the deliveries counted at its
+    # destination and those still in the engine's heap.
     for link in links:
-        assert link.arrivals == link.forwarded + link.overflow_drops + len(link.q)
-        assert len(link.q) <= limit
+        check_link_balance(link, delivered, ctx.sim)
 
     # Every packet built reached a host, was dropped at a named hop, is held
-    # in a queue, or rides a pending delivery event.
+    # in the bottleneck's queue, or rides a pending delivery event (a packet
+    # waiting at a plain link among them).
     dropped = (s.dropped_overflow + s.dropped_law
                + sum(link.overflow_drops for link in links))
-    queued = held + sum(len(link.q) for link in links)
     in_flight = sum(isinstance(event[3], Packet) for event in ctx.sim._heap)
-    assert len(built) == len(host_rx) + dropped + queued + in_flight
+    assert len(built) == len(host_rx) + dropped + held + in_flight
 
     # Every figure is finite, and the target and interval reported are the
     # ones the discipline ran with.

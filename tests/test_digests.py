@@ -9,9 +9,9 @@ from its model, are pinned on tiny runs, and the forecaster's trained
 weights (a short fit plus retrain) and gradients (one BPTT pass, in float64
 and in float32) on small models, at the end; the pins that rest on numpy's
 matmul are kept per OpenBLAS core. At these settings a change of event
-order among events that share a nanosecond (for example scheduling each
-hop's delivery when the packet arrives instead of when it starts
-transmission) changes some of the digests, so the test catches it.
+order among events that share a nanosecond changes some of the digests, so
+the test catches it: scheduling a plain link's deliveries when each packet
+arrives, not when it reaches the wire, moved five of them.
 
 A change that alters outputs on purpose updates the digests here and says
 why in CHANGES.md.
@@ -33,9 +33,9 @@ DURATION_S = 10
 
 GOLDEN = {
     ("taildrop", False):
-        "1cf16017e18c426e758f40cb91ca6f9a509fd4caa9bed5bc53a5dbf59ea20d5e",
+        "d21cf5a50fd00580c0d5f9fbddba33e2997900878e3a5dd2d11cf30c578f119b",
     ("codel", False):
-        "0f21ef9c219d6d87393ad5e8a3903bb1a860a3052a2ba2b6b5b0e5a4573b945d",
+        "9093a3aba063abe1f49eed977e8bd0a15e8de8f38f3a14e2c9162531deceb868",
     ("fq_codel", False):
         "347447c30dac68ae04c6fa1937a3150497b0e07efbb7a5d6f4422fd2bcb4888b",
     ("taildrop", True):
@@ -140,8 +140,8 @@ def test_output_digest_unchanged(tmp_path, disc, random_topology):
 # its queue holds, which an overflow drop must leave as it is: a count that
 # fell below the packets held would idle the port with packets waiting.
 UNCHAINED = {
-    "taildrop": "436a65231ed5b118200a6ef9994cd44dcac9c7fb1c02fd14e03ebe61889049b3",
-    "codel": "ae0266429bb3bb402ff17570af835cf8030028eefdf271a4db2ca3a0ac3e80e8",
+    "taildrop": "24a1a2a9424b5fa471885f468ce1ebd8d2a7dc1c91cc95688a658b34eeaf42e5",
+    "codel": "fbce70fc2ae3f19fa99b94249d20a0bcc9730e540749e59e55f934192f813d8c",
     "fq_codel": "b49bc5027486e43b0979c5ad3aeceebf267ab785b96402a3067aee69d0613cf9",
 }
 
@@ -171,11 +171,11 @@ BENCHMARK_WORKLOADS = {
         "93b905e2a8a44de98e9e3d7f63b134ee01d95b7b34d704a41af68b531714ab61"),
     "codel_intelligent": {
         "SkylakeX": (
-            "b82ad513fd96ef051fea070ff66a7a5ed453c20b76cb2dd6d81cadf3893cba2f",
-            "701c30b6c463f9d26101b48d1649e498df4722a3b1db515eb07dcf7fd70ec75b"),
+            "b0152a26870582bb09f8b1798f8a4058ac1bae9b93cd6f412fb74e66fdc942eb",
+            "f0f6524102b88cab55b9fa9c7130b4d516c193a0a2e2c994185f5fc728140fb1"),
         "Haswell": (
-            "b82ad513fd96ef051fea070ff66a7a5ed453c20b76cb2dd6d81cadf3893cba2f",
-            "701c30b6c463f9d26101b48d1649e498df4722a3b1db515eb07dcf7fd70ec75b")},
+            "b0152a26870582bb09f8b1798f8a4058ac1bae9b93cd6f412fb74e66fdc942eb",
+            "f0f6524102b88cab55b9fa9c7130b4d516c193a0a2e2c994185f5fc728140fb1")},
 }
 
 

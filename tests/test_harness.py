@@ -15,7 +15,7 @@ from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
 from aqmsim.packets import CE, F_ECE
 from aqmsim.predictor import LstmForecaster
 from aqmsim.scenario import ScenarioConfig
-from helpers import record_receiver
+from helpers import check_link_balance, count_deliveries, plain_links, record_receiver
 
 
 def header(columns) -> str:
@@ -191,14 +191,6 @@ class TestIntelligentRun:
         assert (a / "epochs.csv").read_bytes() == (b / "epochs.csv").read_bytes()
 
 
-def plain_links(topo):
-    """Every port of the topology except the bottleneck, each once."""
-    hosts = topo.hosts_a + topo.hosts_b + [topo.mon_a, topo.mon_b]
-    ports = [h.egress for h in hosts]
-    ports += list(topo.r1.routes.values()) + list(topo.r2.routes.values())
-    return list({id(p): p for p in ports if p is not topo.bottleneck_port}.values())
-
-
 class TestConservation:
     def test_bottleneck_accounting_balances(self):
         # run() raises unless enqueued == forwarded + law drops + resident
@@ -210,15 +202,15 @@ class TestConservation:
         for hard_limit in (ScenarioConfig.hard_limit, 5):
             cfg = small_cfg(duration_s=3, hard_limit=hard_limit)
             ctx = SimContext(cfg, seed=10)
-            ctx.run()
             topo = ctx.topo
             links = plain_links(topo)
             assert len(links) == 4 * cfg.pairs + 5
+            # The deliveries are counted at each link's destination, not
+            # read from its counters.
+            delivered = count_deliveries(links)
+            ctx.run()
             for link in links:
-                # The resident count comes from the FIFO itself, not the counters.
-                assert link.arrivals == (link.forwarded + link.overflow_drops
-                                         + len(link.q))
-                assert len(link.q) <= link.peak <= hard_limit
+                check_link_balance(link, delivered, ctx.sim)
             if hard_limit == 5:
                 assert sum(link.overflow_drops for link in links) > 0
             s = topo.bottleneck.stats

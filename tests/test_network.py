@@ -38,8 +38,8 @@ def packet(size, now):
     return Packet(0, 0, size, ECT0, F_ACK, now, 0)
 
 
-# A chained port, a port with delay, a chained link and a link with delay,
-# each at its own rate.
+# A chained port, a port with delay, a link without delay and a link with
+# delay, each at its own rate.
 HOPS = (("port", 20 * 10**6, 0), ("port", 10 * 10**6, 3 * MS),
         ("link", 100 * 10**6, 0), ("link", 55 * 10**6, 2 * MS))
 
@@ -142,20 +142,23 @@ def replay(kind, arrivals, prop_ns):
 
 
 @pytest.mark.parametrize("prop_ns", [0, 3_000])
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(1, 41))
 def test_link_and_taildrop_port_are_one_transmitter(seed, prop_ns):
     arrivals = arrival_schedule(seed)
-    port, port_events, port_out = replay("port", arrivals, prop_ns)
+    port, _, port_out = replay("port", arrivals, prop_ns)
     link, link_events, link_out = replay("link", arrivals, prop_ns)
-    # The same events at the same times in the same order, so the same
-    # deliveries and the same number of events dispatched.
-    assert link_events == port_events
+    # The link schedules each delivery when the packet arrives, the port
+    # when it reaches the wire, so their events differ in order, but not
+    # the deliveries, each at its time, nor the drops.
     assert link_out == port_out
     drops = port.q.stats.dropped_overflow
     assert link.overflow_drops == drops > 0
     assert link.arrivals == len(arrivals)
     assert link.forwarded == len(link_out) == len(arrivals) - drops
     assert link.peak == 3
+    # Exactly one event per delivered packet: a link has no wakeup.
+    delivered = [name for _, name in link_events if name != "arrive"]
+    assert delivered == ["receive"] * len(link_out)
     # An independent oracle: the wire is a work-conserving FIFO, so each
     # delivered packet starts when it arrives or when the one before it
     # leaves, whichever is later.
@@ -168,6 +171,40 @@ def test_link_and_taildrop_port_are_one_transmitter(seed, prop_ns):
         assert delivered_at == free + prop_ns
     # The schedule reaches the case this test is for.
     assert any(t in frees for t, _ in arrivals)
+
+
+@pytest.mark.parametrize("prop_ns", [0, 3_000])
+@pytest.mark.parametrize("kind", ["port", "link"])
+def test_a_packet_that_starts_now_no_longer_waits(kind, prop_ns):
+    # At 8 Gb/s a 64 B packet serializes in 64 ns. Four packets at 0: one
+    # on the wire, three waiting, which fills a limit of 3. At 64 ns the
+    # first of them takes the wire, so an arrival then finds two waiting.
+    sim = Simulator()
+    hop = make_hop(kind, sim, WIRE_BPS, prop_ns, hard_limit=3, sink_type=SeqSink)
+    for i in range(4):
+        hop.send(Packet(0, i, 64, ECT0, F_ACK, 0, 0))
+    sim.schedule(64, hop.send, Packet(0, 4, 64, ECT0, F_ACK, 64, 0))
+    sim.run(SECOND)
+    assert hop.dst.arrivals == [(64 * (i + 1) + prop_ns, i) for i in range(5)]
+    if kind == "link":
+        assert (hop.overflow_drops, hop.peak) == (0, 3)
+
+
+def test_a_short_default_run_dispatches_a_pinned_number_of_events():
+    # One event per packet per plain hop and no wakeup: a wakeup brought
+    # back to a Link would add events here even where the output bytes held
+    # (20,041 with them). 2 s of the default dumbbell, seed 1.
+    scheduled = 0
+    schedule = Simulator.schedule
+
+    def counted(self, *args):
+        nonlocal scheduled
+        scheduled += 1
+        schedule(self, *args)
+
+    with mock.patch.object(Simulator, "schedule", counted):
+        ctx = SimContext(replace(ScenarioConfig(), duration_s=2), seed=1).run()
+    assert scheduled - len(ctx.sim) == 19_492
 
 
 @pytest.mark.parametrize("random_topology", [False, True])
@@ -264,8 +301,9 @@ def test_a_one_flow_hosts_downlink_delivers_straight_to_its_flow(random_topology
     # A downlink carries only packets addressed to its host, each of a flow
     # that ends there, so a bulk host's downlink hands every packet to its
     # one flow's handler; the monitor hosts, where three flows end, keep
-    # Host.receive. The A side's downlinks are chained (exit_prop 0), the
-    # B side's are not. The run outlasts the random topology's latest start.
+    # Host.receive. The A side's downlinks have no propagation delay
+    # (exit_prop 0), the B side's have some. The run outlasts the random
+    # topology's latest start.
     cfg = replace(ScenarioConfig(), pairs=3, duration_s=RAND_START_MAX_S + 1, disc="codel",
                   random_topology=random_topology,
                   bottleneck_prop_ns=bottleneck_prop_ms * MS)
@@ -298,17 +336,19 @@ def test_a_one_flow_hosts_downlink_delivers_straight_to_its_flow(random_topology
                 port = host.downlink
                 assert router.routes[host.node_id] is port
                 assert host.handlers == {conn.cid: handler}
-                assert port._receive == handler
-                assert port._deliver == (port._deliver_chain if port._chained else handler)
+                # Every Link, with propagation delay or without, schedules
+                # its deliveries to the handler itself.
+                assert isinstance(port, Link) and port._receive == handler
+                assert not hasattr(port, "_deliver")
         monitors = (topo.mon_b, topo.mon_a)
         for host in monitors:
             assert len(host.handlers) == 3
             assert host.downlink._receive == host.receive
         ctx.run()
 
-    chained = {conn.dst.downlink._chained for conn in ctx.conns}
-    unchained = {conn.src.downlink._chained for conn in ctx.conns}
-    assert chained == {True} and unchained == {False}
+    undelayed = {conn.dst.downlink.prop_ns == 0 for conn in ctx.conns}
+    delayed = {conn.src.downlink.prop_ns == 0 for conn in ctx.conns}
+    assert undelayed == {True} and delayed == {False}
     # Every packet a flow's end took carries that flow's id and was
     # addressed to its host, and every bulk end took some.
     assert all(pkt.flow_id == end.cid and pkt.dst_id == host.node_id
