@@ -114,6 +114,9 @@ class SimContext:
         self.topo = Topology(self.sim, cfg, seed)
         self.duration_ns = cfg.duration_s * SECOND
 
+        # ECE echoes reaching R1, per 100 ms bin of their arrival there. Each
+        # is counted as the reverse bottleneck admits it, so in the middle of
+        # a run the bins ahead of the clock already hold echoes in flight.
         self.bins100 = [0] * (cfg.duration_s * EPOCH_BINS + 1)
         # The in-loop retrain runs once, at retrain_at_s, on 1 ms bins from
         # the start: only a run that reaches it keeps them.
@@ -123,7 +126,7 @@ class SimContext:
         self._ms_limit_ns = collect_1ms_s * SECOND
         self.bins1ms = [0] * (self._ms_limit_ns // RETRAIN_BIN_NS)
 
-        self.topo.r1.ece_hook = self._note_ece
+        self.topo.ece_hook = self._note_ece
 
         # Bulk transfers B -> A plus the monitor pair's probe connection.
         # The monitor comes up first; load starts at bulk_start_ms, or on a
@@ -186,11 +189,13 @@ class SimContext:
 
     # -- instrumentation ----------------------------------------------------
 
-    def _note_ece(self) -> None:
-        now = self.sim.now
-        self.bins100[now // BIN_NS] += 1
-        if now < self._ms_limit_ns:
-            self.bins1ms[now // RETRAIN_BIN_NS] += 1
+    def _note_ece(self, t: int) -> None:
+        """Count an echo that reaches R1 at `t`, which the clock may not
+        have reached yet; one due after the run's end counts nowhere."""
+        if t <= self.duration_ns:
+            self.bins100[t // BIN_NS] += 1
+            if t < self._ms_limit_ns:
+                self.bins1ms[t // RETRAIN_BIN_NS] += 1
 
     def _retrain(self) -> None:
         self.model.retrain_one_epoch(np.array(self.bins1ms, dtype=np.float64))

@@ -14,11 +14,14 @@ to a handler bound once.
 A host sends only across the dumbbell, and its router sends every such
 packet through one egress port: the bottleneck for a B-side host, the
 reverse bottleneck link for an A-side one. So each host's uplink delivers
-straight to that port, and a router runs only where it chooses a port (at
-the far end of either bottleneck direction) or feeds R1's ECE tap. Both
-routers keep their full tables. R1's tap counts every echo its one inbound
-port, the reverse bottleneck link, delivers, with no destination filter:
-that port carries only B-bound packets, and no B-side uplink carries one.
+straight to that port, and only R2, at the far end of the bottleneck,
+receives packets as a `Router`. R1's one inbound port is the reverse
+bottleneck link, which carries only B-bound packets, and each B-side
+downlink is fed by R1 alone. So that link hands each packet through R1 as
+it admits it, at the time it would arrive there: R1's ECE tap
+(`Topology.ece_hook`) counts an echo by that time, and the B-side downlink
+takes the packet as arriving then, with no event at R1. Both routers keep
+their full tables.
 
 A host's downlink carries only packets addressed to that host, each of a
 flow that ends there. So on a host where one flow ends, every bulk host, the
@@ -138,10 +141,13 @@ class EgressPort(Hop):
 
 class Link(Hop):
     """Unidirectional tail-drop FIFO: a pure delay line. A packet's wire
-    start is fixed on arrival, at the later of now and `busy_until`
+    start is fixed on arrival, at the later of its arrival and `busy_until`
     (Lindley's recursion), so `send` schedules its delivery at once and
     keeps only the start times of the packets still waiting, in `_waiting`
-    (a start at or before now leaves it at the next arrival on a busy wire).
+    (a start at or before an arrival leaves it at the next arrival on a busy
+    wire). `_at` is called with each delivery: the engine's `schedule`, or
+    for a link whose destination can take each packet ahead of the clock, a
+    hand-over at the delivery time that `Topology` sets in its place.
 
     Counters: `arrivals` (every packet handed to `send`), `forwarded`
     (packets admitted), `overflow_drops` (arrivals refused with `hard_limit`
@@ -150,7 +156,7 @@ class Link(Hop):
     """
 
     __slots__ = ("hard_limit", "arrivals", "forwarded", "overflow_drops", "peak",
-                 "_waiting")
+                 "_waiting", "_at")
 
     def __init__(self, sim, bandwidth_bps: int, prop_ns: int, hard_limit: int, dst):
         if hard_limit < 1:
@@ -162,10 +168,14 @@ class Link(Hop):
         self.overflow_drops = 0
         self.peak = 0
         self._waiting = deque()
+        self._at = sim.schedule
 
-    def send(self, pkt) -> None:
+    def send(self, pkt, now=None) -> None:
+        """Take `pkt`, arriving at `now`: the clock's time, unless a
+        hand-over gives the arrival ahead of the clock."""
         self.arrivals += 1
-        now = self.sim.now
+        if now is None:
+            now = self.sim.now
         start = self.busy_until
         if start > now:
             # The wire is busy: the packet waits until `start`.
@@ -182,7 +192,7 @@ class Link(Hop):
             start = now
         self.forwarded += 1
         done = self.busy_until = start + self._tx_ns[pkt.size_bytes]
-        self.sim.schedule(done + self.prop_ns, self._receive, pkt)
+        self._at(done + self.prop_ns, self._receive, pkt)
 
 
 class Host:
@@ -210,19 +220,16 @@ class Host:
 
 
 class Router:
-    """Static routing by destination node id, with an optional tap,
-    `ece_hook`, called for every ECE-flagged, non-negotiation packet."""
+    """Static routing by destination node id. Only R2 receives packets here:
+    the reverse bottleneck link hands each of its packets through R1's
+    table itself, and R1's ECE tap with it (`Topology`)."""
 
-    __slots__ = ("routes", "ece_hook")
+    __slots__ = ("routes",)
 
     def __init__(self):
         self.routes = {}
-        self.ece_hook = None
 
     def receive(self, pkt) -> None:
-        # The flag first: most packets carry no ECE, and only R1 has a hook.
-        if pkt.flags & F_ECE and not pkt.flags & F_SYN and self.ece_hook is not None:
-            self.ece_hook()
         self.routes[pkt.dst_id].send(pkt)
 
 
@@ -293,6 +300,9 @@ class Topology:
         self.mon_a = Host(next(ids))
         self.r1 = Router()
         self.r2 = Router()
+        # R1's ECE tap, set before a run: called with the time at which each
+        # non-negotiation echo reaches R1.
+        self.ece_hook = None
 
         configured = (cfg.access_bw_bps, cfg.access_prop_ns)
         if cfg.random_topology:
@@ -320,6 +330,25 @@ class Topology:
                            self.bottleneck, self.r2)
         self.bottleneck_port = bport
         rev = link(cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns, self.r1)
+        r1_routes = self.r1.routes
+
+        def through_r1(t, _receive, pkt):
+            """R1 at `t`, when `pkt` reaches it: tap an echo, and hand the
+            packet to the B-side downlink that R1's table names, arriving
+            then. Nothing else feeds that downlink, and the reverse link's
+            delivery times increase, so its arrivals come in time order.
+            Its delivery is scheduled earlier than an event at R1 would
+            have, so a tie with another event at that nanosecond may run in
+            another order (ROADMAP item 11); that the bytes stay the same is
+            checked by the pins and by `tests/test_config_space.py`, not
+            proved."""
+            if pkt.flags & F_ECE and not pkt.flags & F_SYN:
+                self.ece_hook(t)
+            r1_routes[pkt.dst_id].send(pkt, t)
+
+        # The link's `dst` and `_receive` (R1 and `Router.receive`) are
+        # never used: each delivery goes through R1 here instead.
+        rev._at = through_r1
 
         def attach(host, router, across, bw, prop):
             """The host's uplink, delivering straight to the port `across`

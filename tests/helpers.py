@@ -141,12 +141,22 @@ def plain_links(topo) -> list:
     return list({id(p): p for p in ports if p is not topo.bottleneck_port}.values())
 
 
-def count_deliveries(links) -> dict:
-    """Bind each link's deliveries through a counter of its own, keyed by the
-    link's id: the packets it hands its destination. Call after the flows
-    have registered with their hosts and before the run."""
+def reverse_link(topo):
+    """The reverse bottleneck link, R2 -> R1, which hands each packet it
+    admits through R1 to a B-side downlink instead of delivering it."""
+    return topo.r2.routes[topo.mon_b.node_id]
+
+
+def count_deliveries(topo, links) -> dict:
+    """Bind each link's deliveries but the reverse bottleneck's through a
+    counter of its own, keyed by the link's id: the packets it hands its
+    destination. Call after the flows have registered with their hosts and
+    before the run."""
     delivered = {}
+    rev = reverse_link(topo)
     for link in links:
+        if link is rev:
+            continue
         delivered[id(link)] = 0
 
         def counted(pkt, key=id(link), handler=link._receive):
@@ -157,12 +167,21 @@ def count_deliveries(links) -> dict:
     return delivered
 
 
-def check_link_balance(link, delivered: dict, sim) -> None:
-    """Every packet a link took was delivered, is still to be delivered (an
-    event in the engine's heap), or was refused at the hard limit; and the
+def check_links_balance(topo, links, delivered: dict, sim) -> None:
+    """Every packet a link took was refused at the hard limit or admitted;
+    an admitted one was delivered or is still to be delivered (an event in
+    the engine's heap), or, on the reverse bottleneck, handed over to a
+    B-side downlink, whose own `arrivals` count it. On every link, the
     packets still waiting for the wire, those that start after now, number
     no more than its peak, which is within the hard limit."""
-    pending = sum(1 for event in sim._heap if event[2] is link._receive)
-    assert link.arrivals == delivered[id(link)] + pending + link.overflow_drops
-    waiting = sum(1 for start in link._waiting if start > sim.now)
-    assert waiting <= link.peak <= link.hard_limit
+    rev = reverse_link(topo)
+    for link in links:
+        assert link.arrivals == link.forwarded + link.overflow_drops
+        if link is rev:
+            downlinks = (h.downlink for h in topo.hosts_b + [topo.mon_b])
+            assert link.forwarded == sum(d.arrivals for d in downlinks)
+        else:
+            pending = sum(1 for event in sim._heap if event[2] is link._receive)
+            assert link.forwarded == delivered[id(link)] + pending
+        waiting = sum(1 for start in link._waiting if start > sim.now)
+        assert waiting <= link.peak <= link.hard_limit

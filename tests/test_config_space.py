@@ -7,23 +7,33 @@ packets it holds and when each one leaves, a wrapper of
 and of the four handlers a packet can reach a host through (each end of a
 `Connection` and of a `PingProbe`) follow every packet from the moment it is
 built; each plain link's deliveries are counted through a handler of its
-own, bound after the flows register."""
+own, bound after the flows register, except the reverse bottleneck's, which
+it hands through R1 to the B-side downlinks that count them as arrivals.
+
+A second property holds the reverse bottleneck's hand-over through R1 to
+the wiring it replaced, a plain link into R1 that `Router.receive` routes
+from, with R1's tap counting each echo in the event that delivers it: both
+write the same bytes."""
 import math
+import os
+import tempfile
 from contextlib import ExitStack
+from dataclasses import replace
 from unittest import mock
 
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from aqmsim.aqm import Codel, FqCodel, QueueStats, TailDrop
-from aqmsim.engine import SECOND, US
-from aqmsim.harness import EPOCH_COLUMNS, SimContext
-from aqmsim.network import PingProbe
-from aqmsim.packets import Packet
+from aqmsim.engine import MS, SECOND, US
+from aqmsim.harness import (EPOCH_COLUMNS, SimContext, write_epochs_csv,
+                            write_summary_csv)
+from aqmsim.network import Link, PingProbe
+from aqmsim.packets import F_ECE, F_SYN, Packet
 from aqmsim.scenario import (DISCIPLINES, MAX_BW_BPS, MBPS, ScenarioConfig,
                              apply_setting)
 from aqmsim.transport import Connection
-from helpers import check_link_balance, count_deliveries, plain_links
+from helpers import check_links_balance, count_deliveries, plain_links
 
 DISCIPLINE_CLASS = {"taildrop": TailDrop, "codel": Codel, "fq_codel": FqCodel}
 
@@ -158,7 +168,7 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
         ctx = SimContext(cfg, seed=1)
         topo = ctx.topo
         links = plain_links(topo)
-        delivered = count_deliveries(links)
+        delivered = count_deliveries(topo, links)
         ctx.run()
 
     q = topo.bottleneck
@@ -187,9 +197,9 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
     assert sum(drained) == sum(departures) - sum(admitted)
 
     # Every plain hop balances against the deliveries counted at its
-    # destination and those still in the engine's heap.
-    for link in links:
-        check_link_balance(link, delivered, ctx.sim)
+    # destination and those still in the engine's heap; the reverse
+    # bottleneck, against the arrivals of the downlinks it hands over to.
+    check_links_balance(topo, links, delivered, ctx.sim)
 
     # Every packet built reached a host, was dropped at a named hop, is held
     # in the bottleneck's queue, or rides a pending delivery event (a packet
@@ -206,3 +216,47 @@ def test_every_accepted_config_runs_to_consistent_outputs(cfg):
             for row in ctx.rows} == {(cfg.target_ns, cfg.interval_ns)}
     assert (ctx.topo.aqm_params.target, ctx.topo.aqm_params.interval) == (
         cfg.target_ns, cfg.interval_ns)
+
+
+def _unfuse(ctx) -> None:
+    """Wire `ctx`'s reverse bottleneck as a plain link into R1, before the
+    run: R1 receives each packet in an event at its arrival, taps an echo
+    then and routes it through `Router.receive`. The A side's uplinks and
+    R2's routes to the B side point at the new link."""
+    topo, cfg, sim = ctx.topo, ctx.cfg, ctx.sim
+    r1 = topo.r1
+
+    def r1_receive(pkt):
+        if pkt.flags & F_ECE and not pkt.flags & F_SYN:
+            ctx._note_ece(sim.now)
+        r1.receive(pkt)
+
+    rev = Link(sim, cfg.bottleneck_bw_bps, cfg.bottleneck_prop_ns, cfg.hard_limit, r1)
+    rev.bind(r1_receive)
+    for host in topo.hosts_a + [topo.mon_a]:
+        host.egress.dst = rev
+        host.egress.bind(rev.receive)
+    for host in topo.hosts_b + [topo.mon_b]:
+        topo.r2.routes[host.node_id] = rev
+
+
+def _outputs(cfg, unfused: bool) -> tuple:
+    """The bytes of a run's epochs.csv and summary.csv."""
+    ctx = SimContext(cfg, seed=1)
+    if unfused:
+        _unfuse(ctx)
+    ctx.run()
+    with tempfile.TemporaryDirectory() as out:
+        files = (os.path.join(out, "epochs.csv"), os.path.join(out, "summary.csv"))
+        write_epochs_csv(ctx, files[0])
+        write_summary_csv(ctx, files[1])
+        return tuple(open(f, "rb").read() for f in files)
+
+
+# Echoes marked on a slow bottleneck with a long reverse path are still on
+# their way to R1 when the run ends, more than a 100 ms bin past it.
+@example(replace(ScenarioConfig(), pairs=2, duration_s=2, bottleneck_prop_ns=300 * MS,
+                 bottleneck_bw_bps=1 * MBPS))
+@given(configs())
+def test_the_hand_over_through_r1_writes_what_an_event_at_r1_does(cfg):
+    assert _outputs(cfg, unfused=False) == _outputs(cfg, unfused=True)

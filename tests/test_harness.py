@@ -15,7 +15,7 @@ from aqmsim.harness import (COMPARE_COLUMNS, EPOCH_COLUMNS, FIT_REPORT_COLUMNS,
 from aqmsim.packets import CE, F_ECE
 from aqmsim.predictor import LstmForecaster
 from aqmsim.scenario import ScenarioConfig
-from helpers import check_link_balance, count_deliveries, plain_links, record_receiver
+from helpers import check_links_balance, count_deliveries, plain_links, record_receiver
 
 
 def header(columns) -> str:
@@ -207,10 +207,9 @@ class TestConservation:
             assert len(links) == 4 * cfg.pairs + 5
             # The deliveries are counted at each link's destination, not
             # read from its counters.
-            delivered = count_deliveries(links)
+            delivered = count_deliveries(topo, links)
             ctx.run()
-            for link in links:
-                check_link_balance(link, delivered, ctx.sim)
+            check_links_balance(topo, links, delivered, ctx.sim)
             if hard_limit == 5:
                 assert sum(link.overflow_drops for link in links) > 0
             s = topo.bottleneck.stats

@@ -8,7 +8,7 @@ import pytest
 from aqmsim.aqm import AqmParams, TailDrop
 from aqmsim.engine import MS, SECOND, Simulator, transmit_delay
 from aqmsim.harness import RAND_START_MAX_S, SimContext
-from aqmsim.network import EgressPort, Host, Link, PingProbe, Router
+from aqmsim.network import EgressPort, Host, Link, PingProbe, Router, Topology
 from aqmsim.packets import ECT0, F_ACK, F_ECE, F_SYN, NOT_ECT, Packet
 from aqmsim.scenario import ScenarioConfig
 from aqmsim.transport import Connection
@@ -191,9 +191,10 @@ def test_a_packet_that_starts_now_no_longer_waits(kind, prop_ns):
 
 
 def test_a_short_default_run_dispatches_a_pinned_number_of_events():
-    # One event per packet per plain hop and no wakeup: a wakeup brought
-    # back to a Link would add events here even where the output bytes held
-    # (20,041 with them). 2 s of the default dumbbell, seed 1.
+    # One event per packet per plain hop, none at R1 and no wakeup: a wakeup
+    # brought back to a Link, or an arrival event at R1, would add events
+    # here even where the output bytes held (20,041 with the wakeups, 19,492
+    # with the arrivals). 2 s of the default dumbbell, seed 1.
     scheduled = 0
     schedule = Simulator.schedule
 
@@ -204,7 +205,7 @@ def test_a_short_default_run_dispatches_a_pinned_number_of_events():
 
     with mock.patch.object(Simulator, "schedule", counted):
         ctx = SimContext(replace(ScenarioConfig(), duration_s=2), seed=1).run()
-    assert scheduled - len(ctx.sim) == 19_492
+    assert scheduled - len(ctx.sim) == 16_276
 
 
 @pytest.mark.parametrize("random_topology", [False, True])
@@ -219,10 +220,10 @@ def test_uplinks_deliver_to_the_port_their_router_routes_through(random_topology
         init(self, *args)
         built.append(self)
 
-    def counted_send(self, pkt):
+    def counted_send(self, pkt, *now):
         if self in uplinks:
             carried.append((self, pkt))
-        send(self, pkt)
+        send(self, pkt, *now)
 
     with mock.patch.object(Link, "__init__", counted_init):
         ctx = SimContext(cfg, seed=5)
@@ -249,7 +250,7 @@ def test_uplinks_deliver_to_the_port_their_router_routes_through(random_topology
         # No B-side uplink carries a B-bound packet, so an uplink that
         # passes R1 by never hides an echo from R1's ECE tap.
         assert (pkt.dst_id in b_ids) == (router is r2)
-    assert r1.ece_hook is not None and r2.ece_hook is None
+    assert topo.ece_hook == ctx._note_ece
 
     # Every Link made is still reachable from the hosts' uplinks and the two
     # routing tables, which the conservation checks enumerate.
@@ -264,12 +265,15 @@ def test_uplinks_deliver_to_the_port_their_router_routes_through(random_topology
 def test_r1_receives_only_b_bound_packets_and_taps_every_echo(random_topology,
                                                              bottleneck_prop_ms):
     # R1's tap has no destination filter: the wiring alone keeps every packet
-    # that reaches R1 bound for the B side, chained bottleneck or not.
+    # that reaches R1 bound for the B side, chained bottleneck or not. R1
+    # receives no packet as a Router: the reverse bottleneck link hands each
+    # one through it, with the time it reaches R1.
     cfg = replace(ScenarioConfig(), pairs=4, duration_s=3, disc="codel",
                   random_topology=random_topology,
                   bottleneck_prop_ns=bottleneck_prop_ms * MS)
     receive = Router.receive
     received = []  # (router, packet) for every packet a router received
+    handed = []  # (time it reaches R1, packet) for every packet handed through R1
 
     def counted_receive(self, pkt):
         received.append((self, pkt))
@@ -277,19 +281,28 @@ def test_r1_receives_only_b_bound_packets_and_taps_every_echo(random_topology,
 
     with mock.patch.object(Router, "receive", counted_receive):
         ctx = SimContext(cfg, seed=3)
+        topo = ctx.topo
+        rev = topo.r2.routes[topo.mon_b.node_id]
+        through_r1 = rev._at
+
+        def recorded(t, handler, pkt):
+            handed.append((t, pkt))
+            through_r1(t, handler, pkt)
+
+        rev._at = recorded
         ctx.run()
-    topo = ctx.topo
     b_ids = {h.node_id for h in topo.hosts_b + [topo.mon_b]}
-    at_r1 = [pkt for router, pkt in received if router is topo.r1]
+    at_r1 = [pkt for t, pkt in handed if t <= ctx.duration_ns]
     at_r2 = [pkt for router, pkt in received if router is topo.r2]
     assert at_r1 and at_r2
-    assert all(pkt.dst_id in b_ids for pkt in at_r1)
+    assert all(router is topo.r2 for router, _ in received)
+    assert all(pkt.dst_id in b_ids for _, pkt in handed)
     assert not any(pkt.dst_id in b_ids for pkt in at_r2)
 
     def echoes(pkts):
         return sum(1 for pkt in pkts if pkt.flags & F_ECE and not pkt.flags & F_SYN)
-    # Every non-negotiation echo R1 receives lands in one 100 ms bin, and
-    # the run marks enough for the count to mean something.
+    # Every non-negotiation echo that reaches R1 by the end lands in one
+    # 100 ms bin, and the run marks enough for the count to mean something.
     assert echoes(at_r1) == sum(ctx.bins100) > 0
     assert echoes(at_r2) == 0
 
@@ -363,15 +376,23 @@ def test_a_one_flow_hosts_downlink_delivers_straight_to_its_flow(random_topology
 
 
 def test_a_router_routes_and_taps_only_non_negotiation_echoes():
+    # R2 routes each B-bound packet onto the reverse bottleneck link, which
+    # hands it through R1 as it admits it: R1 routes it to the downlink its
+    # table names, arriving when it reaches R1, and taps the echo that is no
+    # negotiation, with that time.
+    cfg = replace(ScenarioConfig(), pairs=1)
+    sim = Simulator()
+    topo = Topology(sim, cfg, seed=1)
+    b_id = topo.hosts_b[0].node_id
     routed, tapped = [], []
-    router = Router()
-    router.routes[7] = mock.Mock(send=routed.append)
-    pkts = [Packet(0, 0, 64, NOT_ECT, flags, 0, 7)
+    topo.r1.routes[b_id] = mock.Mock(send=lambda pkt, t: routed.append((pkt, t)))
+    topo.ece_hook = tapped.append
+    pkts = [Packet(0, 0, 64, NOT_ECT, flags, 0, b_id)
             for flags in (F_ACK | F_ECE, F_ACK, F_SYN | F_ACK | F_ECE)]
-    # Without a hook, a router routes an echo and calls nothing.
-    router.receive(pkts[0])
-    router.ece_hook = lambda: tapped.append(len(routed))
     for pkt in pkts:
-        router.receive(pkt)
-    assert routed == [pkts[0]] + pkts
-    assert tapped == [1]
+        topo.r2.receive(pkt)
+    wire = transmit_delay(64, cfg.bottleneck_bw_bps)
+    at_r1 = [(i + 1) * wire + cfg.bottleneck_prop_ns for i in range(3)]
+    assert routed == list(zip(pkts, at_r1))
+    assert tapped == at_r1[:1]
+    assert len(sim) == 0
